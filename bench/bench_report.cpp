@@ -1,50 +1,12 @@
 #include "bench_report.hpp"
 
-#include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <utility>
 
+#include "util/wire.hpp"
+
 namespace adaptviz::benchio {
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-std::string json_number(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  // JSON has no inf/nan literals; a bench emitting one is a bug we still
-  // want visible in the artifact rather than a parse failure.
-  if (std::strstr(buf, "inf") != nullptr || std::strstr(buf, "nan") != nullptr) {
-    return "null";
-  }
-  return buf;
-}
-
-}  // namespace
 
 void BenchReport::add(std::string bench, std::string scenario,
                       std::string metric, double value, std::string unit) {
@@ -60,10 +22,11 @@ void BenchReport::save(const std::string& path) const {
   out << "[\n";
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     const BenchRow& r = rows_[i];
-    out << "  {\"bench\": \"" << json_escape(r.bench) << "\", \"scenario\": \""
-        << json_escape(r.scenario) << "\", \"metric\": \""
-        << json_escape(r.metric) << "\", \"value\": " << json_number(r.value)
-        << ", \"unit\": \"" << json_escape(r.unit) << "\"}"
+    out << "  {\"bench\": " << wire::json_quote(r.bench)
+        << ", \"scenario\": " << wire::json_quote(r.scenario)
+        << ", \"metric\": " << wire::json_quote(r.metric)
+        << ", \"value\": " << wire::json_number(r.value)
+        << ", \"unit\": " << wire::json_quote(r.unit) << "}"
         << (i + 1 < rows_.size() ? ",\n" : "\n");
   }
   out << "]\n";

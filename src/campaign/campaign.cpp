@@ -1,6 +1,7 @@
 #include "campaign/campaign.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <mutex>
@@ -10,6 +11,7 @@
 #include "util/logging.hpp"
 #include "util/string_util.hpp"
 #include "util/thread_pool.hpp"
+#include "util/wire.hpp"
 
 namespace adaptviz {
 namespace {
@@ -382,12 +384,12 @@ std::vector<double> parse_double_list(const std::string& key,
                                       const std::string& spec) {
   std::vector<double> out;
   for (const std::string& name : parse_name_list(spec)) {
-    try {
-      out.push_back(std::stod(name));
-    } catch (const std::exception&) {
+    const auto v = wire::parse_double(name);
+    if (!v || !std::isfinite(*v)) {
       throw std::runtime_error("campaign: malformed " + key + " entry '" +
                                name + "'");
     }
+    out.push_back(*v);
   }
   return out;
 }

@@ -22,6 +22,7 @@
 #include "obs/obs.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
+#include "util/wire.hpp"
 
 namespace adaptviz {
 namespace {
@@ -449,9 +450,11 @@ class Coordinator {
   void handle_line(WorkerProc& w, const std::string& line) {
     if (line.rfind("HELLO ", 0) == 0) {
       const std::size_t at = line.find("grid=");
-      const long grid =
-          at == std::string::npos ? -1 : std::atol(line.c_str() + at + 5);
-      if (grid != static_cast<long>(runs_.size())) {
+      const auto grid =
+          at == std::string::npos
+              ? std::nullopt
+              : wire::parse_int(std::string_view(line).substr(at + 5));
+      if (grid != static_cast<std::int64_t>(runs_.size())) {
         throw std::runtime_error(
             "dispatch: worker expanded a different grid (" + line + " vs " +
             std::to_string(runs_.size()) + " runs) — campaign file drift");
@@ -666,10 +669,9 @@ int run_dispatch_worker(const WorkerOptions& options, std::istream& in,
             << std::flush;
         return 2;
       }
-      char* end = nullptr;
-      const unsigned long long parsed = strtoull(line.c_str() + 5, &end, 10);
-      const auto index = static_cast<std::size_t>(parsed);
-      if (end == line.c_str() + 5 || *end != '\0' || index >= runs.size()) {
+      const auto parsed = wire::parse_int(std::string_view(line).substr(5));
+      if (!parsed || *parsed < 0 ||
+          static_cast<std::size_t>(*parsed) >= runs.size()) {
         out << "ERR bad task index " << sanitize_line(line) << "\n"
             << std::flush;
         return 2;
@@ -679,6 +681,7 @@ int run_dispatch_worker(const WorkerOptions& options, std::istream& in,
         // ROW, pipe snaps shut.
         std::_Exit(42);
       }
+      const auto index = static_cast<std::size_t>(*parsed);
 
       ManifestEntry entry;
       entry.index = index;

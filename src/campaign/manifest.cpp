@@ -1,104 +1,32 @@
 #include "campaign/manifest.hpp"
 
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <memory>
+#include <map>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
+
+#include "util/wire.hpp"
 
 namespace adaptviz {
 namespace {
 
-// ---- token-level encoding ----
-//
-// Strings travel percent-encoded so a value can never contain the
-// separators of any enclosing layer (spaces for the kv line, quotes and
-// backslashes for JSON, newlines for the pipe protocol).
-
-bool plain_char(unsigned char c) {
-  return std::isalnum(c) != 0 || c == '.' || c == '_' || c == '~' ||
-         c == ':' || c == '/' || c == '-';
-}
-
-std::string percent_encode(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const unsigned char c : s) {
-    if (plain_char(c)) {
-      out += static_cast<char>(c);
-    } else {
-      char buf[4];
-      std::snprintf(buf, sizeof buf, "%%%02X", c);
-      out += buf;
-    }
-  }
-  return out;
-}
-
-int hex_nibble(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-std::string percent_decode(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '%') {
-      out += s[i];
-      continue;
-    }
-    if (i + 2 >= s.size()) {
-      throw std::runtime_error("manifest: truncated percent escape in '" + s +
-                               "'");
-    }
-    const int hi = hex_nibble(s[i + 1]);
-    const int lo = hex_nibble(s[i + 2]);
-    if (hi < 0 || lo < 0) {
-      throw std::runtime_error("manifest: malformed percent escape in '" + s +
-                               "'");
-    }
-    out += static_cast<char>(hi * 16 + lo);
-    i += 2;
-  }
-  return out;
-}
-
-// Hexfloat: the only printf/scanf round trip that is exact for every
-// finite double — the merged summary must reproduce the in-process CSV
-// byte for byte, so "close" is not good enough.
-std::string encode_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
-
 double decode_double(const std::string& s) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == nullptr || *end != '\0' || end == s.c_str()) {
-    throw std::runtime_error("manifest: malformed double '" + s + "'");
-  }
-  return v;
+  const auto v = wire::parse_double(s);
+  if (!v) throw std::runtime_error("manifest: malformed double '" + s + "'");
+  return *v;
 }
 
 std::int64_t decode_int(const std::string& s) {
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || end == s.c_str()) {
-    throw std::runtime_error("manifest: malformed integer '" + s + "'");
-  }
-  return v;
+  const auto v = wire::parse_int(s);
+  if (!v) throw std::runtime_error("manifest: malformed integer '" + s + "'");
+  return *v;
 }
 
-std::vector<std::pair<std::string, std::string>> split_kv(
-    const std::string& line) {
-  std::vector<std::pair<std::string, std::string>> out;
+/// `k1=v1 k2=v2 ...` into a key -> value map; keys must be unique.
+std::map<std::string, std::string> split_kv(const std::string& line) {
+  std::map<std::string, std::string> out;
   std::size_t pos = 0;
   while (pos < line.size()) {
     std::size_t end = line.find(' ', pos);
@@ -109,11 +37,97 @@ std::vector<std::pair<std::string, std::string>> split_kv(
       if (eq == std::string::npos || eq == 0) {
         throw std::runtime_error("manifest: malformed token '" + token + "'");
       }
-      out.emplace_back(token.substr(0, eq), token.substr(eq + 1));
+      if (!out.emplace(token.substr(0, eq), token.substr(eq + 1)).second) {
+        throw std::runtime_error("manifest: duplicate key in '" + token + "'");
+      }
     }
     pos = end + 1;
   }
   return out;
+}
+
+// One token per field type. Strings travel percent-encoded, so a value
+// never contains a separator of an enclosing layer (spaces for the kv
+// line, quotes for JSON, newlines for the pipe protocol). Doubles and
+// durations travel as hexfloats, because the merged summary must
+// reproduce the in-process CSV byte for byte. Integers, flags, enums and
+// byte counts travel as decimal.
+template <typename T>
+std::string encode_value(const T& v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return wire::percent_encode(v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    return wire::hexfloat(v);
+  } else if constexpr (std::is_same_v<T, Bytes>) {
+    return std::to_string(v.count());
+  } else if constexpr (std::is_integral_v<T> || std::is_enum_v<T>) {
+    return std::to_string(static_cast<std::int64_t>(v));
+  } else {
+    return wire::hexfloat(v.seconds());
+  }
+}
+
+template <typename T>
+void decode_value(const std::string& s, T& out) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    out = wire::percent_decode(s);
+  } else if constexpr (std::is_same_v<T, double>) {
+    out = decode_double(s);
+  } else if constexpr (std::is_same_v<T, Bytes>) {
+    out = Bytes(decode_int(s));
+  } else if constexpr (std::is_same_v<T, bool>) {
+    out = decode_int(s) != 0;
+  } else if constexpr (std::is_integral_v<T> || std::is_enum_v<T>) {
+    out = static_cast<T>(decode_int(s));
+  } else {
+    out = T(decode_double(s));
+  }
+}
+
+/// The record's wire fields, in wire order. One list drives both
+/// directions, so the encoder and decoder cannot disagree on a key.
+template <typename Record, typename Visitor>
+void visit_record(Record& r, Visitor&& field) {
+  auto& s = r.summary;
+  field("label", r.label);
+  field("site", r.site);
+  field("algorithm", r.algorithm);
+  field("seed", r.seed);
+  field("disk_gb", r.disk_gb);
+  field("failure_rate", r.failure_rate);
+  field("codec", r.codec_enabled);
+  field("failed", r.failed);
+  field("error", r.error);
+  field("completed", s.completed);
+  field("wall_elapsed_s", s.wall_elapsed);
+  field("sim_finished_wall_s", s.sim_finished_wall);
+  field("sim_reached_s", s.sim_reached);
+  field("peak_disk_bytes", s.peak_disk_used);
+  field("min_free_disk_percent", s.min_free_disk_percent);
+  field("stall_s", s.total_stall_time);
+  field("frames_written", s.frames_written);
+  field("frames_sent", s.frames_sent);
+  field("frames_visualized", s.frames_visualized);
+  field("transfer_failures", s.transfer_failures);
+  field("transfer_retries", s.transfer_retries);
+  field("restarts", s.restarts);
+  field("decisions", s.decision_count);
+  field("viewers", s.viewers);
+  field("frames_served", s.frames_served);
+  field("cache_hits", s.cache_hits);
+  field("cache_misses", s.cache_misses);
+  field("cache_evictions", s.cache_evictions);
+  field("rerenders", s.rerenders);
+  field("peak_cache_bytes", s.peak_cache_bytes);
+  field("codec_mean_ratio", s.codec_mean_ratio);
+  field("codec_saved_bytes", s.codec_bytes_saved);
+  field("tree_tiers", s.tree_tiers);
+  field("tree_leaves", s.tree_leaves);
+  field("tree_viewers", s.tree_viewers);
+  field("tree_frames_delivered", s.tree_frames_delivered);
+  field("tree_origin_wan_bytes", s.tree_origin_wan_bytes);
+  field("tree_fill_retries", s.tree_fill_retries);
+  field("tree_degraded_events", s.tree_degraded_events);
 }
 
 }  // namespace
@@ -121,155 +135,28 @@ std::vector<std::pair<std::string, std::string>> split_kv(
 // ---- record codec ----
 
 std::string encode_run_record(const CampaignRunRecord& record) {
-  const ExperimentSummary& s = record.summary;
   std::string out;
-  const auto str = [&out](const char* k, const std::string& v) {
+  visit_record(record, [&out](const char* key, const auto& value) {
     if (!out.empty()) out += ' ';
-    out += k;
+    out += key;
     out += '=';
-    out += percent_encode(v);
-  };
-  const auto num = [&out](const char* k, std::int64_t v) {
-    if (!out.empty()) out += ' ';
-    out += k;
-    out += '=';
-    out += std::to_string(v);
-  };
-  const auto dbl = [&out](const char* k, double v) {
-    if (!out.empty()) out += ' ';
-    out += k;
-    out += '=';
-    out += encode_double(v);
-  };
-
-  str("label", record.label);
-  str("site", record.site);
-  num("algorithm", static_cast<std::int64_t>(record.algorithm));
-  num("seed", static_cast<std::int64_t>(record.seed));
-  dbl("disk_gb", record.disk_gb);
-  dbl("failure_rate", record.failure_rate);
-  num("codec", record.codec_enabled ? 1 : 0);
-  num("failed", record.failed ? 1 : 0);
-  str("error", record.error);
-
-  num("completed", s.completed ? 1 : 0);
-  dbl("wall_elapsed_s", s.wall_elapsed.seconds());
-  dbl("sim_finished_wall_s", s.sim_finished_wall.seconds());
-  dbl("sim_reached_s", s.sim_reached.seconds());
-  num("peak_disk_bytes", s.peak_disk_used.count());
-  dbl("min_free_disk_percent", s.min_free_disk_percent);
-  dbl("stall_s", s.total_stall_time.seconds());
-  num("frames_written", s.frames_written);
-  num("frames_sent", s.frames_sent);
-  num("frames_visualized", s.frames_visualized);
-  num("transfer_failures", s.transfer_failures);
-  num("transfer_retries", s.transfer_retries);
-  num("restarts", s.restarts);
-  num("decisions", s.decision_count);
-  num("viewers", s.viewers);
-  num("frames_served", s.frames_served);
-  num("cache_hits", s.cache_hits);
-  num("cache_misses", s.cache_misses);
-  num("cache_evictions", s.cache_evictions);
-  num("rerenders", s.rerenders);
-  num("peak_cache_bytes", s.peak_cache_bytes.count());
-  dbl("codec_mean_ratio", s.codec_mean_ratio);
-  num("codec_saved_bytes", s.codec_bytes_saved.count());
-  num("tree_tiers", s.tree_tiers);
-  num("tree_leaves", s.tree_leaves);
-  num("tree_viewers", s.tree_viewers);
-  num("tree_frames_delivered", s.tree_frames_delivered);
-  num("tree_origin_wan_bytes", s.tree_origin_wan_bytes.count());
-  num("tree_fill_retries", s.tree_fill_retries);
-  num("tree_degraded_events", s.tree_degraded_events);
+    out += encode_value(value);
+  });
   return out;
 }
 
 CampaignRunRecord decode_run_record(const std::string& line) {
+  std::map<std::string, std::string> kv = split_kv(line);
   CampaignRunRecord r;
-  ExperimentSummary& s = r.summary;
-  for (const auto& [key, value] : split_kv(line)) {
-    if (key == "label") {
-      r.label = percent_decode(value);
-    } else if (key == "site") {
-      r.site = percent_decode(value);
-    } else if (key == "algorithm") {
-      r.algorithm = static_cast<AlgorithmKind>(decode_int(value));
-    } else if (key == "seed") {
-      r.seed = static_cast<std::uint64_t>(decode_int(value));
-    } else if (key == "disk_gb") {
-      r.disk_gb = decode_double(value);
-    } else if (key == "failure_rate") {
-      r.failure_rate = decode_double(value);
-    } else if (key == "codec") {
-      r.codec_enabled = decode_int(value) != 0;
-    } else if (key == "failed") {
-      r.failed = decode_int(value) != 0;
-    } else if (key == "error") {
-      r.error = percent_decode(value);
-    } else if (key == "completed") {
-      s.completed = decode_int(value) != 0;
-    } else if (key == "wall_elapsed_s") {
-      s.wall_elapsed = WallSeconds(decode_double(value));
-    } else if (key == "sim_finished_wall_s") {
-      s.sim_finished_wall = WallSeconds(decode_double(value));
-    } else if (key == "sim_reached_s") {
-      s.sim_reached = SimSeconds(decode_double(value));
-    } else if (key == "peak_disk_bytes") {
-      s.peak_disk_used = Bytes(decode_int(value));
-    } else if (key == "min_free_disk_percent") {
-      s.min_free_disk_percent = decode_double(value);
-    } else if (key == "stall_s") {
-      s.total_stall_time = WallSeconds(decode_double(value));
-    } else if (key == "frames_written") {
-      s.frames_written = decode_int(value);
-    } else if (key == "frames_sent") {
-      s.frames_sent = decode_int(value);
-    } else if (key == "frames_visualized") {
-      s.frames_visualized = decode_int(value);
-    } else if (key == "transfer_failures") {
-      s.transfer_failures = decode_int(value);
-    } else if (key == "transfer_retries") {
-      s.transfer_retries = decode_int(value);
-    } else if (key == "restarts") {
-      s.restarts = static_cast<int>(decode_int(value));
-    } else if (key == "decisions") {
-      s.decision_count = static_cast<int>(decode_int(value));
-    } else if (key == "viewers") {
-      s.viewers = static_cast<int>(decode_int(value));
-    } else if (key == "frames_served") {
-      s.frames_served = decode_int(value);
-    } else if (key == "cache_hits") {
-      s.cache_hits = decode_int(value);
-    } else if (key == "cache_misses") {
-      s.cache_misses = decode_int(value);
-    } else if (key == "cache_evictions") {
-      s.cache_evictions = decode_int(value);
-    } else if (key == "rerenders") {
-      s.rerenders = decode_int(value);
-    } else if (key == "peak_cache_bytes") {
-      s.peak_cache_bytes = Bytes(decode_int(value));
-    } else if (key == "codec_mean_ratio") {
-      s.codec_mean_ratio = decode_double(value);
-    } else if (key == "codec_saved_bytes") {
-      s.codec_bytes_saved = Bytes(decode_int(value));
-    } else if (key == "tree_tiers") {
-      s.tree_tiers = static_cast<int>(decode_int(value));
-    } else if (key == "tree_leaves") {
-      s.tree_leaves = static_cast<int>(decode_int(value));
-    } else if (key == "tree_viewers") {
-      s.tree_viewers = decode_int(value);
-    } else if (key == "tree_frames_delivered") {
-      s.tree_frames_delivered = decode_int(value);
-    } else if (key == "tree_origin_wan_bytes") {
-      s.tree_origin_wan_bytes = Bytes(decode_int(value));
-    } else if (key == "tree_fill_retries") {
-      s.tree_fill_retries = decode_int(value);
-    } else if (key == "tree_degraded_events") {
-      s.tree_degraded_events = decode_int(value);
-    } else {
-      throw std::runtime_error("manifest: unknown record key '" + key + "'");
-    }
+  visit_record(r, [&kv](const char* key, auto& value) {
+    const auto it = kv.find(key);
+    if (it == kv.end()) return;  // absent fields keep their defaults
+    decode_value(it->second, value);
+    kv.erase(it);
+  });
+  if (!kv.empty()) {
+    throw std::runtime_error("manifest: unknown record key '" +
+                             kv.begin()->first + "'");
   }
   return r;
 }
@@ -284,7 +171,7 @@ std::string encode_manifest_entry(const ManifestEntry& entry) {
   std::string files;
   for (const FileStamp& f : entry.files) {
     if (!files.empty()) files += ',';
-    files += percent_encode(f.path) + ':' + std::to_string(f.bytes);
+    files += wire::percent_encode(f.path) + ':' + std::to_string(f.bytes);
   }
   return "index=" + std::to_string(entry.index) + " files=" + files + " " +
          encode_run_record(entry.record);
@@ -320,8 +207,9 @@ ManifestEntry decode_manifest_entry(const std::string& line) {
         throw std::runtime_error("manifest: malformed file stamp '" + stamp +
                                  "'");
       }
-      entry.files.push_back(FileStamp{percent_decode(stamp.substr(0, colon)),
-                                      decode_int(stamp.substr(colon + 1))});
+      entry.files.push_back(
+          FileStamp{wire::percent_decode(stamp.substr(0, colon)),
+                    decode_int(stamp.substr(colon + 1))});
       fpos = fend + 1;
     }
   }
@@ -332,246 +220,12 @@ ManifestEntry decode_manifest_entry(const std::string& line) {
 // ---- JSON layer ----
 //
 // The manifest is real JSON (CI uploads it as an artifact; humans read it
-// after a failed sweep), written and parsed by the minimal
-// reader/writer below — no external dependency, and the values we emit
-// (percent-encoded strings, decimal numbers) exercise only this subset.
+// after a failed sweep), written with wire::json_quote and read back with
+// wire::parse_json.
 
 namespace {
 
-void json_string(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (const unsigned char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      case '\r':
-        out << "\\r";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04X", c);
-          out << buf;
-        } else {
-          out << static_cast<char>(c);
-        }
-    }
-  }
-  out << '"';
-}
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  [[nodiscard]] const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue v = value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters");
-    return v;
-  }
-
- private:
-  [[noreturn]] void fail(const char* what) const {
-    throw std::runtime_error("manifest: JSON parse error at offset " +
-                             std::to_string(pos_) + ": " + what);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail("unexpected character");
-    ++pos_;
-  }
-
-  bool consume_literal(const char* lit) {
-    const std::size_t len = std::string(lit).size();
-    if (text_.compare(pos_, len, lit) == 0) {
-      pos_ += len;
-      return true;
-    }
-    return false;
-  }
-
-  JsonValue value() {
-    skip_ws();
-    const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') {
-      JsonValue v;
-      v.kind = JsonValue::Kind::kString;
-      v.string = string();
-      return v;
-    }
-    JsonValue v;
-    if (consume_literal("true")) {
-      v.kind = JsonValue::Kind::kBool;
-      v.boolean = true;
-      return v;
-    }
-    if (consume_literal("false")) {
-      v.kind = JsonValue::Kind::kBool;
-      return v;
-    }
-    if (consume_literal("null")) return v;
-    return number();
-  }
-
-  JsonValue object() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = string();
-      skip_ws();
-      expect(':');
-      v.object.emplace_back(std::move(key), value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue array() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"':
-        case '\\':
-        case '/':
-          out += e;
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 'b':
-          out += '\b';
-          break;
-        case 'f':
-          out += '\f';
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          int code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const int nib = hex_nibble(text_[pos_++]);
-            if (nib < 0) fail("malformed \\u escape");
-            code = code * 16 + nib;
-          }
-          if (code > 0xFF) fail("non-ASCII \\u escape unsupported");
-          out += static_cast<char>(code);
-          break;
-        }
-        default:
-          fail("unknown escape");
-      }
-    }
-  }
-
-  JsonValue number() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected a value");
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    v.number = decode_double(text_.substr(start, pos_ - start));
-    return v;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
+using wire::JsonValue;
 
 double require_number(const JsonValue& obj, const char* key) {
   const JsonValue* v = obj.find(key);
@@ -606,25 +260,21 @@ std::string CampaignManifest::to_json() const {
   std::ostringstream out;
   out << "{\n";
   out << "  \"version\": " << kVersion << ",\n";
-  out << "  \"campaign\": ";
-  json_string(out, campaign);
-  out << ",\n";
+  out << "  \"campaign\": " << wire::json_quote(campaign) << ",\n";
   out << "  \"grid\": " << grid << ",\n";
   out << "  \"runs\": [";
   bool first = true;
   for (const auto& [index, entry] : entries) {
     out << (first ? "\n" : ",\n");
     first = false;
-    out << "    {\"index\": " << index << ", \"label\": ";
-    json_string(out, entry.record.label);
+    out << "    {\"index\": " << index
+        << ", \"label\": " << wire::json_quote(entry.record.label);
     out << ", \"failed\": " << (entry.record.failed ? "true" : "false");
-    out << ", \"record\": ";
-    json_string(out, encode_run_record(entry.record));
+    out << ", \"record\": " << wire::json_quote(encode_run_record(entry.record));
     out << ", \"files\": [";
     for (std::size_t i = 0; i < entry.files.size(); ++i) {
       if (i > 0) out << ", ";
-      out << "{\"path\": ";
-      json_string(out, entry.files[i].path);
+      out << "{\"path\": " << wire::json_quote(entry.files[i].path);
       out << ", \"bytes\": " << entry.files[i].bytes << "}";
     }
     out << "]}";
@@ -647,7 +297,7 @@ void CampaignManifest::save(const std::string& path) const {
 }
 
 CampaignManifest CampaignManifest::from_json(const std::string& text) {
-  const JsonValue root = JsonParser(text).parse();
+  const JsonValue root = wire::parse_json(text);
   if (root.kind != JsonValue::Kind::kObject) {
     throw std::runtime_error("manifest: top level is not an object");
   }

@@ -13,7 +13,8 @@
 // campaign_summary.csv is asserted bitwise-identical to the in-process
 // CampaignRunner's, so every double travels as a hexfloat (`%a`), every
 // integer as decimal, and every string percent-encoded (no spaces,
-// newlines or quotes survive into the line/JSON layer).
+// newlines or quotes survive into the line/JSON layer). The primitives
+// are util/wire's, shared with the steering log and the JSON exporters.
 //
 // Partial-output handling: a manifest entry carries a byte-size stamp for
 // every per-run CSV the worker wrote. On resume each stamped file must
@@ -52,8 +53,8 @@ struct ManifestEntry {
 /// doubles, percent-encoded strings). Never contains '\n'.
 std::string encode_run_record(const CampaignRunRecord& record);
 
-/// Inverse of encode_run_record. Unknown keys are rejected; throws
-/// std::runtime_error naming the malformed token.
+/// Inverse of encode_run_record. Unknown and duplicate keys are rejected;
+/// throws std::runtime_error naming the malformed token.
 CampaignRunRecord decode_run_record(const std::string& line);
 
 /// One-line encoding of a full entry: `index=N files=<stamps> <record>`.
@@ -83,7 +84,7 @@ class CampaignManifest {
   void save(const std::string& path) const;
 
   /// Parses a manifest document; throws std::runtime_error on malformed
-  /// input or a version mismatch.
+  /// input (duplicate keys included) or a version mismatch.
   static CampaignManifest from_json(const std::string& text);
   /// Loads from disk; std::nullopt when the file is absent or unparseable
   /// (an unreadable manifest means "no resume", never a crash).

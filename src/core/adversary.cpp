@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/wire.hpp"
 
 namespace adaptviz {
 
@@ -44,21 +46,19 @@ AdversaryAction adversary_action_from(const std::string& text) {
                              "' (expected <k>:<kind>=<magnitude>)");
   }
   AdversaryAction a;
-  try {
-    std::size_t used = 0;
-    a.after_decision = std::stoi(text.substr(0, colon), &used);
-    if (used != colon) throw std::invalid_argument("trailing");
-  } catch (const std::exception&) {
+  const auto index = wire::parse_int(text.substr(0, colon));
+  if (!index || *index < std::numeric_limits<int>::min() ||
+      *index > std::numeric_limits<int>::max()) {
     throw std::runtime_error("adversary: bad decision index in '" + text +
                              "'");
   }
+  a.after_decision = static_cast<int>(*index);
   a.kind = adversary_action_kind_from(text.substr(colon + 1, eq - colon - 1));
-  const std::string mag = text.substr(eq + 1);
-  char* end = nullptr;
-  a.magnitude = std::strtod(mag.c_str(), &end);
-  if (mag.empty() || end == nullptr || *end != '\0') {
+  const auto magnitude = wire::parse_double(text.substr(eq + 1));
+  if (!magnitude) {
     throw std::runtime_error("adversary: bad magnitude in '" + text + "'");
   }
+  a.magnitude = *magnitude;
   return a;
 }
 

@@ -37,12 +37,6 @@ struct ApplicationStatus : ResourceSnapshot {
   bool finished = false;
 };
 
-/// Old name for the fields now shared through ResourceSnapshot. Kept so
-/// downstream code that spelled the snapshot type explicitly keeps
-/// compiling; new code should use ResourceSnapshot.
-using ApplicationResourceState [[deprecated(
-    "use ResourceSnapshot from core/decision.hpp")]] = ResourceSnapshot;
-
 struct DecisionRecord {
   WallSeconds wall_time{};
   DecisionInput input;

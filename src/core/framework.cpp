@@ -79,8 +79,7 @@ AdaptiveFramework::AdaptiveFramework(ExperimentConfig config)
       ctx_.log_sink != nullptr) {
     // Install before any component is built so construction-time activity
     // (profiling sweeps run through the pool) is captured too. A config
-    // with nothing to install leaves the surrounding context visible —
-    // the deprecated ScopedObservability shim path keeps working.
+    // with nothing to install leaves the surrounding context visible.
     ctx_scope_ = std::make_unique<ScopedRunContext>(&ctx_);
   }
 
@@ -99,14 +98,6 @@ AdaptiveFramework::AdaptiveFramework(ExperimentConfig config)
   app_config_.output_interval = config_.bounds.min_output_interval;
   app_config_.resolution_km = config_.model.base_resolution_km;
 
-  // Normalize the deprecated steering fields into SteeringOptions: both
-  // spellings drive the exact same control-plane path (golden-tested).
-  if (!config_.steering.policy && config_.steering_policy) {
-    config_.steering.policy = config_.steering_policy;
-  }
-  if (config_.steering.latency.seconds() < 0) {
-    config_.steering.latency = config_.steering_latency;
-  }
   if (!config_.steering.replay_log_path.empty()) {
     for (SteeringEvent& e :
          load_steering_log(config_.steering.replay_log_path)) {
@@ -640,11 +631,11 @@ ExperimentResult AdaptiveFramework::finish_run() {
   }
   result.steering = steering_log_;
   if (serving_) {
-    for (int i = 0; i < serving_->viewer_count(); ++i) {
-      result.clients.push_back(ClientSeries{serving_->viewer(i).name,
-                                            serving_->viewer(i).mode,
-                                            serving_->stats(i),
-                                            serving_->deliveries(i)});
+    for (ClientId id{0}; id.value < serving_->viewer_count(); ++id.value) {
+      const ViewerConfig& viewer = serving_->viewer(id);
+      result.clients.push_back(ClientSeries{viewer.name, viewer.mode,
+                                            serving_->stats(id),
+                                            serving_->deliveries(id)});
     }
   }
 

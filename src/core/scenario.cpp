@@ -6,6 +6,7 @@
 #include "util/calendar.hpp"
 #include "util/csv.hpp"
 #include "util/string_util.hpp"
+#include "util/wire.hpp"
 
 namespace adaptviz {
 
@@ -35,15 +36,14 @@ std::vector<LinkOutage> parse_outages(const std::string& spec) {
       throw std::runtime_error("scenario: outage window '" + w +
                                "' must be start-end (hours)");
     }
-    try {
-      const double start = std::stod(trim(parts[0]));
-      const double end = std::stod(trim(parts[1]));
-      out.push_back(LinkOutage{WallSeconds::hours(start),
-                               WallSeconds::hours(end)});
-    } catch (const std::invalid_argument&) {
+    const auto start = wire::parse_double(trim(parts[0]));
+    const auto end = wire::parse_double(trim(parts[1]));
+    if (!start || !end) {
       throw std::runtime_error("scenario: malformed outage window '" + w +
                                "'");
     }
+    out.push_back(
+        LinkOutage{WallSeconds::hours(*start), WallSeconds::hours(*end)});
   }
   return out;
 }

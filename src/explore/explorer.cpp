@@ -10,6 +10,7 @@
 
 #include "util/logging.hpp"
 #include "util/string_util.hpp"
+#include "util/wire.hpp"
 
 namespace adaptviz {
 
@@ -33,13 +34,12 @@ std::vector<double> parse_double_list(const std::string& text,
   std::istringstream in(text);
   std::string token;
   while (in >> token) {
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
+    const auto v = wire::parse_double(token);
+    if (!v) {
       throw std::runtime_error(std::string("scenario: explore.") + key +
                                ": bad number '" + token + "'");
     }
-    out.push_back(v);
+    out.push_back(*v);
   }
   return out;
 }

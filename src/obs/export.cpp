@@ -1,87 +1,39 @@
 #include "obs/export.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
 
+#include "util/wire.hpp"
+
 namespace adaptviz::obs {
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-void write_number(std::ostream& out, double v) {
-  // JSON has no inf/nan; clamp to null (never produced by our metrics,
-  // but the exporter must not emit an invalid document).
-  if (std::isfinite(v)) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.9g", v);
-    out << buf;
-  } else {
-    out << "null";
-  }
-}
-
-}  // namespace
 
 void write_json(std::ostream& out, const MetricsSnapshot& metrics,
                 const std::vector<TraceEvent>& trace) {
   out << "{\n  \"metrics\": {\n    \"counters\": {";
   for (std::size_t i = 0; i < metrics.counters.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n") << "      \""
-        << json_escape(metrics.counters[i].name)
-        << "\": " << metrics.counters[i].value;
+    out << (i == 0 ? "\n" : ",\n") << "      "
+        << wire::json_quote(metrics.counters[i].name) << ": "
+        << metrics.counters[i].value;
   }
   out << "\n    },\n    \"gauges\": {";
   for (std::size_t i = 0; i < metrics.gauges.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n") << "      \""
-        << json_escape(metrics.gauges[i].name) << "\": ";
-    write_number(out, metrics.gauges[i].value);
+    out << (i == 0 ? "\n" : ",\n") << "      "
+        << wire::json_quote(metrics.gauges[i].name) << ": "
+        << wire::json_number(metrics.gauges[i].value);
   }
   out << "\n    },\n    \"histograms\": {";
   for (std::size_t i = 0; i < metrics.histograms.size(); ++i) {
     const auto& h = metrics.histograms[i].snapshot;
-    out << (i == 0 ? "\n" : ",\n") << "      \""
-        << json_escape(metrics.histograms[i].name) << "\": {\"count\": "
-        << h.count << ", \"sum\": ";
-    write_number(out, h.sum);
-    out << ", \"min\": ";
-    write_number(out, h.min);
-    out << ", \"max\": ";
-    write_number(out, h.max);
-    out << ", \"bounds\": [";
+    out << (i == 0 ? "\n" : ",\n") << "      "
+        << wire::json_quote(metrics.histograms[i].name) << ": {\"count\": "
+        << h.count << ", \"sum\": " << wire::json_number(h.sum)
+        << ", \"min\": " << wire::json_number(h.min)
+        << ", \"max\": " << wire::json_number(h.max) << ", \"bounds\": [";
     for (std::size_t k = 0; k < h.upper_bounds.size(); ++k) {
       if (k != 0) out << ", ";
-      write_number(out, h.upper_bounds[k]);
+      out << wire::json_number(h.upper_bounds[k]);
     }
     out << "], \"buckets\": [";
     for (std::size_t k = 0; k < h.counts.size(); ++k) {
@@ -93,13 +45,12 @@ void write_json(std::ostream& out, const MetricsSnapshot& metrics,
   out << "\n    }\n  },\n  \"trace\": [";
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const TraceEvent& e = trace[i];
-    out << (i == 0 ? "\n" : ",\n") << "    {\"stage\": \""
-        << json_escape(e.stage) << "\", \"clock\": \"" << to_string(e.clock)
-        << "\", \"start\": ";
-    write_number(out, e.start_seconds);
-    out << ", \"duration\": ";
-    write_number(out, e.duration_seconds);
-    out << ", \"meta\": \"" << json_escape(e.metadata) << "\"}";
+    out << (i == 0 ? "\n" : ",\n")
+        << "    {\"stage\": " << wire::json_quote(e.stage)
+        << ", \"clock\": \"" << to_string(e.clock)
+        << "\", \"start\": " << wire::json_number(e.start_seconds)
+        << ", \"duration\": " << wire::json_number(e.duration_seconds)
+        << ", \"meta\": " << wire::json_quote(e.metadata) << "}";
   }
   out << "\n  ]\n}\n";
 }

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "obs/obs.hpp"
+#include "util/wire.hpp"
 
 namespace adaptviz {
 
@@ -456,15 +457,12 @@ std::vector<std::string> split_list(const std::string& value) {
 }
 
 double parse_double(const std::string& key, const std::string& item) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(item, &used);
-    if (used != item.size()) throw std::invalid_argument(item);
-    return v;
-  } catch (const std::exception&) {
+  const auto v = wire::parse_double(item);
+  if (!v) {
     throw std::runtime_error("[tree] " + key + ": malformed number '" + item +
                              "'");
   }
+  return *v;
 }
 
 /// Per-tier list: a single value broadcasts to every tier; otherwise the

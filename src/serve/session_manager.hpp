@@ -135,13 +135,6 @@ class ViewerSessionManager {
   /// detach() (for stats/series queries) and reattach() resumes it.
   ClientId attach(const ViewerConfig& config);
 
-  /// Deprecated shim for the index-based API: attach() and return the
-  /// handle's value as an int. ClientId values coincide with historical
-  /// indices, so existing callers keep working unchanged.
-  int add_viewer(const ViewerConfig& config) {
-    return static_cast<int>(attach(config).value);
-  }
-
   /// The observer leaves mid-run: deliveries stop (an in-flight transfer is
   /// abandoned without a record), re-render results it was waiting on are
   /// dropped, and idle() no longer waits for it. Stats and the delivery
@@ -194,19 +187,6 @@ class ViewerSessionManager {
   /// The client's current view (default until steered).
   [[nodiscard]] const ViewCommand& view(ClientId client) const {
     return session_for(client).view;
-  }
-
-  // Deprecated index-based accessors: same data, now validated (stale
-  // indices throw instead of UB).
-  [[nodiscard]] const ViewerConfig& viewer(int client) const {
-    return viewer(ClientId{client});
-  }
-  [[nodiscard]] const ViewerStats& stats(int client) const {
-    return stats(ClientId{client});
-  }
-  [[nodiscard]] const std::vector<DeliveryRecord>& deliveries(
-      int client) const {
-    return deliveries(ClientId{client});
   }
 
   /// Total deliveries across all clients.

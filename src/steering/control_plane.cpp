@@ -1,174 +1,15 @@
 #include "steering/control_plane.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "util/logging.hpp"
+#include "util/wire.hpp"
 
 namespace adaptviz {
-
-namespace {
-
-// ---- exact-round-trip primitives (steering_log.jsonl layer) ----
-//
-// Free-form strings travel percent-encoded so a value never contains a
-// quote, comma, brace or newline; doubles travel as hexfloats, whose
-// alphabet ([0-9a-fx.+-p]) needs no encoding. Both survive the line/JSON
-// layer byte-exactly.
-
-bool unreserved(char c) {
-  return (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z') ||
-         (c >= '0' && c <= '9') || c == '-' || c == '.' || c == '_' ||
-         c == '~';
-}
-
-std::string percent_encode(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
-    if (unreserved(static_cast<char>(c))) {
-      out.push_back(static_cast<char>(c));
-    } else {
-      char buf[4];
-      std::snprintf(buf, sizeof buf, "%%%02X", c);
-      out += buf;
-    }
-  }
-  return out;
-}
-
-int hex_nibble(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-std::string percent_decode(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '%') {
-      out.push_back(s[i]);
-      continue;
-    }
-    if (i + 2 >= s.size()) {
-      throw std::runtime_error("steering log: truncated percent escape in '" +
-                               s + "'");
-    }
-    const int hi = hex_nibble(s[i + 1]);
-    const int lo = hex_nibble(s[i + 2]);
-    if (hi < 0 || lo < 0) {
-      throw std::runtime_error("steering log: bad percent escape in '" + s +
-                               "'");
-    }
-    out.push_back(static_cast<char>(hi * 16 + lo));
-    i += 2;
-  }
-  return out;
-}
-
-std::string hex_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
-
-double parse_double(const std::string& s) {
-  if (s.empty()) throw std::runtime_error("steering log: empty number");
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == nullptr || *end != '\0') {
-    throw std::runtime_error("steering log: malformed number '" + s + "'");
-  }
-  return v;
-}
-
-/// Minimal writer for the flat all-strings JSON object a log line is.
-class LineWriter {
- public:
-  void raw(const char* key, const std::string& value) {
-    out_ += out_.empty() ? "{\"" : ",\"";
-    out_ += key;
-    out_ += "\":\"";
-    out_ += value;
-    out_ += '"';
-  }
-  void str(const char* key, const std::string& value) {
-    raw(key, percent_encode(value));
-  }
-  void num(const char* key, double value) { raw(key, hex_double(value)); }
-  [[nodiscard]] std::string finish() { return out_ + "}"; }
-
- private:
-  std::string out_;
-};
-
-/// Parses `{"k":"v",...}` into a key→value map. Values are the raw
-/// (still-encoded) strings; keys must be unique.
-std::map<std::string, std::string> parse_line(const std::string& line) {
-  std::map<std::string, std::string> out;
-  std::size_t i = 0;
-  auto fail = [&](const std::string& why) {
-    throw std::runtime_error("steering log: " + why + " in '" + line + "'");
-  };
-  auto skip_ws = [&] {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-  };
-  skip_ws();
-  if (i >= line.size() || line[i] != '{') fail("missing '{'");
-  ++i;
-  skip_ws();
-  if (i < line.size() && line[i] == '}') return out;  // empty object
-  while (true) {
-    skip_ws();
-    // "key"
-    if (i >= line.size() || line[i] != '"') fail("expected key quote");
-    const std::size_t key_start = ++i;
-    while (i < line.size() && line[i] != '"') ++i;
-    if (i >= line.size()) fail("unterminated key");
-    const std::string key = line.substr(key_start, i - key_start);
-    ++i;
-    skip_ws();
-    if (i >= line.size() || line[i] != ':') fail("expected ':'");
-    ++i;
-    skip_ws();
-    if (i >= line.size() || line[i] != '"') fail("expected value quote");
-    const std::size_t val_start = ++i;
-    while (i < line.size() && line[i] != '"') ++i;
-    if (i >= line.size()) fail("unterminated value");
-    const std::string value = line.substr(val_start, i - val_start);
-    ++i;
-    if (!out.emplace(key, value).second) fail("duplicate key '" + key + "'");
-    skip_ws();
-    if (i < line.size() && line[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (i < line.size() && line[i] == '}') break;
-    fail("expected ',' or '}'");
-  }
-  return out;
-}
-
-SteeringCommand::Kind command_kind_from(const std::string& name) {
-  if (name == "set-output-bounds") return SteeringCommand::Kind::kSetOutputBounds;
-  if (name == "set-resolution-floor") {
-    return SteeringCommand::Kind::kSetResolutionFloor;
-  }
-  if (name == "set-nest-extent") return SteeringCommand::Kind::kSetNestExtent;
-  if (name == "pause") return SteeringCommand::Kind::kPause;
-  if (name == "resume") return SteeringCommand::Kind::kResume;
-  throw std::runtime_error("steering log: unknown command kind '" + name +
-                           "'");
-}
-
-}  // namespace
 
 void validate(const ViewCommand& view) {
   if (view.field.empty()) {
@@ -197,9 +38,10 @@ std::string view_key(const ViewCommand& view) {
     return "";
   }
   // Hexfloats: views equal bit-for-bit share a render, nothing else does.
-  return percent_encode(view.field) + "/" + percent_encode(view.colormap) +
-         "/" + hex_double(view.zoom) + "/" + hex_double(view.center_lat) +
-         "/" + hex_double(view.center_lon);
+  return wire::percent_encode(view.field) + "/" +
+         wire::percent_encode(view.colormap) + "/" + wire::hexfloat(view.zoom) +
+         "/" + wire::hexfloat(view.center_lat) + "/" +
+         wire::hexfloat(view.center_lon);
 }
 
 void validate(const KnobProposal& proposal) {
@@ -280,97 +122,134 @@ void validate(const SteeringEvent& event) {
   }
 }
 
-std::string to_jsonl(const SteeringEvent& e) {
-  LineWriter w;
-  w.num("wall", e.wall.seconds());
-  w.str("client", e.client);
-  w.raw("type", to_string(e.type));
+// ---- steering_log.jsonl codec ----
+//
+// A log line is a flat JSON object whose values are all strings:
+// free-form strings travel percent-encoded, enums by name, and doubles and
+// durations as hexfloats, whose alphabet ([0-9a-fx.+-p]) needs no
+// encoding. All of them survive the line/JSON layer byte-exactly.
+
+namespace {
+
+SteeringCommand::Kind command_kind_from(const std::string& name) {
+  if (name == "set-output-bounds") return SteeringCommand::Kind::kSetOutputBounds;
+  if (name == "set-resolution-floor") {
+    return SteeringCommand::Kind::kSetResolutionFloor;
+  }
+  if (name == "set-nest-extent") return SteeringCommand::Kind::kSetNestExtent;
+  if (name == "pause") return SteeringCommand::Kind::kPause;
+  if (name == "resume") return SteeringCommand::Kind::kResume;
+  throw std::runtime_error("steering log: unknown command kind '" + name +
+                           "'");
+}
+
+template <typename T>
+std::string encode_token(const T& v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return wire::percent_encode(v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    return wire::hexfloat(v);
+  } else if constexpr (std::is_enum_v<T>) {
+    return to_string(v);
+  } else {
+    return wire::hexfloat(v.seconds());
+  }
+}
+
+template <typename T>
+void decode_token(const std::string& s, T& out) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    out = wire::percent_decode(s);
+  } else if constexpr (std::is_same_v<T, SteeringEvent::Type>) {
+    out = steering_event_type_from(s);
+  } else if constexpr (std::is_same_v<T, SteeringCommand::Kind>) {
+    out = command_kind_from(s);
+  } else {
+    const auto v = wire::parse_double(s);
+    if (!v) {
+      throw std::runtime_error("steering log: malformed number '" + s + "'");
+    }
+    out = T(*v);
+  }
+}
+
+/// The event's wire fields, in wire order; the payload fields follow the
+/// type (decoded before the switch reads it). One list drives both
+/// directions, so to_jsonl and steering_event_from_jsonl cannot disagree.
+template <typename Event, typename Visitor>
+void visit_event(Event& e, Visitor&& field) {
+  field("wall", e.wall);
+  field("client", e.client);
+  field("type", e.type);
   switch (e.type) {
     case SteeringEvent::Type::kCommand:
-      w.raw("kind", to_string(e.command.kind));
-      w.num("bounds_min_s", e.command.bounds.min_output_interval.seconds());
-      w.num("bounds_max_s", e.command.bounds.max_output_interval.seconds());
-      w.num("floor_km", e.command.resolution_floor_km);
-      w.num("nest_deg", e.command.nest_extent_deg);
-      w.num("auto_resume_s", e.command.auto_resume_after.seconds());
-      w.str("reason", e.command.reason);
+      field("kind", e.command.kind);
+      field("bounds_min_s", e.command.bounds.min_output_interval);
+      field("bounds_max_s", e.command.bounds.max_output_interval);
+      field("floor_km", e.command.resolution_floor_km);
+      field("nest_deg", e.command.nest_extent_deg);
+      field("auto_resume_s", e.command.auto_resume_after);
+      field("reason", e.command.reason);
       break;
     case SteeringEvent::Type::kView:
-      w.str("field", e.view.field);
-      w.str("colormap", e.view.colormap);
-      w.num("zoom", e.view.zoom);
-      w.num("lat", e.view.center_lat);
-      w.num("lon", e.view.center_lon);
+      field("field", e.view.field);
+      field("colormap", e.view.colormap);
+      field("zoom", e.view.zoom);
+      field("lat", e.view.center_lat);
+      field("lon", e.view.center_lon);
       break;
     case SteeringEvent::Type::kProposal:
-      w.num("max_oi_s", e.proposal.max_output_interval.seconds());
-      w.num("floor_km", e.proposal.resolution_floor_km);
-      w.str("reason", e.proposal.reason);
+      field("max_oi_s", e.proposal.max_output_interval);
+      field("floor_km", e.proposal.resolution_floor_km);
+      field("reason", e.proposal.reason);
       break;
     case SteeringEvent::Type::kAttach:
-      w.raw("mode", e.attach.mode);
-      w.num("downlink_mbps", e.attach.downlink_mbps);
-      w.num("catchup_start_h", e.attach.catchup_start_hours);
+      field("mode", e.attach.mode);
+      field("downlink_mbps", e.attach.downlink_mbps);
+      field("catchup_start_h", e.attach.catchup_start_hours);
       break;
     case SteeringEvent::Type::kDetach:
       break;
   }
-  return w.finish();
+}
+
+}  // namespace
+
+std::string to_jsonl(const SteeringEvent& e) {
+  std::string out;
+  visit_event(e, [&out](const char* key, const auto& value) {
+    out += out.empty() ? "{\"" : ",\"";
+    out += key;
+    out += "\":";
+    out += wire::json_quote(encode_token(value));
+  });
+  return out + "}";
 }
 
 SteeringEvent steering_event_from_jsonl(const std::string& line) {
-  std::map<std::string, std::string> kv = parse_line(line);
-  auto take = [&](const char* key) {
-    auto it = kv.find(key);
-    if (it == kv.end()) {
+  wire::JsonValue root;
+  try {
+    root = wire::parse_json(line);
+  } catch (const std::runtime_error& err) {
+    throw std::runtime_error(std::string("steering log: ") + err.what() +
+                             " in '" + line + "'");
+  }
+  if (root.kind != wire::JsonValue::Kind::kObject) {
+    throw std::runtime_error("steering log: not an object: '" + line + "'");
+  }
+  SteeringEvent e;
+  std::size_t taken = 0;
+  visit_event(e, [&](const char* key, auto& value) {
+    const wire::JsonValue* v = root.find(key);
+    if (v == nullptr || v->kind != wire::JsonValue::Kind::kString) {
       throw std::runtime_error(std::string("steering log: missing key '") +
                                key + "' in '" + line + "'");
     }
-    std::string v = std::move(it->second);
-    kv.erase(it);
-    return v;
-  };
-  SteeringEvent e;
-  e.wall = WallSeconds(parse_double(take("wall")));
-  e.client = percent_decode(take("client"));
-  e.type = steering_event_type_from(take("type"));
-  switch (e.type) {
-    case SteeringEvent::Type::kCommand:
-      e.command.kind = command_kind_from(take("kind"));
-      e.command.bounds.min_output_interval =
-          SimSeconds(parse_double(take("bounds_min_s")));
-      e.command.bounds.max_output_interval =
-          SimSeconds(parse_double(take("bounds_max_s")));
-      e.command.resolution_floor_km = parse_double(take("floor_km"));
-      e.command.nest_extent_deg = parse_double(take("nest_deg"));
-      e.command.auto_resume_after =
-          WallSeconds(parse_double(take("auto_resume_s")));
-      e.command.reason = percent_decode(take("reason"));
-      break;
-    case SteeringEvent::Type::kView:
-      e.view.field = percent_decode(take("field"));
-      e.view.colormap = percent_decode(take("colormap"));
-      e.view.zoom = parse_double(take("zoom"));
-      e.view.center_lat = parse_double(take("lat"));
-      e.view.center_lon = parse_double(take("lon"));
-      break;
-    case SteeringEvent::Type::kProposal:
-      e.proposal.max_output_interval =
-          SimSeconds(parse_double(take("max_oi_s")));
-      e.proposal.resolution_floor_km = parse_double(take("floor_km"));
-      e.proposal.reason = percent_decode(take("reason"));
-      break;
-    case SteeringEvent::Type::kAttach:
-      e.attach.mode = take("mode");
-      e.attach.downlink_mbps = parse_double(take("downlink_mbps"));
-      e.attach.catchup_start_hours = parse_double(take("catchup_start_h"));
-      break;
-    case SteeringEvent::Type::kDetach:
-      break;
-  }
-  if (!kv.empty()) {
-    throw std::runtime_error("steering log: unknown key '" +
-                             kv.begin()->first + "' in '" + line + "'");
+    decode_token(v->string, value);
+    ++taken;
+  });
+  if (taken != root.object.size()) {
+    throw std::runtime_error("steering log: unknown key in '" + line + "'");
   }
   return e;
 }

@@ -213,9 +213,10 @@ class LocalControlPlane : public ControlPlane {
   void observe(RunId run, const SteeringObservation& obs) override;
   std::vector<SteeringEvent> drain(RunId, WallSeconds) override { return {}; }
 
-  /// Convenience for command senders (the SteeringChannel shim and the
-  /// in-run policy): wraps `command` in a kCommand event and steers it
-  /// `extra_delay` from now (plus the channel latency).
+  /// Convenience for command senders (the in-run policy): wraps `command`
+  /// in a kCommand event and steers it `extra_delay` from now (plus the
+  /// channel latency). Throws std::invalid_argument on a malformed command
+  /// or a negative delay; nothing is queued then.
   void send_command(SteeringCommand command,
                     WallSeconds extra_delay = WallSeconds(0.0));
 

@@ -17,16 +17,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 
 #include "core/decision.hpp"
-#include "resources/event_queue.hpp"
 
 namespace adaptviz {
-
-class LocalControlPlane;  // steering/control_plane.hpp
 
 struct SteeringCommand {
   enum class Kind {
@@ -64,41 +60,6 @@ const char* to_string(SteeringCommand::Kind kind);
 /// inverted bounds, negative resolution_floor_km / nest_extent_deg, and a
 /// negative auto-resume delay all throw std::invalid_argument.
 void validate(const SteeringCommand& command);
-
-/// One-way control channel from the visualization site to the simulation
-/// site. Commands arrive in order, each `latency` after being sent.
-///
-/// Deprecated shim: SteeringChannel is now a thin wrapper over
-/// LocalControlPlane (steering/control_plane.hpp) — send()/send_after()
-/// delegate to ControlPlane command events byte-for-byte (asserted by the
-/// golden test in tests/test_steering.cpp). New code should speak
-/// ControlPlane directly.
-class SteeringChannel {
- public:
-  using Handler = std::function<void(const SteeringCommand&)>;
-
-  SteeringChannel(EventQueue& queue, WallSeconds latency, Handler handler);
-  ~SteeringChannel();
-
-  /// Enqueues a command for delivery (never blocks the caller). Throws
-  /// std::invalid_argument on a malformed command (see validate()).
-  void send(SteeringCommand command);
-
-  /// Enqueues a command to be issued `extra_delay` from now (plus the
-  /// channel latency). Lets a policy schedule its own follow-up — e.g.
-  /// "pause now, resume in two hours" — without needing another frame to
-  /// react to (a paused simulation produces none).
-  void send_after(WallSeconds extra_delay, SteeringCommand command);
-
-  [[nodiscard]] int commands_sent() const { return sent_; }
-  [[nodiscard]] int commands_delivered() const { return delivered_; }
-
- private:
-  Handler handler_;
-  std::unique_ptr<LocalControlPlane> plane_;
-  int sent_ = 0;
-  int delivered_ = 0;
-};
 
 /// What a steering policy sees per visualized frame: the progress record
 /// plus the frame's headline diagnostics (always available — they ride in

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "util/string_util.hpp"
+#include "util/wire.hpp"
 
 namespace adaptviz {
 
@@ -118,30 +119,24 @@ std::optional<double> IniDocument::get_double(const std::string& section,
                                               const std::string& key) const {
   auto v = get(section, key);
   if (!v) return std::nullopt;
-  try {
-    size_t pos = 0;
-    double d = std::stod(*v, &pos);
-    if (pos != v->size()) throw std::invalid_argument("trailing");
-    return d;
-  } catch (const std::exception&) {
+  const auto d = wire::parse_double(*v);
+  if (!d) {
     throw std::runtime_error("ini: [" + section + "] " + key +
                              " is not a number: '" + *v + "'");
   }
+  return d;
 }
 
 std::optional<long> IniDocument::get_int(const std::string& section,
                                          const std::string& key) const {
   auto v = get(section, key);
   if (!v) return std::nullopt;
-  try {
-    size_t pos = 0;
-    long n = std::stol(*v, &pos);
-    if (pos != v->size()) throw std::invalid_argument("trailing");
-    return n;
-  } catch (const std::exception&) {
+  const auto n = wire::parse_int(*v);
+  if (!n) {
     throw std::runtime_error("ini: [" + section + "] " + key +
                              " is not an integer: '" + *v + "'");
   }
+  return static_cast<long>(*n);
 }
 
 std::optional<bool> IniDocument::get_bool(const std::string& section,

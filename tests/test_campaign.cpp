@@ -293,6 +293,17 @@ TEST(CampaignIni, RejectsMalformedDocuments) {
   EXPECT_THROW((void)campaign_from_ini(
                    IniDocument::parse("[campaign]\ndisk_gb = 0\n")),
                std::runtime_error);
+  // List items are whole numbers or nothing: a unit suffix is not
+  // silently dropped, and NaN does not slip past the range checks.
+  EXPECT_THROW((void)campaign_from_ini(
+                   IniDocument::parse("[campaign]\ndisk_gb = 50GB\n")),
+               std::runtime_error);
+  EXPECT_THROW((void)campaign_from_ini(
+                   IniDocument::parse("[campaign]\ndisk_gb = nan\n")),
+               std::runtime_error);
+  EXPECT_THROW((void)campaign_from_ini(IniDocument::parse(
+                   "[campaign]\nfailure_rates = 0.1x\n")),
+               std::runtime_error);
   EXPECT_THROW((void)campaign_from_ini(IniDocument::parse(
                    "[campaign]\nfailure_rates = 1.5\n")),
                std::runtime_error);

@@ -177,6 +177,20 @@ TEST(CampaignManifest, JsonRoundTripsAndLoadNeverThrows) {
   EXPECT_EQ(loaded->entries.size(), 1u);
 }
 
+// A key given twice is ambiguous, not "first value wins": from_json
+// throws and load() falls back to a fresh start.
+TEST(CampaignManifest, DuplicateKeysAreRejected) {
+  const std::string text =
+      "{\"version\": 1, \"campaign\": \"smoke\", \"grid\": 4, "
+      "\"grid\": 2, \"runs\": []}";
+  EXPECT_THROW(CampaignManifest::from_json(text), std::runtime_error);
+
+  const fs::path dir = scratch_dir("manifest_duplicate_key");
+  std::ofstream(dir / "dup.json") << text;
+  EXPECT_FALSE(CampaignManifest::load((dir / "dup.json").string())
+                   .has_value());
+}
+
 TEST(CampaignManifest, OutputIntactRejectsTruncationAndResizing) {
   const fs::path dir = scratch_dir("intact");
   std::ofstream(dir / "r_samples.csv", std::ios::binary) << "h1,h2\n1,2\n";

@@ -207,17 +207,19 @@ TEST(ObsInstall, HelpersNoopWhenNothingInstalled) {
   EXPECT_EQ(current(), nullptr);
 }
 
-// Golden test for the deprecated ScopedObservability shim: the only
-// remaining in-tree user. Everything else installs a RunContext directly.
 TEST(ObsInstall, ScopedInstallAndNestedRestore) {
   ASSERT_EQ(current(), nullptr);
   Observability outer;
   {
-    ScopedObservability s1(&outer);
+    RunContext outer_ctx;
+    outer_ctx.observability = &outer;
+    ScopedRunContext s1(&outer_ctx);
     EXPECT_EQ(current(), &outer);
     Observability inner;
     {
-      ScopedObservability s2(&inner);
+      RunContext inner_ctx;
+      inner_ctx.observability = &inner;
+      ScopedRunContext s2(&inner_ctx);
       EXPECT_EQ(current(), &inner);
       count("hit");
     }

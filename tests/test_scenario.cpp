@@ -166,6 +166,9 @@ TEST(Scenario, Validation) {
                    "[outages]\nwindows = 6..8\n")),
                std::runtime_error);
   EXPECT_THROW(scenario_from_ini(IniDocument::parse(
+                   "[outages]\nwindows = 6h-8\n")),
+               std::runtime_error);
+  EXPECT_THROW(scenario_from_ini(IniDocument::parse(
                    "[faults]\ntransfer_failure_rate = 1.2\n")),
                std::runtime_error);
   EXPECT_THROW(scenario_from_ini(IniDocument::parse(

@@ -139,7 +139,7 @@ ViewerConfig exact_viewer(double megabytes_per_sec,
 TEST(Sessions, LiveTailDeliversEveryFrameWhenTheDownlinkKeepsUp) {
   EventQueue queue;
   ViewerSessionManager manager(queue, {}, /*seed=*/1);
-  const int fast = manager.add_viewer(exact_viewer(1.0));
+  const ClientId fast = manager.attach(exact_viewer(1.0));
   for (int i = 0; i < 4; ++i) {
     queue.schedule_at(WallSeconds(1.0 * i), [&manager, i] {
       manager.on_frame(mkframe(i, 1, 100.0 * i));
@@ -162,7 +162,7 @@ TEST(Sessions, SlowLiveTailSkipsToNewestAndCountsIt) {
   EventQueue queue;
   ViewerSessionManager manager(queue, {}, /*seed=*/1);
   // 0.25 MB/s: each 1 MB frame takes 4 s, but frames arrive every second.
-  const int slow = manager.add_viewer(exact_viewer(0.25));
+  const ClientId slow = manager.attach(exact_viewer(0.25));
   for (int i = 0; i < 4; ++i) {
     queue.schedule_at(WallSeconds(1.0 * i), [&manager, i] {
       manager.on_frame(mkframe(i, 1, 100.0 * i));
@@ -187,7 +187,7 @@ TEST(Sessions, CatchUpReplaysInOrderFromTheRequestedSimTime) {
   for (int i = 0; i < 5; ++i) manager.on_frame(mkframe(i, 1, 100.0 * i));
   ViewerConfig v = exact_viewer(1.0, ViewerMode::kCatchUp);
   v.catchup_start = SimSeconds(150.0);  // first frame at or after: #2
-  const int idx = manager.add_viewer(v);
+  const ClientId idx = manager.attach(v);
   queue.run_all();
   const auto& records = manager.deliveries(idx);
   ASSERT_EQ(records.size(), 3u);
@@ -203,7 +203,7 @@ TEST(Sessions, LiveTailJoiningMidRunStartsAtTheHead) {
   EventQueue queue;
   ViewerSessionManager manager(queue, {}, /*seed=*/1);
   for (int i = 0; i < 3; ++i) manager.on_frame(mkframe(i, 1, 100.0 * i));
-  const int idx = manager.add_viewer(exact_viewer(1.0));
+  const ClientId idx = manager.attach(exact_viewer(1.0));
   queue.run_all();
   const auto& records = manager.deliveries(idx);
   ASSERT_EQ(records.size(), 1u);  // the newest frame, not a replay
@@ -216,7 +216,7 @@ TEST(Sessions, JoinWallDefersActivation) {
   ViewerSessionManager manager(queue, {}, /*seed=*/1);
   ViewerConfig v = exact_viewer(1.0);
   v.join_wall = WallSeconds(100.0);
-  const int idx = manager.add_viewer(v);
+  const ClientId idx = manager.attach(v);
   for (int i = 0; i < 5; ++i) {
     queue.schedule_at(WallSeconds(1.0 * i), [&manager, i] {
       manager.on_frame(mkframe(i, 1, 100.0 * i));
@@ -239,8 +239,8 @@ TEST(Sessions, SlowClientNeverPerturbsAFastOne) {
   auto run = [](bool with_straggler) {
     EventQueue queue;
     ViewerSessionManager manager(queue, {}, /*seed=*/1);
-    const int fast = manager.add_viewer(exact_viewer(1.0));
-    if (with_straggler) manager.add_viewer(exact_viewer(0.01));
+    const ClientId fast = manager.attach(exact_viewer(1.0));
+    if (with_straggler) manager.attach(exact_viewer(0.01));
     for (int i = 0; i < 4; ++i) {
       queue.schedule_at(WallSeconds(2.0 * i), [&manager, i] {
         manager.on_frame(mkframe(i, 1, 100.0 * i));
@@ -266,14 +266,14 @@ TEST(Sessions, EvictedFramesAreRerenderedOnceAndSharedByWaiters) {
   ViewerSessionManager manager(queue, opts, /*seed=*/1);
   for (int i = 0; i < 4; ++i) manager.on_frame(mkframe(i, 1, 100.0 * i));
   ViewerConfig v = exact_viewer(1.0, ViewerMode::kCatchUp);
-  const int a = manager.add_viewer(v);
-  const int b = manager.add_viewer(v);
+  const ClientId a = manager.attach(v);
+  const ClientId b = manager.attach(v);
   queue.run_all();
   // Both replay 0..3 in lockstep; every sequence is re-rendered exactly
   // once and fans out to both waiters, so 8 deliveries cost 4 re-renders.
   EXPECT_EQ(manager.rerenders(), 4);
   EXPECT_EQ(manager.frames_served(), 8);
-  for (const int idx : {a, b}) {
+  for (const ClientId idx : {a, b}) {
     const auto& records = manager.deliveries(idx);
     ASSERT_EQ(records.size(), 4u);
     for (int i = 0; i < 4; ++i) {
@@ -296,7 +296,7 @@ TEST(Sessions, RerenderedFramesReenterTheCache) {
   for (int i = 0; i < 4; ++i) manager.on_frame(mkframe(i, 1, 10.0 * i));
   ASSERT_EQ(manager.cache().resident_sequences(),
             (std::vector<std::int64_t>{3}));
-  manager.add_viewer(exact_viewer(1.0, ViewerMode::kCatchUp));
+  manager.attach(exact_viewer(1.0, ViewerMode::kCatchUp));
   // Replay cadence: re-render #k completes at t=2k+1 and is inserted into
   // the cache, then transfers over [2k+1, 2k+2).
   queue.schedule_at(WallSeconds(3.5), [&manager] {
@@ -330,7 +330,7 @@ TEST(Sessions, DeliveriesAreBitwiseIdenticalAcrossPoolSizes) {
     for (const ViewerConfig& v : make_viewer_fleet(
              10, Bandwidth::mbps(40.0), /*catchup_fraction=*/0.5,
              SimSeconds(0.0), /*catchup_join=*/WallSeconds(500.0))) {
-      manager.add_viewer(v);
+      manager.attach(v);
     }
     for (int i = 0; i < 20; ++i) {
       queue.schedule_at(WallSeconds(30.0 * i), [&manager, i] {
@@ -339,7 +339,7 @@ TEST(Sessions, DeliveriesAreBitwiseIdenticalAcrossPoolSizes) {
     }
     queue.run_all();
     std::vector<DeliveryRecord> all;
-    for (int c = 0; c < manager.viewer_count(); ++c) {
+    for (ClientId c{0}; c.value < manager.viewer_count(); ++c.value) {
       const auto& records = manager.deliveries(c);
       all.insert(all.end(), records.begin(), records.end());
     }
@@ -377,8 +377,8 @@ TEST(Sessions, StrideThinningSurvivesConcurrentRerenderReinsertion) {
   ViewerSessionManager manager(queue, opts, /*seed=*/3);
   // Seed a history the cache has already thinned, then start the replay.
   for (int i = 0; i < 6; ++i) manager.on_frame(mkframe(i, 1, 10.0 * i));
-  const int replayer = manager.add_viewer(exact_viewer(1.0,
-                                                       ViewerMode::kCatchUp));
+  const ClientId replayer =
+      manager.attach(exact_viewer(1.0, ViewerMode::kCatchUp));
   // Live stream continues at exactly the re-render completion cadence, so
   // re-insertions and fresh insertions hit the same virtual instants.
   for (int i = 6; i < 12; ++i) {
@@ -425,8 +425,8 @@ TEST(Sessions, RerenderRaceIsDeterministicAcrossPoolSizes) {
                                    }
                                  });
     for (int i = 0; i < 6; ++i) manager.on_frame(mkframe(i, 1, 10.0 * i));
-    const int replayer =
-        manager.add_viewer(exact_viewer(1.0, ViewerMode::kCatchUp));
+    const ClientId replayer =
+        manager.attach(exact_viewer(1.0, ViewerMode::kCatchUp));
     for (int i = 6; i < 12; ++i) {
       queue.schedule_at(WallSeconds(10.0 * (i - 5)), [&manager, i] {
         manager.on_frame(mkframe(i, 1, 10.0 * i));
@@ -477,12 +477,11 @@ TEST(Sessions, ClientIdHandlesAreValidatedAtTheBoundary) {
   EXPECT_TRUE(alice.valid());
   EXPECT_EQ(manager.viewer(alice).name, "alice");
 
-  // Stale/invalid handles throw instead of UB — including through the
-  // deprecated int accessors.
+  // Stale/invalid handles throw instead of UB.
   EXPECT_THROW(manager.stats(ClientId{}), std::invalid_argument);
   EXPECT_THROW(manager.deliveries(ClientId{99}), std::invalid_argument);
-  EXPECT_THROW(manager.viewer(-1), std::invalid_argument);
-  EXPECT_THROW(manager.stats(7), std::invalid_argument);
+  EXPECT_THROW(manager.viewer(ClientId{-1}), std::invalid_argument);
+  EXPECT_THROW(manager.stats(ClientId{7}), std::invalid_argument);
   EXPECT_THROW(manager.detach(ClientId{42}), std::invalid_argument);
   EXPECT_THROW(manager.steer_view(ClientId{42}, ViewCommand{}),
                std::invalid_argument);
@@ -493,9 +492,6 @@ TEST(Sessions, ClientIdHandlesAreValidatedAtTheBoundary) {
   EXPECT_EQ(*found, alice);
   EXPECT_FALSE(manager.find_client("bob").has_value());
 
-  // The deprecated index API and the handle API are the same session.
-  const int as_int = manager.add_viewer(exact_viewer(1.0));
-  EXPECT_EQ(ClientId{as_int}, ClientId{manager.viewer_count() - 1});
   EXPECT_FALSE(manager.attached(ClientId{99}));
 }
 

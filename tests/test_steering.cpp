@@ -21,79 +21,83 @@
 namespace adaptviz {
 namespace {
 
-// Golden tests for the deprecated SteeringChannel shim — the only in-tree
-// users of send()/send_after(). New code speaks ControlPlane directly.
-TEST(SteeringChannel, DeliversAfterLatencyInOrder) {
+// --- Commands through LocalControlPlane::send_command ---
+
+TEST(ControlPlaneCommands, DeliverAfterLatencyInOrder) {
   EventQueue queue;
   std::vector<std::pair<double, SteeringCommand::Kind>> got;
-  SteeringChannel ch(queue, WallSeconds(2.0), [&](const SteeringCommand& c) {
-    got.push_back({queue.now().seconds(), c.kind});
-  });
-  ch.send(SteeringCommand{.kind = SteeringCommand::Kind::kPause});
+  LocalControlPlane plane(queue, WallSeconds(2.0),
+                          [&got, &queue](const SteeringEvent& e) {
+                            EXPECT_EQ(e.type, SteeringEvent::Type::kCommand);
+                            got.push_back({queue.now().seconds(),
+                                           e.command.kind});
+                          });
+  plane.send_command(SteeringCommand{.kind = SteeringCommand::Kind::kPause});
   queue.run_until(WallSeconds(1.0));
-  ch.send(SteeringCommand{.kind = SteeringCommand::Kind::kResume});
+  plane.send_command(SteeringCommand{.kind = SteeringCommand::Kind::kResume});
   queue.run_until(WallSeconds(10.0));
   ASSERT_EQ(got.size(), 2u);
   EXPECT_DOUBLE_EQ(got[0].first, 2.0);
   EXPECT_EQ(got[0].second, SteeringCommand::Kind::kPause);
   EXPECT_DOUBLE_EQ(got[1].first, 3.0);
   EXPECT_EQ(got[1].second, SteeringCommand::Kind::kResume);
-  EXPECT_EQ(ch.commands_sent(), 2);
-  EXPECT_EQ(ch.commands_delivered(), 2);
+  EXPECT_EQ(plane.events_sent(), 2);
+  EXPECT_EQ(plane.events_applied(), 2);
 }
 
-TEST(SteeringChannel, Validation) {
+TEST(ControlPlaneCommands, ConstructorRejectsNullApplyAndNegativeLatency) {
   EventQueue queue;
-  EXPECT_THROW(SteeringChannel(queue, WallSeconds(1.0), nullptr),
+  EXPECT_THROW(LocalControlPlane(queue, WallSeconds(1.0), nullptr),
                std::invalid_argument);
-  EXPECT_THROW(SteeringChannel(queue, WallSeconds(-1.0),
-                               [](const SteeringCommand&) {}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      LocalControlPlane(queue, WallSeconds(-1.0), [](const SteeringEvent&) {}),
+      std::invalid_argument);
 }
 
-// Malformed commands are rejected at send() time — they never reach the
-// channel, the log, or the decision algorithms.
-TEST(SteeringChannel, MalformedCommandsRejectedAtSendTime) {
+// Malformed commands are rejected at send time — they never reach the
+// queue, the log, or the decision algorithms.
+TEST(ControlPlaneCommands, MalformedCommandsRejectedAtSendTime) {
   EventQueue queue;
   int delivered = 0;
-  SteeringChannel ch(queue, WallSeconds(1.0),
-                     [&delivered](const SteeringCommand&) { ++delivered; });
+  LocalControlPlane plane(queue, WallSeconds(1.0),
+                          [&delivered](const SteeringEvent&) { ++delivered; });
 
   SteeringCommand inverted;
   inverted.kind = SteeringCommand::Kind::kSetOutputBounds;
   inverted.bounds.min_output_interval = SimSeconds::minutes(25.0);
   inverted.bounds.max_output_interval = SimSeconds::minutes(3.0);
-  EXPECT_THROW(ch.send(inverted), std::invalid_argument);
+  EXPECT_THROW(plane.send_command(inverted), std::invalid_argument);
 
   SteeringCommand nonpositive;
   nonpositive.kind = SteeringCommand::Kind::kSetOutputBounds;
   nonpositive.bounds.min_output_interval = SimSeconds(0.0);
   nonpositive.bounds.max_output_interval = SimSeconds::minutes(3.0);
-  EXPECT_THROW(ch.send(nonpositive), std::invalid_argument);
+  EXPECT_THROW(plane.send_command(nonpositive), std::invalid_argument);
 
   SteeringCommand floor;
   floor.kind = SteeringCommand::Kind::kSetResolutionFloor;
   floor.resolution_floor_km = -1.0;
-  EXPECT_THROW(ch.send(floor), std::invalid_argument);
+  EXPECT_THROW(plane.send_command(floor), std::invalid_argument);
 
   SteeringCommand extent;
   extent.kind = SteeringCommand::Kind::kSetNestExtent;
   extent.nest_extent_deg = -9.0;
-  EXPECT_THROW(ch.send(extent), std::invalid_argument);
+  EXPECT_THROW(plane.send_command(extent), std::invalid_argument);
 
   SteeringCommand pause;
   pause.kind = SteeringCommand::Kind::kPause;
   pause.auto_resume_after = WallSeconds(-5.0);
-  EXPECT_THROW(ch.send(pause), std::invalid_argument);
+  EXPECT_THROW(plane.send_command(pause), std::invalid_argument);
 
   EXPECT_THROW(
-      ch.send_after(WallSeconds(-1.0),
-                    SteeringCommand{.kind = SteeringCommand::Kind::kResume}),
+      plane.send_command(
+          SteeringCommand{.kind = SteeringCommand::Kind::kResume},
+          WallSeconds(-1.0)),
       std::invalid_argument);
 
   // Nothing was queued by the rejected sends.
   queue.run_all();
-  EXPECT_EQ(ch.commands_sent(), 0);
+  EXPECT_EQ(plane.events_sent(), 0);
   EXPECT_EQ(delivered, 0);
 }
 
@@ -287,12 +291,6 @@ TEST(ControlPlaneLocal, DeliversInOrderAndCounts) {
                           [&applied, &queue](const SteeringEvent& e) {
                             applied.push_back({queue.now().seconds(), e.type});
                           });
-  EXPECT_THROW(LocalControlPlane(queue, WallSeconds(1.0), nullptr),
-               std::invalid_argument);
-  EXPECT_THROW(
-      LocalControlPlane(queue, WallSeconds(-1.0), [](const SteeringEvent&) {}),
-      std::invalid_argument);
-
   const ControlPlane::RunId run = plane.register_run("run-a");
   EXPECT_THROW(plane.register_run("run-b"), std::invalid_argument);
 
@@ -333,7 +331,7 @@ TEST(ControlPlaneLocal, ReplayAppliesAtExactlyTheLoggedWall) {
   EXPECT_EQ(at[0], 7.25);
 }
 
-TEST(SteeringChannel, KindNames) {
+TEST(SteeringCommandKind, Names) {
   EXPECT_STREQ(to_string(SteeringCommand::Kind::kPause), "pause");
   EXPECT_STREQ(to_string(SteeringCommand::Kind::kResume), "resume");
   EXPECT_STREQ(to_string(SteeringCommand::Kind::kSetOutputBounds),
@@ -375,7 +373,7 @@ TEST(SteeringEndToEnd, TightenOutputBoundsProducesMoreFrames) {
   // every 6 simulated minutes.
   ExperimentConfig cfg = steer_config();
   bool requested = false;
-  cfg.steering_policy =
+  cfg.steering.policy =
       [&requested](const SteeringObservation& obs)
       -> std::optional<SteeringCommand> {
     if (!requested && obs.min_pressure_hpa < 995.0) {
@@ -400,7 +398,7 @@ TEST(SteeringEndToEnd, TightenOutputBoundsProducesMoreFrames) {
 TEST(SteeringEndToEnd, ResolutionFloorStopsTheLadder) {
   ExperimentConfig cfg = steer_config();
   bool sent = false;
-  cfg.steering_policy = [&sent](const SteeringObservation& obs)
+  cfg.steering.policy = [&sent](const SteeringObservation& obs)
       -> std::optional<SteeringCommand> {
     if (!sent && obs.sequence == 0) {
       sent = true;
@@ -422,7 +420,7 @@ TEST(SteeringEndToEnd, ResolutionFloorStopsTheLadder) {
 TEST(SteeringEndToEnd, PauseWithAutoResumeHoldsTheSimulation) {
   ExperimentConfig cfg = steer_config();
   int frames_seen = 0;
-  cfg.steering_policy = [&frames_seen](const SteeringObservation&)
+  cfg.steering.policy = [&frames_seen](const SteeringObservation&)
       -> std::optional<SteeringCommand> {
     if (++frames_seen == 3) {
       // A paused simulation emits no frames, so the policy schedules its
@@ -448,7 +446,7 @@ TEST(SteeringEndToEnd, PauseWithAutoResumeHoldsTheSimulation) {
 TEST(SteeringEndToEnd, NestExtentChangeRestarts) {
   ExperimentConfig cfg = steer_config();
   bool sent = false;
-  cfg.steering_policy = [&sent](const SteeringObservation& obs)
+  cfg.steering.policy = [&sent](const SteeringObservation& obs)
       -> std::optional<SteeringCommand> {
     if (!sent && obs.nest_active) {
       sent = true;
@@ -484,40 +482,6 @@ std::string read_file(const std::string& path) {
   EXPECT_TRUE(in.good()) << path;
   return std::string(std::istreambuf_iterator<char>(in),
                      std::istreambuf_iterator<char>());
-}
-
-// The deprecated top-level steering_policy/steering_latency fields and the
-// new SteeringOptions spelling are the same run, byte for byte.
-TEST(SteeringGolden, DeprecatedFieldsMatchSteeringOptions) {
-  auto policy = [](const SteeringObservation& obs)
-      -> std::optional<SteeringCommand> {
-    if (obs.sequence == 2) {
-      SteeringCommand c;
-      c.kind = SteeringCommand::Kind::kSetResolutionFloor;
-      c.resolution_floor_km = 18.0;
-      return c;
-    }
-    return std::nullopt;
-  };
-
-  ExperimentConfig legacy = steer_config();
-  legacy.steering_policy = policy;
-  legacy.steering_latency = WallSeconds(1.25);
-  const ExperimentResult a = run_experiment(legacy);
-
-  ExperimentConfig modern = steer_config();
-  modern.steering.policy = policy;
-  modern.steering.latency = WallSeconds(1.25);
-  const ExperimentResult b = run_experiment(modern);
-
-  ASSERT_FALSE(a.steering.empty());
-  EXPECT_EQ(telemetry_csv(a), telemetry_csv(b));
-  ASSERT_EQ(a.steering.size(), b.steering.size());
-  for (std::size_t i = 0; i < a.steering.size(); ++i) {
-    EXPECT_EQ(a.steering[i].delivered_at.seconds(),
-              b.steering[i].delivered_at.seconds());
-    EXPECT_EQ(to_jsonl(a.steering[i].event), to_jsonl(b.steering[i].event));
-  }
 }
 
 TEST(SteeringReplay, RecordedLogReplaysBitwiseIdentical) {
