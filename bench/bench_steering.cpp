@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
   const benchio::BenchArgs args = benchio::parse_bench_args(argc, argv);
   set_log_level(LogLevel::kError);
   const std::string log_path = "steering_log.jsonl";
-  const std::string relog_path = "steering_log_replay.jsonl";
+  const std::string relog_path = "replayed_steering_log.jsonl";
 
   std::printf("== Live steering: record -> replay determinism ==\n");
 

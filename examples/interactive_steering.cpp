@@ -76,9 +76,9 @@ int main() {
   const ExperimentResult r = run_experiment(cfg);
 
   std::printf("\n=== steering log ===\n");
-  for (const SteeringRecord& s : r.steering) {
-    std::printf("  [%s] %-22s %s\n", hh_mm(s.delivered_at).c_str(),
-                to_string(s.command.kind), s.command.reason.c_str());
+  for (const SteeringEvent& e : r.steering) {
+    std::printf("  [%s] %-22s %s\n", hh_mm(e.wall).c_str(),
+                to_string(e.command.kind), e.command.reason.c_str());
   }
   std::printf("\ncompleted=%s; %lld frames visualized (vs ~144 without the "
               "density request); finest resolution used: ",

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -397,13 +396,9 @@ class Coordinator {
       complete(index, std::move(rec), {});
       return;
     }
-    // The transport backoff ladder: initial * multiplier^(failures-1),
-    // capped, scaled by uniform jitter so N re-dispatches decorrelate.
-    const FrameSender::RetryPolicy& retry = options_.retry;
-    double delay = retry.initial_backoff.seconds() *
-                   std::pow(retry.multiplier, attempts_[index] - 1);
-    delay = std::min(delay, retry.max_backoff.seconds());
-    delay *= jitter_rng_.uniform(1.0 - retry.jitter, 1.0 + retry.jitter);
+    // The transport backoff ladder; jitter decorrelates N re-dispatches.
+    const double delay =
+        backoff(options_.retry, attempts_[index], jitter_rng_).seconds();
     pending_.push_back(PendingTask{
         index, Clock::now() + std::chrono::duration_cast<Clock::duration>(
                                   std::chrono::duration<double>(delay))});

@@ -29,7 +29,7 @@
 //
 // Crash tolerance: a worker that dies (or emits a protocol error) has its
 // in-flight task re-queued behind an exponential backoff with jitter —
-// the PR-3 FrameSender::RetryPolicy ladder, reused verbatim — and a
+// the transport retry ladder (transport/retry.hpp) — and a
 // replacement worker is spawned from a bounded budget. A task that keeps
 // killing workers becomes a terminal failed row after
 // `max_task_attempts`, so the summary always has exactly grid-size rows.
@@ -54,7 +54,7 @@
 #include "campaign/campaign.hpp"
 #include "campaign/manifest.hpp"
 #include "obs/metrics.hpp"
-#include "transport/sender.hpp"
+#include "transport/retry.hpp"
 
 namespace adaptviz {
 
@@ -82,8 +82,7 @@ struct DispatchOptions {
   int worker_respawn_budget = 8;
   /// Backoff ladder for re-dispatching a crashed worker's task: the
   /// transport retry policy (initial * multiplier^n, capped, jittered).
-  FrameSender::RetryPolicy retry{WallSeconds(0.5), 2.0, WallSeconds(30.0),
-                                 0.2, 5};
+  RetryPolicy retry{WallSeconds(0.5), 2.0, WallSeconds(30.0), 0.2, 5};
   /// Seed for the backoff-jitter RNG.
   std::uint64_t seed = 0xd15a;
 

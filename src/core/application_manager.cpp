@@ -23,7 +23,8 @@ ApplicationManager::ApplicationManager(
       config_(shared_config),
       status_(std::move(status)),
       notify_(std::move(notify)),
-      options_(options) {
+      options_(std::move(options)),
+      s_{.bounds = options_.bounds} {
   if (!status_) throw std::invalid_argument("ApplicationManager: null status");
   if (options_.period.seconds() <= 0) {
     throw std::invalid_argument("ApplicationManager: period must be > 0");
@@ -31,13 +32,13 @@ ApplicationManager::ApplicationManager(
 }
 
 void ApplicationManager::start() {
-  if (running_) return;
-  running_ = true;
+  if (s_.running) return;
+  s_.running = true;
   invoke();
   schedule_next();
 }
 
-void ApplicationManager::stop() { running_ = false; }
+void ApplicationManager::stop() { s_.running = false; }
 
 void ApplicationManager::set_paused(bool paused) {
   if (config_.paused == paused) return;
@@ -56,7 +57,7 @@ void ApplicationManager::schedule_next() {
   queue_.schedule_after(
       options_.period,
       [this] {
-        if (!running_) return;
+        if (!s_.running) return;
         invoke();
         schedule_next();
       },
@@ -91,15 +92,15 @@ void ApplicationManager::invoke() {
   in.perf = &perf_;
   in.min_processors = options_.min_processors;
   in.max_processors = st.max_usable_processors;
-  in.bounds = options_.bounds;
-  in.observers = observers_;
-  if (observers_.has_proposal &&
-      observers_.max_output_interval.seconds() > 0 &&
-      observers_.max_output_interval < in.bounds.max_output_interval) {
+  in.bounds = s_.bounds;
+  in.observers = s_.observers;
+  if (s_.observers.has_proposal &&
+      s_.observers.max_output_interval.seconds() > 0 &&
+      s_.observers.max_output_interval < in.bounds.max_output_interval) {
     // The strictest observer proposal tightens the upper bound the
     // algorithms may stretch to; the scientist's floor still wins.
     in.bounds.max_output_interval =
-        std::max(observers_.max_output_interval,
+        std::max(s_.observers.max_output_interval,
                  in.bounds.min_output_interval);
     obs::Observability* const obp = obs::current();
     if (obp != nullptr) {
@@ -134,7 +135,7 @@ void ApplicationManager::invoke() {
   config_.critical = d.critical;
   if (changed) ++config_.version;
 
-  decisions_.push_back(DecisionRecord{queue_.now(), in, d});
+  s_.decisions.push_back(DecisionRecord{queue_.now(), in, d});
   if (o != nullptr) {
     // Every decision on the record: the inputs seen, the knobs chosen,
     // which algorithm chose them, and how long it deliberated.

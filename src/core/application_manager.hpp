@@ -80,10 +80,8 @@ class ApplicationManager {
 
   /// Steering: replaces the output-interval bounds the decision algorithms
   /// work within (takes effect from the next invocation).
-  void set_bounds(const DecisionBounds& bounds) { options_.bounds = bounds; }
-  [[nodiscard]] const DecisionBounds& bounds() const {
-    return options_.bounds;
-  }
+  void set_bounds(const DecisionBounds& bounds) { s_.bounds = bounds; }
+  [[nodiscard]] const DecisionBounds& bounds() const { return s_.bounds; }
 
   /// Steering: hold / release the simulation. Applied immediately through
   /// the shared configuration (no restart; the process stalls in place).
@@ -94,14 +92,14 @@ class ApplicationManager {
   /// upper output-interval bound from the next invocation on; the digest
   /// itself rides into every DecisionInput for the record.
   void set_observer_digest(const ObserverDigest& digest) {
-    observers_ = digest;
+    s_.observers = digest;
   }
   [[nodiscard]] const ObserverDigest& observer_digest() const {
-    return observers_;
+    return s_.observers;
   }
 
   [[nodiscard]] const std::vector<DecisionRecord>& decisions() const {
-    return decisions_;
+    return s_.decisions;
   }
 
   /// Decision history plus the steering-mutable knobs (the bounds a
@@ -111,17 +109,10 @@ class ApplicationManager {
     bool running = false;
     DecisionBounds bounds{};
     ObserverDigest observers{};
-    std::vector<DecisionRecord> decisions;
+    std::vector<DecisionRecord> decisions{};
   };
-  [[nodiscard]] State snapshot() const {
-    return State{running_, options_.bounds, observers_, decisions_};
-  }
-  void restore(const State& s) {
-    running_ = s.running;
-    options_.bounds = s.bounds;
-    observers_ = s.observers;
-    decisions_ = s.decisions;
-  }
+  [[nodiscard]] State snapshot() const { return s_; }
+  void restore(const State& s) { s_ = s; }
 
  private:
   void schedule_next();
@@ -134,13 +125,11 @@ class ApplicationManager {
   NetworkLink& link_;
   BandwidthEstimator& estimator_;
   ApplicationConfiguration& config_;
-  StatusProvider status_;
-  ConfigChangedFn notify_;
-  Options options_;
-
-  bool running_ = false;
-  ObserverDigest observers_{};
-  std::vector<DecisionRecord> decisions_;
+  const StatusProvider status_;
+  const ConfigChangedFn notify_;
+  /// options_.bounds is only the initial value of s_.bounds.
+  const Options options_;
+  State s_;
 };
 
 }  // namespace adaptviz

@@ -137,7 +137,6 @@ AdaptiveFramework::AdaptiveFramework(ExperimentConfig config)
           control_->send_command(std::move(*cmd));
         }
       }
-      control_->observe(0, obs);
       if (config_.steering.control_plane != nullptr && server_run_id_ >= 0) {
         config_.steering.control_plane->observe(server_run_id_, obs);
       }
@@ -152,7 +151,7 @@ AdaptiveFramework::AdaptiveFramework(ExperimentConfig config)
     for (const ViewerConfig& v : config_.serve.viewers) {
       serving_->attach(v);
     }
-    observers_peak_ = serving_->attached_count();
+    run_.observers_peak = serving_->attached_count();
   }
   if (config_.serve.tree.enabled()) {
     // Edge-cache distribution tree below the visualization site: every
@@ -275,7 +274,7 @@ void AdaptiveFramework::ensure_serving() {
 void AdaptiveFramework::recompute_observer_digest() {
   ObserverDigest d;
   d.attached = serving_ ? serving_->attached_count() : 0;
-  for (const auto& [client, p] : proposals_) {
+  for (const auto& [client, p] : run_.proposals) {
     if (p.max_output_interval.seconds() > 0) {
       d.has_proposal = true;
       d.max_output_interval =
@@ -301,11 +300,9 @@ void AdaptiveFramework::recompute_observer_digest() {
 void AdaptiveFramework::apply_event(const SteeringEvent& e) {
   SteeringEvent record = e;
   record.wall = queue_.now();
-  steering_events_.push_back(record);
+  run_.steering_events.push_back(std::move(record));
   switch (e.type) {
     case SteeringEvent::Type::kCommand:
-      steering_log_.push_back(
-          SteeringRecord{queue_.now(), e.command, record});
       apply_steering(e.command);
       break;
     case SteeringEvent::Type::kView: {
@@ -326,7 +323,7 @@ void AdaptiveFramework::apply_event(const SteeringEvent& e) {
       break;
     }
     case SteeringEvent::Type::kProposal:
-      proposals_[e.client] = e.proposal;
+      run_.proposals[e.client] = e.proposal;
       recompute_observer_digest();
       break;
     case SteeringEvent::Type::kAttach: {
@@ -344,7 +341,8 @@ void AdaptiveFramework::apply_event(const SteeringEvent& e) {
         v.join_wall = queue_.now();
         serving_->attach(v);
       }
-      observers_peak_ = std::max(observers_peak_, serving_->attached_count());
+      run_.observers_peak =
+          std::max(run_.observers_peak, serving_->attached_count());
       recompute_observer_digest();
       break;
     }
@@ -356,7 +354,7 @@ void AdaptiveFramework::apply_event(const SteeringEvent& e) {
           serving_->detach(*id);
         }
       }
-      proposals_.erase(e.client);
+      run_.proposals.erase(e.client);
       recompute_observer_digest();
       break;
     }
@@ -470,10 +468,10 @@ ExperimentResult AdaptiveFramework::run() {
 }
 
 void AdaptiveFramework::start_run() {
-  if (run_started_) {
+  if (run_.started) {
     throw std::logic_error("AdaptiveFramework: start_run called twice");
   }
-  run_started_ = true;
+  run_.started = true;
   ADAPTVIZ_LOG_INFO("framework", "=== %s / %s ===", config_.name.c_str(),
                     to_string(config_.algorithm));
   job_handler_->launch_initial();
@@ -486,9 +484,9 @@ void AdaptiveFramework::start_run() {
 bool AdaptiveFramework::step_once() {
   if (!queue_.step()) return false;
   apply_due_adversary_actions();
-  if (process_->finished() && !sim_finish_seen_) {
-    sim_finish_seen_ = true;
-    sim_finished_wall_ = queue_.now();
+  if (process_->finished() && !run_.sim_finish_seen) {
+    run_.sim_finish_seen = true;
+    run_.sim_finished_wall = queue_.now();
   }
   if (queue_.now() >= config_.max_wall) return false;
   if (process_->finished() && drained()) return false;
@@ -501,10 +499,11 @@ int AdaptiveFramework::decisions_made() const {
 
 void AdaptiveFramework::apply_due_adversary_actions() {
   const int decided = decisions_made();
-  while (adversary_applied_ < config_.adversary.size() &&
-         config_.adversary[adversary_applied_].after_decision < decided) {
-    const AdversaryAction& a = config_.adversary[adversary_applied_];
-    ++adversary_applied_;
+  while (run_.adversary_applied < config_.adversary.size() &&
+         config_.adversary[run_.adversary_applied].after_decision <
+             decided) {
+    const AdversaryAction& a = config_.adversary[run_.adversary_applied];
+    ++run_.adversary_applied;
     switch (a.kind) {
       case AdversaryActionKind::kBandwidthDrop:
         link_.set_efficiency(link_.spec().efficiency * a.magnitude);
@@ -525,18 +524,18 @@ void AdaptiveFramework::apply_due_adversary_actions() {
 
 void AdaptiveFramework::set_adversary_plan(AdversaryPlan plan) {
   validate(plan);
-  if (plan.size() < adversary_applied_) {
+  if (plan.size() < run_.adversary_applied) {
     throw std::invalid_argument(
         "set_adversary_plan: plan drops already-applied actions");
   }
-  for (std::size_t i = 0; i < adversary_applied_; ++i) {
+  for (std::size_t i = 0; i < run_.adversary_applied; ++i) {
     if (!(plan[i] == config_.adversary[i])) {
       throw std::invalid_argument(
           "set_adversary_plan: already-applied prefix changed");
     }
   }
   config_.adversary = std::move(plan);
-  if (run_started_) apply_due_adversary_actions();
+  if (run_.started) apply_due_adversary_actions();
 }
 
 ExperimentState AdaptiveFramework::snapshot() const {
@@ -567,14 +566,7 @@ ExperimentState AdaptiveFramework::snapshot() const {
   s.telemetry = telemetry_->snapshot();
   s.control = control_->snapshot();
   if (serving_) s.serving = serving_->snapshot();
-  s.steering_log = steering_log_;
-  s.steering_events = steering_events_;
-  s.proposals = proposals_;
-  s.observers_peak = observers_peak_;
-  s.run_started = run_started_;
-  s.sim_finish_seen = sim_finish_seen_;
-  s.sim_finished_wall = sim_finished_wall_;
-  s.adversary_applied = adversary_applied_;
+  s.run = run_;
   if (obs_) s.metrics = obs_->metrics().snapshot();
   return s;
 }
@@ -604,15 +596,8 @@ void AdaptiveFramework::restore(const ExperimentState& s) {
     // with the events that would have referenced it.
     serving_.reset();
   }
-  steering_log_ = s.steering_log;
-  steering_events_ = s.steering_events;
-  proposals_ = s.proposals;
-  observers_peak_ = s.observers_peak;
-  run_started_ = s.run_started;
-  sim_finish_seen_ = s.sim_finish_seen;
-  sim_finished_wall_ = s.sim_finished_wall;
-  adversary_applied_ = s.adversary_applied;
-  if (obs_) obs_->metrics().restore_scalars(s.metrics);
+  run_ = s.run;
+  if (obs_) obs_->metrics().restore(s.metrics);
 }
 
 ExperimentResult AdaptiveFramework::finish_run() {
@@ -629,7 +614,9 @@ ExperimentResult AdaptiveFramework::finish_run() {
   if (process_->model() != nullptr) {
     result.track = process_->model()->tracker().track();
   }
-  result.steering = steering_log_;
+  for (const SteeringEvent& e : run_.steering_events) {
+    if (e.type == SteeringEvent::Type::kCommand) result.steering.push_back(e);
+  }
   if (serving_) {
     for (ClientId id{0}; id.value < serving_->viewer_count(); ++id.value) {
       const ViewerConfig& viewer = serving_->viewer(id);
@@ -642,7 +629,8 @@ ExperimentResult AdaptiveFramework::finish_run() {
   ExperimentSummary& sum = result.summary;
   sum.completed = process_->finished();
   sum.wall_elapsed = queue_.now();
-  sum.sim_finished_wall = sim_finish_seen_ ? sim_finished_wall_ : queue_.now();
+  sum.sim_finished_wall =
+      run_.sim_finish_seen ? run_.sim_finished_wall : queue_.now();
   sum.sim_reached = process_->sim_time();
   sum.peak_disk_used = disk_.peak_used();
   sum.total_stall_time = process_->total_stall_time();
@@ -665,8 +653,9 @@ ExperimentResult AdaptiveFramework::finish_run() {
     sum.steer_renders = serving_->steer_renders();
     sum.steer_dedup = serving_->steer_dedup();
   }
-  sum.steering_events = static_cast<std::int64_t>(steering_events_.size());
-  sum.observers_peak = observers_peak_;
+  sum.steering_events =
+      static_cast<std::int64_t>(run_.steering_events.size());
+  sum.observers_peak = run_.observers_peak;
   if (tree_) {
     sum.tree_tiers = tree_->tier_count();
     sum.tree_leaves = tree_->leaf_count();
@@ -703,7 +692,8 @@ ExperimentResult AdaptiveFramework::finish_run() {
   if (!config_.steering.record_log_path.empty()) {
     // The full (un-thinned) applied stream: replaying it reproduces this
     // run bit for bit.
-    save_steering_log(config_.steering.record_log_path, steering_events_);
+    save_steering_log(config_.steering.record_log_path,
+                      run_.steering_events);
   }
   if (config_.steering.control_plane != nullptr && server_run_id_ >= 0) {
     config_.steering.control_plane->deregister_run(server_run_id_);

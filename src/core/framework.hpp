@@ -61,7 +61,7 @@ struct ServeOptions {
 struct FaultOptions {
   /// Probability in [0, 1] that one transfer attempt aborts mid-flight.
   double transfer_failure_rate = 0.0;
-  FrameSender::RetryPolicy retry{};
+  RetryPolicy retry{};
 };
 
 /// The run-side half of the control plane (steering/control_plane.hpp).
@@ -224,14 +224,6 @@ struct ExperimentSummary {
   std::int64_t tree_degraded_events = 0;   // all tiers
 };
 
-struct SteeringRecord {
-  WallSeconds delivered_at{};
-  SteeringCommand command;
-  /// The full control-plane event the command arrived as (event.wall ==
-  /// delivered_at; event.client names the sender, "" for in-run policies).
-  SteeringEvent event{};
-};
-
 /// One client's delivery series plus its terminal stats (CSV + figures).
 struct ClientSeries {
   std::string name;
@@ -247,11 +239,25 @@ struct ExperimentResult {
   std::vector<VisRecord> vis_records;
   std::vector<DecisionRecord> decisions;
   std::vector<TrackPoint> track;
-  std::vector<SteeringRecord> steering;
+  /// The applied kCommand events (event.wall is the delivery time;
+  /// event.client names the sender, "" for in-run policies).
+  std::vector<SteeringEvent> steering;
   std::vector<ClientSeries> clients;
   /// Populated when config.observability is set; empty otherwise.
   obs::MetricsSnapshot metrics;
   std::vector<obs::TraceEvent> trace;
+};
+
+/// The framework's own stepwise bookkeeping: what belongs to no single
+/// component.
+struct RunBookkeeping {
+  std::vector<SteeringEvent> steering_events;     // every applied event
+  std::map<std::string, KnobProposal> proposals;  // live, by client
+  int observers_peak = 0;
+  bool started = false;  // start_run() has run on this timeline
+  bool sim_finish_seen = false;
+  WallSeconds sim_finished_wall{0.0};
+  std::size_t adversary_applied = 0;
 };
 
 /// Complete checkpoint of one experiment at an event boundary: every
@@ -285,17 +291,9 @@ struct ExperimentState {
   /// Absent when the serving subsystem had not been created yet (restore
   /// then tears a later-created manager back down).
   std::optional<ViewerSessionManager::State> serving;
-  std::vector<SteeringRecord> steering_log;
-  std::vector<SteeringEvent> steering_events;
-  std::map<std::string, KnobProposal> proposals;
-  int observers_peak = 0;
-  bool run_started = false;
-  bool sim_finish_seen = false;
-  WallSeconds sim_finished_wall{0.0};
-  std::size_t adversary_applied = 0;
-  /// Scalar instruments at capture time (empty when observability is
-  /// off). restore() rewinds counters and gauges; histograms are not
-  /// rewound (MetricsRegistry::restore_scalars documents why).
+  RunBookkeeping run;
+  /// Every instrument at capture time (empty when observability is off);
+  /// restore() rewinds counters, gauges and histograms to it.
   obs::MetricsSnapshot metrics;
 };
 
@@ -380,7 +378,7 @@ class AdaptiveFramework {
 
   /// The run's applied steering-event stream (what record_log_path saves).
   [[nodiscard]] const std::vector<SteeringEvent>& steering_events() const {
-    return steering_events_;
+    return run_.steering_events;
   }
   /// The run's in-process control plane (always present). Tests and custom
   /// drivers steer through it directly.
@@ -424,17 +422,8 @@ class AdaptiveFramework {
   std::unique_ptr<ApplicationManager> manager_;
   std::unique_ptr<TelemetryRecorder> telemetry_;
   std::unique_ptr<LocalControlPlane> control_;
-  std::vector<SteeringRecord> steering_log_;     // commands only (compat)
-  std::vector<SteeringEvent> steering_events_;   // every applied event
-  std::map<std::string, KnobProposal> proposals_;  // live, by client
   ControlPlane::RunId server_run_id_ = -1;
-  int observers_peak_ = 0;
-
-  // Stepwise-run bookkeeping (part of ExperimentState).
-  bool run_started_ = false;
-  bool sim_finish_seen_ = false;
-  WallSeconds sim_finished_wall_{0.0};
-  std::size_t adversary_applied_ = 0;
+  RunBookkeeping run_;
 
   // The experiment's run context (obs bundle + log overrides). Declared
   // last and in this order: the scope uninstalls before the context and

@@ -54,22 +54,23 @@ class JobHandler {
   /// Steering: do not refine below this resolution (0 = no floor). Signals
   /// requesting finer grids are clamped; an already-finer run is left
   /// untouched.
-  void set_resolution_floor(double km) { resolution_floor_km_ = km; }
+  void set_resolution_floor(double km) { s_.resolution_floor_km = km; }
   [[nodiscard]] double resolution_floor_km() const {
-    return resolution_floor_km_;
+    return s_.resolution_floor_km;
   }
 
   /// Steering: change the moving-nest footprint; takes effect through a
   /// checkpoint/restart like any other configuration change.
   void set_nest_extent(double extent_deg);
 
-  [[nodiscard]] int restarts() const { return restarts_; }
-  [[nodiscard]] bool restart_in_progress() const { return restarting_; }
+  [[nodiscard]] int restarts() const { return s_.restarts; }
+  [[nodiscard]] bool restart_in_progress() const { return s_.restarting; }
 
   /// Launch/restart latches plus the steering-mutable knobs (resolution
   /// floor, nest extent via model_config). A restart in flight lives as a
   /// pending queue event whose closure reads these members at fire time.
   struct State {
+    /// Configuration the currently running simulation was launched with.
     ApplicationConfiguration active{};
     ModelConfig model_config{};
     double resolution_floor_km = 0.0;
@@ -77,18 +78,8 @@ class JobHandler {
     bool restarting = false;
     int restarts = 0;
   };
-  [[nodiscard]] State snapshot() const {
-    return State{active_,     model_config_, resolution_floor_km_,
-                 launched_,   restarting_,   restarts_};
-  }
-  void restore(const State& s) {
-    active_ = s.active;
-    model_config_ = s.model_config;
-    resolution_floor_km_ = s.resolution_floor_km;
-    launched_ = s.launched;
-    restarting_ = s.restarting;
-    restarts_ = s.restarts;
-  }
+  [[nodiscard]] State snapshot() const { return s_; }
+  void restore(const State& s) { s_ = s; }
 
  private:
   void restart();
@@ -97,18 +88,12 @@ class JobHandler {
   SimulationProcess& process_;
   ApplicationConfiguration& config_;
   DiskModel& disk_;
-  ModelConfig model_config_;
-  ResolutionLadder ladder_;
-  Options options_;
-
-  /// Configuration the currently running simulation was launched with.
-  ApplicationConfiguration active_;
-  double resolution_floor_km_ = 0.0;
-  bool launched_ = false;
-  bool restarting_ = false;
-  int restarts_ = 0;
+  const ResolutionLadder ladder_;
+  const Options options_;
+  State s_;
   /// Scratch for file-based checkpoints (keeps the reload alive while the
-  /// model is rebuilt from it).
+  /// model is rebuilt from it). Not state: every restart overwrites it
+  /// before reading it.
   NclFile reloaded_;
 };
 

@@ -155,21 +155,8 @@ ExperimentConfig scenario_from_ini(const IniDocument& doc) {
       }
       cfg.faults.transfer_failure_rate = *v;
     }
-    if (auto v = doc.get_double("faults", "retry_initial_seconds")) {
-      cfg.faults.retry.initial_backoff = WallSeconds(*v);
-    }
-    if (auto v = doc.get_double("faults", "retry_multiplier")) {
-      cfg.faults.retry.multiplier = *v;
-    }
-    if (auto v = doc.get_double("faults", "retry_cap_seconds")) {
-      cfg.faults.retry.max_backoff = WallSeconds(*v);
-    }
-    if (auto v = doc.get_double("faults", "retry_jitter")) {
-      cfg.faults.retry.jitter = *v;
-    }
-    if (auto v = doc.get_int("faults", "degrade_after")) {
-      cfg.faults.retry.degrade_after = static_cast<int>(*v);
-    }
+    cfg.faults.retry =
+        retry_policy_from_ini(doc, "faults", cfg.faults.retry);
   }
 
   // [adversary] — environment actions keyed by decision boundary, the

@@ -36,25 +36,25 @@ SimSeconds SimulationProcess::sim_time() const {
 }
 
 WallSeconds SimulationProcess::total_stall_time() const {
-  WallSeconds total = stall_time_;
-  if (stalled_) total += queue_.now() - stall_started_;
+  WallSeconds total = s_.stall_time;
+  if (s_.stalled) total += queue_.now() - s_.stall_started;
   return total;
 }
 
 void SimulationProcess::start(std::unique_ptr<WeatherModel> model) {
-  if (running_) {
+  if (s_.running) {
     throw std::logic_error("SimulationProcess: already running");
   }
   if (!model) throw std::invalid_argument("SimulationProcess: null model");
   model_ = std::move(model);
-  running_ = true;
-  stalled_ = false;
-  finished_ = false;
-  pending_encoded_.reset();
-  launch_processors_ = config_.processors;
-  launch_output_interval_ = config_.output_interval;
-  last_signaled_resolution_ = model_->recommended_resolution_km();
-  next_output_due_ = model_->sim_time() + launch_output_interval_;
+  s_.running = true;
+  s_.stalled = false;
+  s_.finished = false;
+  s_.pending_encoded.reset();
+  s_.launch_processors = config_.processors;
+  s_.launch_output_interval = config_.output_interval;
+  s_.last_signaled_resolution = model_->recommended_resolution_km();
+  s_.next_output_due = model_->sim_time() + s_.launch_output_interval;
   ADAPTVIZ_LOG_INFO("simulation",
                     "started: %d procs, OI=%.1f sim-min, res=%.1f km",
                     config_.processors,
@@ -68,8 +68,8 @@ void SimulationProcess::request_stop(std::function<void(NclFile)> stopped) {
   if (stop_pending()) {
     throw std::logic_error("SimulationProcess: stop already pending");
   }
-  stop_callback_ = std::move(stopped);
-  if (!running_ || finished_) {
+  s_.stop_callback = std::move(stopped);
+  if (!s_.running || s_.finished) {
     deliver_stop();
     return;
   }
@@ -78,9 +78,9 @@ void SimulationProcess::request_stop(std::function<void(NclFile)> stopped) {
 }
 
 void SimulationProcess::deliver_stop() {
-  running_ = false;
-  auto cb = std::move(stop_callback_);
-  stop_callback_ = nullptr;
+  s_.running = false;
+  auto cb = std::move(s_.stop_callback);
+  s_.stop_callback = nullptr;
   if (!model_) {
     throw std::logic_error("SimulationProcess: stop without a model");
   }
@@ -94,28 +94,28 @@ void SimulationProcess::schedule_step() {
     deliver_stop();
     return;
   }
-  if (finished_ || !running_) return;
+  if (s_.finished || !s_.running) return;
   if (config_.critical || config_.paused) {
     enter_stall(config_.critical ? "CRITICAL flag set" : "paused by steering");
     return;
   }
-  step_in_flight_ = true;
+  s_.step_in_flight = true;
   const WallSeconds cost = machine_.step_time(
-      std::max(1, launch_processors_), model_->work_units());
+      std::max(1, s_.launch_processors), model_->work_units());
   queue_.schedule_after(
       cost, [this] { complete_step(); }, "simulation.step");
 }
 
 void SimulationProcess::complete_step() {
-  step_in_flight_ = false;
+  s_.step_in_flight = false;
   model_->step();
-  ++steps_;
+  ++s_.steps;
 
   if (model_->resolution_change_pending()) {
     const double rec = model_->recommended_resolution_km();
-    if (rec < last_signaled_resolution_ - 1e-9 &&
+    if (rec < s_.last_signaled_resolution - 1e-9 &&
         callbacks_.on_resolution_signal) {
-      last_signaled_resolution_ = rec;
+      s_.last_signaled_resolution = rec;
       ADAPTVIZ_LOG_INFO("simulation",
                         "pressure %.1f hPa: signalling resolution %.1f km",
                         model_->min_pressure_hpa(), rec);
@@ -123,7 +123,7 @@ void SimulationProcess::complete_step() {
     }
   }
 
-  if (model_->sim_time() >= next_output_due_ - SimSeconds(1e-6)) {
+  if (model_->sim_time() >= s_.next_output_due - SimSeconds(1e-6)) {
     try_write_frame();
     return;
   }
@@ -149,7 +149,7 @@ Bytes SimulationProcess::encode_pending_frame(Bytes raw) {
   const double ratio = report.ratio();
   const Bytes encoded(std::max<std::int64_t>(
       1, static_cast<std::int64_t>(std::llround(raw.as_double() / ratio))));
-  codec_saved_ += raw - encoded;
+  s_.codec_saved += raw - encoded;
   obs::count("codec.frames");
   obs::count("codec.bytes_raw", raw.count());
   obs::count("codec.bytes_encoded", encoded.count());
@@ -166,10 +166,10 @@ void SimulationProcess::try_write_frame() {
   if (codec_) {
     // Encode exactly once per output: a disk-full stall retries this frame
     // without re-rotating the codec's history.
-    if (!pending_encoded_.has_value()) {
-      pending_encoded_ = encode_pending_frame(raw);
+    if (!s_.pending_encoded.has_value()) {
+      s_.pending_encoded = encode_pending_frame(raw);
     }
-    size = *pending_encoded_;
+    size = *s_.pending_encoded;
   }
   if (!disk_.allocate(size)) {
     enter_stall("disk full");
@@ -179,9 +179,9 @@ void SimulationProcess::try_write_frame() {
   queue_.schedule_after(
       tio,
       [this, size, raw] {
-        pending_encoded_.reset();
+        s_.pending_encoded.reset();
         Frame frame;
-        frame.sequence = next_sequence_++;
+        frame.sequence = s_.next_sequence++;
         frame.sim_time = model_->sim_time();
         frame.resolution_km = model_->modeled_resolution_km();
         frame.min_pressure_hpa = model_->min_pressure_hpa();
@@ -193,17 +193,17 @@ void SimulationProcess::try_write_frame() {
         }
         catalog_.push(std::move(frame));
         sender_.kick();
-        ++frames_;
-        next_output_due_ += launch_output_interval_;
+        ++s_.frames;
+        s_.next_output_due += s_.launch_output_interval;
         finish_or_continue();
       },
       "simulation.write_frame");
 }
 
 void SimulationProcess::enter_stall(const char* reason) {
-  if (!stalled_) {
-    stalled_ = true;
-    stall_started_ = queue_.now();
+  if (!s_.stalled) {
+    s_.stalled = true;
+    s_.stall_started = queue_.now();
     ADAPTVIZ_LOG_WARN("simulation", "stalled at wall %s: %s",
                       hh_mm(queue_.now()).c_str(), reason);
   }
@@ -212,10 +212,10 @@ void SimulationProcess::enter_stall(const char* reason) {
 }
 
 void SimulationProcess::stall_check() {
-  if (!stalled_) return;
+  if (!s_.stalled) return;
   if (stop_pending()) {
-    stall_time_ += queue_.now() - stall_started_;
-    stalled_ = false;
+    s_.stall_time += queue_.now() - s_.stall_started;
+    s_.stalled = false;
     deliver_stop();
     return;
   }
@@ -225,11 +225,11 @@ void SimulationProcess::stall_check() {
     return;
   }
   // Flag cleared: leave the stall and resume where we left off.
-  stall_time_ += queue_.now() - stall_started_;
-  stalled_ = false;
+  s_.stall_time += queue_.now() - s_.stall_started;
+  s_.stalled = false;
   ADAPTVIZ_LOG_INFO("simulation", "resuming after %.1f min stall",
-                    (queue_.now() - stall_started_).seconds() / 60.0);
-  if (model_->sim_time() >= next_output_due_ - SimSeconds(1e-6)) {
+                    (queue_.now() - s_.stall_started).seconds() / 60.0);
+  if (model_->sim_time() >= s_.next_output_due - SimSeconds(1e-6)) {
     try_write_frame();
   } else {
     schedule_step();
@@ -238,14 +238,14 @@ void SimulationProcess::stall_check() {
 
 void SimulationProcess::finish_or_continue() {
   if (model_->sim_time() >= options_.end_time) {
-    finished_ = true;
-    running_ = false;
+    s_.finished = true;
+    s_.running = false;
     ADAPTVIZ_LOG_INFO("simulation", "finished at wall %s",
                       hh_mm(queue_.now()).c_str());
     if (stop_pending()) {
       // A restart raced completion; honour the stop contract anyway.
-      auto cb = std::move(stop_callback_);
-      stop_callback_ = nullptr;
+      auto cb = std::move(s_.stop_callback);
+      s_.stop_callback = nullptr;
       cb(model_->checkpoint());
       return;
     }
@@ -256,47 +256,16 @@ void SimulationProcess::finish_or_continue() {
 }
 
 SimulationProcess::State SimulationProcess::snapshot() const {
-  State s;
+  State s{s_, nullptr, nullptr};
   if (model_) s.model = std::make_shared<const WeatherModel>(*model_);
   if (codec_) s.codec = std::make_shared<const FrameFieldCodec>(*codec_);
-  s.codec_saved = codec_saved_;
-  s.pending_encoded = pending_encoded_;
-  s.running = running_;
-  s.stalled = stalled_;
-  s.finished = finished_;
-  s.step_in_flight = step_in_flight_;
-  s.stop_callback = stop_callback_;
-  s.launch_processors = launch_processors_;
-  s.launch_output_interval = launch_output_interval_;
-  s.next_output_due = next_output_due_;
-  s.next_sequence = next_sequence_;
-  s.last_signaled_resolution = last_signaled_resolution_;
-  s.steps = steps_;
-  s.frames = frames_;
-  s.stall_time = stall_time_;
-  s.stall_started = stall_started_;
   return s;
 }
 
 void SimulationProcess::restore(const State& s) {
+  s_ = s.live;
   model_ = s.model ? std::make_unique<WeatherModel>(*s.model) : nullptr;
   codec_ = s.codec ? std::make_unique<FrameFieldCodec>(*s.codec) : nullptr;
-  codec_saved_ = s.codec_saved;
-  pending_encoded_ = s.pending_encoded;
-  running_ = s.running;
-  stalled_ = s.stalled;
-  finished_ = s.finished;
-  step_in_flight_ = s.step_in_flight;
-  stop_callback_ = s.stop_callback;
-  launch_processors_ = s.launch_processors;
-  launch_output_interval_ = s.launch_output_interval;
-  next_output_due_ = s.next_output_due;
-  next_sequence_ = s.next_sequence;
-  last_signaled_resolution_ = s.last_signaled_resolution;
-  steps_ = s.steps;
-  frames_ = s.frames;
-  stall_time_ = s.stall_time;
-  stall_started_ = s.stall_started;
 }
 
 }  // namespace adaptviz

@@ -72,15 +72,15 @@ class SimulationProcess {
   /// checkpoint. No further events fire for this process afterwards.
   void request_stop(std::function<void(NclFile)> stopped);
 
-  [[nodiscard]] bool running() const { return running_; }
-  [[nodiscard]] bool stalled() const { return stalled_; }
-  [[nodiscard]] bool finished() const { return finished_; }
+  [[nodiscard]] bool running() const { return s_.running; }
+  [[nodiscard]] bool stalled() const { return s_.stalled; }
+  [[nodiscard]] bool finished() const { return s_.finished; }
   [[nodiscard]] const WeatherModel* model() const { return model_.get(); }
   [[nodiscard]] SimSeconds sim_time() const;
 
   // --- Statistics ---
-  [[nodiscard]] std::int64_t steps_executed() const { return steps_; }
-  [[nodiscard]] std::int64_t frames_written() const { return frames_; }
+  [[nodiscard]] std::int64_t steps_executed() const { return s_.steps; }
+  [[nodiscard]] std::int64_t frames_written() const { return s_.frames; }
   /// Includes a still-open stall up to the current virtual time.
   [[nodiscard]] WallSeconds total_stall_time() const;
 
@@ -95,25 +95,24 @@ class SimulationProcess {
     return codec_ ? codec_->cumulative_ratio() : 1.0;
   }
   /// Modeled bytes the codec kept off disk and off the wire so far.
-  [[nodiscard]] Bytes codec_bytes_saved() const { return codec_saved_; }
+  [[nodiscard]] Bytes codec_bytes_saved() const { return s_.codec_saved; }
 
-  /// Deep-copyable process state: the weather model (full solver fields +
-  /// step counter; the solver's mutable scratch copies along but is
-  /// recomputed every step, so it carries no information), the codec's
-  /// prediction history, and every latch/counter of the step/output state
-  /// machine. Model and codec ride as shared immutable copies so the
-  /// State value itself stays cheap to copy; restore() materializes fresh
-  /// mutable instances from them.
-  struct State {
-    std::shared_ptr<const WeatherModel> model;
-    std::shared_ptr<const FrameFieldCodec> codec;
+  /// Every latch and counter of the step/output state machine: all the
+  /// process mutates in place apart from the model and the codec.
+  struct Live {
     Bytes codec_saved{};
+    /// Encoded size of the frame currently being written, kept across a
+    /// disk-full stall so the retry does not re-encode (and re-rotate the
+    /// codec history for) the same output.
     std::optional<Bytes> pending_encoded;
     bool running = false;
     bool stalled = false;
     bool finished = false;
     bool step_in_flight = false;
     std::function<void(NclFile)> stop_callback;
+    /// Knobs snapshotted at start(): processors and output interval only
+    /// change through a job-handler restart (as with a real WRF job); the
+    /// CRITICAL flag, by contrast, is read live from the shared config.
     int launch_processors = 1;
     SimSeconds launch_output_interval{180.0};
     SimSeconds next_output_due{0.0};
@@ -123,6 +122,18 @@ class SimulationProcess {
     std::int64_t frames = 0;
     WallSeconds stall_time{0.0};
     WallSeconds stall_started{0.0};
+  };
+
+  /// Deep-copyable process state: the Live latches plus the weather model
+  /// (full solver fields + step counter; the solver's mutable scratch
+  /// copies along but is recomputed every step, so it carries no
+  /// information) and the codec's prediction history. Model and codec ride
+  /// as shared immutable copies so the State value itself stays cheap to
+  /// copy; restore() materializes fresh mutable instances from them.
+  struct State {
+    Live live;
+    std::shared_ptr<const WeatherModel> model;
+    std::shared_ptr<const FrameFieldCodec> codec;
   };
   [[nodiscard]] State snapshot() const;
   void restore(const State& s);
@@ -138,7 +149,7 @@ class SimulationProcess {
   void stall_check();
   void finish_or_continue();
   [[nodiscard]] bool stop_pending() const {
-    return static_cast<bool>(stop_callback_);
+    return static_cast<bool>(s_.stop_callback);
   }
   void deliver_stop();
 
@@ -148,37 +159,13 @@ class SimulationProcess {
   FrameCatalog& catalog_;
   FrameSender& sender_;
   const ApplicationConfiguration& config_;
-  Options options_;
-  Callbacks callbacks_;
+  const Options options_;
+  const Callbacks callbacks_;
 
   std::unique_ptr<WeatherModel> model_;
   /// Null when Options::codec.enabled is false.
   std::unique_ptr<FrameFieldCodec> codec_;
-  Bytes codec_saved_{};
-  /// Encoded size of the frame currently being written, kept across a
-  /// disk-full stall so the retry does not re-encode (and re-rotate the
-  /// codec history for) the same output.
-  std::optional<Bytes> pending_encoded_;
-  bool running_ = false;
-  bool stalled_ = false;
-  bool finished_ = false;
-  bool step_in_flight_ = false;
-  std::function<void(NclFile)> stop_callback_;
-
-  /// Knobs snapshotted at start(): processors and output interval only
-  /// change through a job-handler restart (as with a real WRF job); the
-  /// CRITICAL flag, by contrast, is read live from the shared config.
-  int launch_processors_ = 1;
-  SimSeconds launch_output_interval_{180.0};
-
-  SimSeconds next_output_due_{0.0};
-  std::int64_t next_sequence_ = 0;
-  double last_signaled_resolution_ = 0.0;
-
-  std::int64_t steps_ = 0;
-  std::int64_t frames_ = 0;
-  WallSeconds stall_time_{0.0};
-  WallSeconds stall_started_{0.0};
+  Live s_;
 };
 
 }  // namespace adaptviz

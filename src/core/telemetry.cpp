@@ -135,18 +135,18 @@ TelemetryRecorder::TelemetryRecorder(EventQueue& queue, SampleFn fn,
 }
 
 void TelemetryRecorder::start() {
-  if (running_) return;
-  running_ = true;
-  tick(++epoch_);
+  if (s_.running) return;
+  s_.running = true;
+  tick(++s_.epoch);
 }
 
-void TelemetryRecorder::stop() { running_ = false; }
+void TelemetryRecorder::stop() { s_.running = false; }
 
 void TelemetryRecorder::tick(std::uint64_t epoch) {
   // A tick scheduled before stop() fires after a later start(): its epoch
   // is stale and it must die here, or two sampling chains run at once.
-  if (!running_ || epoch != epoch_) return;
-  samples_.push_back(fn_());
+  if (!s_.running || epoch != s_.epoch) return;
+  s_.samples.push_back(fn_());
   queue_.schedule_after(
       period_, [this, epoch] { tick(epoch); }, "telemetry.tick");
 }

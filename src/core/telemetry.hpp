@@ -89,37 +89,29 @@ class TelemetryRecorder {
   void stop();
 
   [[nodiscard]] const std::vector<TelemetrySample>& samples() const {
-    return samples_;
+    return s_.samples;
   }
 
   /// Recorded series + the epoch guard. A tick pending in the EventQueue
   /// checks the epoch, so a restore that rewinds both stays consistent.
   struct State {
     bool running = false;
+    /// Bumped by every start(): a tick scheduled before a stop()/start()
+    /// cycle sees a stale epoch and dies instead of starting a second
+    /// sampling chain (which doubled the sample rate after a restart).
     std::uint64_t epoch = 0;
     std::vector<TelemetrySample> samples;
   };
-  [[nodiscard]] State snapshot() const {
-    return State{running_, epoch_, samples_};
-  }
-  void restore(const State& s) {
-    running_ = s.running;
-    epoch_ = s.epoch;
-    samples_ = s.samples;
-  }
+  [[nodiscard]] State snapshot() const { return s_; }
+  void restore(const State& s) { s_ = s; }
 
  private:
   void tick(std::uint64_t epoch);
 
   EventQueue& queue_;
-  SampleFn fn_;
-  WallSeconds period_;
-  bool running_ = false;
-  /// Bumped by every start(): a tick scheduled before a stop()/start()
-  /// cycle sees a stale epoch and dies instead of starting a second
-  /// sampling chain (which doubled the sample rate after a restart).
-  std::uint64_t epoch_ = 0;
-  std::vector<TelemetrySample> samples_;
+  const SampleFn fn_;
+  const WallSeconds period_;
+  State s_;
 };
 
 }  // namespace adaptviz

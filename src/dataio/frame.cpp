@@ -5,38 +5,38 @@
 namespace adaptviz {
 
 void FrameCatalog::push(Frame frame) {
-  if (!frames_.empty() && frame.sequence <= frames_.back().sequence) {
+  if (!s_.frames.empty() && frame.sequence <= s_.frames.back().sequence) {
     throw std::invalid_argument("FrameCatalog: non-increasing sequence");
   }
   if (frame.size < Bytes(0)) {
     throw std::invalid_argument("FrameCatalog: negative frame size");
   }
-  total_ += frame.size;
-  frames_.push_back(std::move(frame));
+  s_.total += frame.size;
+  s_.frames.push_back(std::move(frame));
 }
 
 void FrameCatalog::requeue_front(Frame frame) {
-  if (!frames_.empty() && frame.sequence >= frames_.front().sequence) {
+  if (!s_.frames.empty() && frame.sequence >= s_.frames.front().sequence) {
     throw std::invalid_argument(
         "FrameCatalog: requeued frame must precede the current head");
   }
   if (frame.size < Bytes(0)) {
     throw std::invalid_argument("FrameCatalog: negative frame size");
   }
-  total_ += frame.size;
-  frames_.push_front(std::move(frame));
+  s_.total += frame.size;
+  s_.frames.push_front(std::move(frame));
 }
 
 std::optional<Frame> FrameCatalog::oldest() const {
-  if (frames_.empty()) return std::nullopt;
-  return frames_.front();
+  if (s_.frames.empty()) return std::nullopt;
+  return s_.frames.front();
 }
 
 Frame FrameCatalog::pop_oldest() {
-  if (frames_.empty()) throw std::logic_error("FrameCatalog: empty");
-  Frame f = std::move(frames_.front());
-  frames_.pop_front();
-  total_ -= f.size;
+  if (s_.frames.empty()) throw std::logic_error("FrameCatalog: empty");
+  Frame f = std::move(s_.frames.front());
+  s_.frames.pop_front();
+  s_.total -= f.size;
   return f;
 }
 

@@ -72,10 +72,10 @@ class FrameCatalog {
   /// throws std::invalid_argument otherwise.
   void requeue_front(Frame frame);
 
-  [[nodiscard]] std::size_t count() const { return frames_.size(); }
-  [[nodiscard]] bool empty() const { return frames_.empty(); }
+  [[nodiscard]] std::size_t count() const { return s_.frames.size(); }
+  [[nodiscard]] bool empty() const { return s_.frames.empty(); }
   /// Sum of modeled sizes of resident frames.
-  [[nodiscard]] Bytes total_bytes() const { return total_; }
+  [[nodiscard]] Bytes total_bytes() const { return s_.total; }
 
   /// The resident-frame queue. Frame payloads are shared immutable
   /// NclFiles, so copying the deque aliases them safely.
@@ -83,15 +83,11 @@ class FrameCatalog {
     std::deque<Frame> frames;
     Bytes total{};
   };
-  [[nodiscard]] State snapshot() const { return State{frames_, total_}; }
-  void restore(const State& s) {
-    frames_ = s.frames;
-    total_ = s.total;
-  }
+  [[nodiscard]] State snapshot() const { return s_; }
+  void restore(const State& s) { s_ = s; }
 
  private:
-  std::deque<Frame> frames_;
-  Bytes total_{};
+  State s_;
 };
 
 }  // namespace adaptviz

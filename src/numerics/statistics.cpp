@@ -43,14 +43,15 @@ ExponentialMovingAverage::ExponentialMovingAverage(double alpha)
 }
 
 void ExponentialMovingAverage::add(double sample) {
-  value_ = initialized_ ? alpha_ * sample + (1.0 - alpha_) * value_ : sample;
-  initialized_ = true;
-  ++count_;
+  s_.value =
+      s_.initialized ? alpha_ * sample + (1.0 - alpha_) * s_.value : sample;
+  s_.initialized = true;
+  ++s_.count;
 }
 
 double ExponentialMovingAverage::value() const {
-  if (!initialized_) throw std::logic_error("EMA: no samples");
-  return value_;
+  if (!s_.initialized) throw std::logic_error("EMA: no samples");
+  return s_.value;
 }
 
 void RunningStats::add(double x) {

@@ -25,10 +25,10 @@ class ExponentialMovingAverage {
   explicit ExponentialMovingAverage(double alpha);
 
   void add(double sample);
-  [[nodiscard]] bool empty() const { return !initialized_; }
+  [[nodiscard]] bool empty() const { return !s_.initialized; }
   /// Current estimate; throws std::logic_error before the first sample.
   [[nodiscard]] double value() const;
-  [[nodiscard]] std::size_t count() const { return count_; }
+  [[nodiscard]] std::size_t count() const { return s_.count; }
 
   /// Full estimator state (alpha excluded: a construction constant).
   struct State {
@@ -36,20 +36,12 @@ class ExponentialMovingAverage {
     bool initialized = false;
     std::size_t count = 0;
   };
-  [[nodiscard]] State snapshot() const {
-    return State{value_, initialized_, count_};
-  }
-  void restore(const State& s) {
-    value_ = s.value;
-    initialized_ = s.initialized;
-    count_ = s.count;
-  }
+  [[nodiscard]] State snapshot() const { return s_; }
+  void restore(const State& s) { s_ = s; }
 
  private:
-  double alpha_;
-  double value_ = 0.0;
-  bool initialized_ = false;
-  std::size_t count_ = 0;
+  const double alpha_;
+  State s_;
 };
 
 /// Streaming min/max/mean/stddev accumulator (Welford).

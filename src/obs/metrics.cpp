@@ -75,6 +75,22 @@ Histogram::Snapshot Histogram::snapshot() const {
   return s;
 }
 
+void Histogram::restore(const Snapshot& s) {
+  if (s.counts.empty()) {
+    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
+  } else if (s.counts.size() != buckets_.size()) {
+    throw std::invalid_argument("Histogram::restore: bucket count differs");
+  } else {
+    for (std::size_t i = 0; i < buckets_.size(); ++i) {
+      buckets_[i].store(s.counts[i], std::memory_order_relaxed);
+    }
+  }
+  count_.store(s.count, std::memory_order_relaxed);
+  sum_.store(s.sum, std::memory_order_relaxed);
+  min_.store(s.min, std::memory_order_relaxed);
+  max_.store(s.max, std::memory_order_relaxed);
+}
+
 std::int64_t MetricsSnapshot::counter_or(std::string_view name,
                                          std::int64_t fallback) const {
   for (const CounterValue& c : counters) {
@@ -135,7 +151,7 @@ std::vector<double> MetricsRegistry::duration_buckets() {
   return {1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1000.0};
 }
 
-void MetricsRegistry::restore_scalars(const MetricsSnapshot& s) {
+void MetricsRegistry::restore(const MetricsSnapshot& s) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& [name, c] : counters_) {
     const std::int64_t want = s.counter_or(name, 0);
@@ -143,6 +159,10 @@ void MetricsRegistry::restore_scalars(const MetricsSnapshot& s) {
   }
   for (const auto& [name, g] : gauges_) {
     g->set(s.gauge_or(name, 0.0));
+  }
+  for (const auto& [name, h] : histograms_) {
+    const Histogram::Snapshot* want = s.histogram(name);
+    h->restore(want != nullptr ? *want : Histogram::Snapshot{});
   }
 }
 

@@ -75,8 +75,13 @@ class Histogram {
     [[nodiscard]] double mean() const {
       return count == 0 ? 0.0 : sum / static_cast<double>(count);
     }
+    bool operator==(const Snapshot&) const = default;
   };
   [[nodiscard]] Snapshot snapshot() const;
+  /// Sets buckets, count, sum, min and max from `s`; an empty `s.counts`
+  /// resets the histogram to empty. Throws std::invalid_argument when
+  /// `s` has a different bucket count.
+  void restore(const Snapshot& s);
   [[nodiscard]] std::int64_t count() const noexcept {
     return count_.load(std::memory_order_relaxed);
   }
@@ -98,14 +103,17 @@ struct MetricsSnapshot {
   struct CounterValue {
     std::string name;
     std::int64_t value = 0;
+    bool operator==(const CounterValue&) const = default;
   };
   struct GaugeValue {
     std::string name;
     double value = 0.0;
+    bool operator==(const GaugeValue&) const = default;
   };
   struct HistogramValue {
     std::string name;
     Histogram::Snapshot snapshot;
+    bool operator==(const HistogramValue&) const = default;
   };
 
   std::vector<CounterValue> counters;
@@ -115,6 +123,7 @@ struct MetricsSnapshot {
   [[nodiscard]] bool empty() const {
     return counters.empty() && gauges.empty() && histograms.empty();
   }
+  bool operator==(const MetricsSnapshot&) const = default;
   /// Counter value by name; `fallback` when absent.
   [[nodiscard]] std::int64_t counter_or(std::string_view name,
                                         std::int64_t fallback = 0) const;
@@ -148,14 +157,13 @@ class MetricsRegistry {
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// Rewinds counters and gauges to a snapshot taken earlier on this
+  /// Rewinds every instrument to a snapshot taken earlier on this
   /// registry: counters delta-add back to the recorded value (instrument
-  /// addresses stay stable, so resolved handles keep working), gauges are
-  /// set, and instruments created after the snapshot reset to zero.
-  /// Histograms are NOT rewound — bucket counts cannot be subtracted
-  /// without the individual observations. Callers that need exact
-  /// per-branch accounting (the scenario explorer) diff snapshots instead.
-  void restore_scalars(const MetricsSnapshot& s);
+  /// addresses stay stable, so resolved handles keep working), gauges and
+  /// histograms are set, and instruments created after the snapshot reset
+  /// to zero / empty. Call only while no instrument is being updated (the
+  /// framework restores between events).
+  void restore(const MetricsSnapshot& s);
 
  private:
   mutable std::mutex mutex_;

@@ -7,7 +7,7 @@
 namespace adaptviz {
 
 GroundTruthMachine::GroundTruthMachine(MachineSpec spec, std::uint64_t seed)
-    : spec_(std::move(spec)), rng_(seed) {
+    : spec_(std::move(spec)), s_{Rng(seed)} {
   if (spec_.max_cores < 1 || spec_.min_cores < 1 ||
       spec_.min_cores > spec_.max_cores) {
     throw std::invalid_argument("GroundTruthMachine: bad core limits");
@@ -32,7 +32,7 @@ WallSeconds GroundTruthMachine::step_time(int processors, double work_units) {
   if (spec_.noise_sigma == 0.0) return WallSeconds(base);
   // Lognormal multiplicative jitter with unit mean.
   const double s = spec_.noise_sigma;
-  const double f = std::exp(rng_.normal(-0.5 * s * s, s));
+  const double f = std::exp(s_.rng.normal(-0.5 * s * s, s));
   return WallSeconds(base * f);
 }
 

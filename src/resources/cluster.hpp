@@ -56,12 +56,12 @@ class GroundTruthMachine {
   struct State {
     Rng rng;
   };
-  [[nodiscard]] State snapshot() const { return State{rng_}; }
-  void restore(const State& s) { rng_ = s.rng; }
+  [[nodiscard]] State snapshot() const { return s_; }
+  void restore(const State& s) { s_ = s; }
 
  private:
-  MachineSpec spec_;
-  Rng rng_;
+  const MachineSpec spec_;
+  State s_;
 };
 
 /// One simulation site: the machine plus its stable storage and WAN uplink

@@ -18,9 +18,9 @@ bool DiskModel::allocate(Bytes size) {
   if (size < Bytes(0)) {
     throw std::invalid_argument("DiskModel: negative allocation");
   }
-  if (used_ + size > capacity_) return false;
-  used_ += size;
-  if (used_ > peak_) peak_ = used_;
+  if (s_.used + size > capacity_) return false;
+  s_.used += size;
+  if (s_.used > s_.peak) s_.peak = s_.used;
   return true;
 }
 
@@ -28,10 +28,10 @@ void DiskModel::release(Bytes size) {
   if (size < Bytes(0)) {
     throw std::invalid_argument("DiskModel: negative release");
   }
-  if (size > used_) {
+  if (size > s_.used) {
     throw std::logic_error("DiskModel: releasing more than used");
   }
-  used_ -= size;
+  s_.used -= size;
 }
 
 Bytes DiskModel::inject_external(Bytes size) {
@@ -39,8 +39,8 @@ Bytes DiskModel::inject_external(Bytes size) {
     throw std::invalid_argument("DiskModel: negative injection");
   }
   const Bytes placed = size <= free_space() ? size : free_space();
-  used_ += placed;
-  if (used_ > peak_) peak_ = used_;
+  s_.used += placed;
+  if (s_.used > s_.peak) s_.peak = s_.used;
   return placed;
 }
 
@@ -48,7 +48,7 @@ void DiskModel::release_external(Bytes size) {
   if (size < Bytes(0)) {
     throw std::invalid_argument("DiskModel: negative release");
   }
-  used_ -= size <= used_ ? size : used_;
+  s_.used -= size <= s_.used ? size : s_.used;
 }
 
 double DiskModel::free_percent() const {

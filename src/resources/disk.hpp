@@ -41,19 +41,16 @@ class DiskModel {
     Bytes used{};
     Bytes peak{};
   };
-  [[nodiscard]] State snapshot() const { return State{used_, peak_}; }
-  void restore(const State& s) {
-    used_ = s.used;
-    peak_ = s.peak;
-  }
+  [[nodiscard]] State snapshot() const { return s_; }
+  void restore(const State& s) { s_ = s; }
 
   [[nodiscard]] Bytes capacity() const { return capacity_; }
-  [[nodiscard]] Bytes used() const { return used_; }
-  [[nodiscard]] Bytes free_space() const { return capacity_ - used_; }
+  [[nodiscard]] Bytes used() const { return s_.used; }
+  [[nodiscard]] Bytes free_space() const { return capacity_ - s_.used; }
   /// Percentage of the disk that is free, 0..100 (the `df` the paper polls).
   [[nodiscard]] double free_percent() const;
   /// High-water mark of `used()` over the disk's lifetime.
-  [[nodiscard]] Bytes peak_used() const { return peak_; }
+  [[nodiscard]] Bytes peak_used() const { return s_.peak; }
 
   [[nodiscard]] Bandwidth io_bandwidth() const { return io_bw_; }
   /// Time to write `size` at the disk's I/O bandwidth (the paper's TIO for a
@@ -61,10 +58,9 @@ class DiskModel {
   [[nodiscard]] WallSeconds write_time(Bytes size) const;
 
  private:
-  Bytes capacity_;
-  Bytes used_{};
-  Bytes peak_{};
-  Bandwidth io_bw_;
+  const Bytes capacity_;
+  const Bandwidth io_bw_;
+  State s_;
 };
 
 }  // namespace adaptviz

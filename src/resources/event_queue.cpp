@@ -5,63 +5,41 @@
 
 namespace adaptviz {
 
-EventQueue::State EventQueue::snapshot() const {
-  State s;
-  s.now = now_;
-  s.next_seq = next_seq_;
-  s.next_id = next_id_;
-  s.heap = heap_;
-  s.records = records_;
-  s.cancelled = cancelled_;
-  s.executed = executed_;
-  return s;
-}
-
-void EventQueue::restore(const State& s) {
-  now_ = s.now;
-  next_seq_ = s.next_seq;
-  next_id_ = s.next_id;
-  heap_ = s.heap;
-  records_ = s.records;
-  cancelled_ = s.cancelled;
-  executed_ = s.executed;
-}
-
 EventId EventQueue::schedule_at(WallSeconds t, EventFn fn, std::string label) {
   if (!fn) throw std::invalid_argument("EventQueue: null event function");
-  if (t < now_) t = now_;
-  const EventId id = next_id_++;
-  heap_.push(Item{t, next_seq_++, id});
-  records_.emplace(id, Record{std::move(fn), std::move(label)});
+  if (t < s_.now) t = s_.now;
+  const EventId id = s_.next_id++;
+  s_.heap.push(Item{t, s_.next_seq++, id});
+  s_.records.emplace(id, Record{std::move(fn), std::move(label)});
   return id;
 }
 
 EventId EventQueue::schedule_after(WallSeconds dt, EventFn fn,
                                    std::string label) {
   if (dt < WallSeconds(0.0)) dt = WallSeconds(0.0);
-  return schedule_at(now_ + dt, std::move(fn), std::move(label));
+  return schedule_at(s_.now + dt, std::move(fn), std::move(label));
 }
 
 void EventQueue::cancel(EventId id) {
-  if (records_.contains(id)) cancelled_.insert(id);
+  if (s_.records.contains(id)) s_.cancelled.insert(id);
 }
 
 bool EventQueue::step() {
-  while (!heap_.empty()) {
-    const Item item = heap_.top();
-    heap_.pop();
-    const auto cit = cancelled_.find(item.id);
-    if (cit != cancelled_.end()) {
-      cancelled_.erase(cit);
-      records_.erase(item.id);
+  while (!s_.heap.empty()) {
+    const Item item = s_.heap.top();
+    s_.heap.pop();
+    const auto cit = s_.cancelled.find(item.id);
+    if (cit != s_.cancelled.end()) {
+      s_.cancelled.erase(cit);
+      s_.records.erase(item.id);
       continue;
     }
-    auto rit = records_.find(item.id);
-    // The record must exist: ids leave records_ only via this function.
+    auto rit = s_.records.find(item.id);
+    // The record must exist: ids leave s_.records only via this function.
     EventFn fn = std::move(rit->second.fn);
-    records_.erase(rit);
-    now_ = item.time;
-    ++executed_;
+    s_.records.erase(rit);
+    s_.now = item.time;
+    ++s_.executed;
     fn();
     return true;
   }
@@ -69,19 +47,19 @@ bool EventQueue::step() {
 }
 
 void EventQueue::run_until(WallSeconds t) {
-  while (!heap_.empty()) {
+  while (!s_.heap.empty()) {
     // Skip over cancelled heads without advancing time.
-    const Item item = heap_.top();
-    if (cancelled_.contains(item.id)) {
-      heap_.pop();
-      cancelled_.erase(item.id);
-      records_.erase(item.id);
+    const Item item = s_.heap.top();
+    if (s_.cancelled.contains(item.id)) {
+      s_.heap.pop();
+      s_.cancelled.erase(item.id);
+      s_.records.erase(item.id);
       continue;
     }
     if (item.time > t) break;
     step();
   }
-  if (now_ < t) now_ = t;
+  if (s_.now < t) s_.now = t;
 }
 
 void EventQueue::run_all(std::uint64_t max_events) {

@@ -64,11 +64,11 @@ class EventQueue {
     std::uint64_t executed = 0;
   };
 
-  [[nodiscard]] State snapshot() const;
-  void restore(const State& s);
+  [[nodiscard]] State snapshot() const { return s_; }
+  void restore(const State& s) { s_ = s; }
 
   /// Current virtual time. Starts at 0.
-  [[nodiscard]] WallSeconds now() const { return now_; }
+  [[nodiscard]] WallSeconds now() const { return s_.now; }
 
   /// Schedules `fn` at absolute time `t` (>= now, else clamped to now).
   /// `label` is for diagnostics only. Returns an id usable with cancel().
@@ -91,18 +91,12 @@ class EventQueue {
   void run_all(std::uint64_t max_events = 100'000'000);
 
   [[nodiscard]] std::size_t pending() const {
-    return heap_.size() - cancelled_.size();
+    return s_.heap.size() - s_.cancelled.size();
   }
-  [[nodiscard]] std::uint64_t executed() const { return executed_; }
+  [[nodiscard]] std::uint64_t executed() const { return s_.executed; }
 
  private:
-  WallSeconds now_{0.0};
-  std::uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
-  std::priority_queue<Item, std::vector<Item>, Later> heap_;
-  std::unordered_map<EventId, Record> records_;
-  std::unordered_set<EventId> cancelled_;
-  std::uint64_t executed_ = 0;
+  State s_;
 };
 
 }  // namespace adaptviz

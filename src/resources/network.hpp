@@ -86,7 +86,7 @@ class NetworkLink {
   [[nodiscard]] ProbeResult probe(WallSeconds now,
                                   Bytes probe_size = Bytes::gigabytes(1));
 
-  [[nodiscard]] const LinkSpec& spec() const { return spec_; }
+  [[nodiscard]] const LinkSpec& spec() const { return s_.spec; }
 
   /// Failure injection (adversary hooks): replace the sustained-transfer
   /// efficiency / the per-attempt abort probability mid-run. Both take
@@ -101,30 +101,18 @@ class NetworkLink {
   /// exact same bandwidth and failure sequence.
   struct State {
     LinkSpec spec;
-    Rng rng;
-    Rng fault_rng;
-    double log_factor = 0.0;
+    Rng rng;        // AR(1) fluctuation stream
+    Rng fault_rng;  // failure-injection stream (independent of rng)
+    double log_factor = 0.0;  // log of the multiplicative factor
     WallSeconds last_update{0.0};
   };
-  [[nodiscard]] State snapshot() const {
-    return State{spec_, rng_, fault_rng_, log_factor_, last_update_};
-  }
-  void restore(const State& s) {
-    spec_ = s.spec;
-    rng_ = s.rng;
-    fault_rng_ = s.fault_rng;
-    log_factor_ = s.log_factor;
-    last_update_ = s.last_update;
-  }
+  [[nodiscard]] State snapshot() const { return s_; }
+  void restore(const State& s) { s_ = s; }
 
  private:
   void advance_factor(WallSeconds now);
 
-  LinkSpec spec_;
-  Rng rng_;        // AR(1) fluctuation stream
-  Rng fault_rng_;  // failure-injection stream (independent of rng_)
-  double log_factor_ = 0.0;  // log of the multiplicative factor
-  WallSeconds last_update_{0.0};
+  State s_;
 };
 
 }  // namespace adaptviz

@@ -25,25 +25,6 @@ std::uint64_t node_seed(std::uint64_t seed, int tier, int index,
   return h;
 }
 
-void validate_retry(const FrameSender::RetryPolicy& r) {
-  if (r.initial_backoff.seconds() <= 0.0) {
-    throw std::invalid_argument("EdgeTree: retry initial_backoff must be > 0");
-  }
-  if (r.max_backoff < r.initial_backoff) {
-    throw std::invalid_argument(
-        "EdgeTree: retry max_backoff must be >= initial_backoff");
-  }
-  if (r.multiplier < 1.0) {
-    throw std::invalid_argument("EdgeTree: retry multiplier must be >= 1");
-  }
-  if (r.jitter < 0.0 || r.jitter >= 1.0) {
-    throw std::invalid_argument("EdgeTree: retry jitter must be in [0, 1)");
-  }
-  if (r.degrade_after < 1) {
-    throw std::invalid_argument("EdgeTree: retry degrade_after must be >= 1");
-  }
-}
-
 std::uint64_t fnv1a_mix(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     h ^= (v >> (8 * i)) & 0xffULL;
@@ -133,27 +114,22 @@ void EdgeNode::attempt_transfer(std::int64_t sequence, const Frame& frame) {
     return;
   }
   // Aborted mid-flight: the partial bytes are wasted wire time; retry after
-  // the PR 3 backoff ladder (exponential with jitter and a cap; a success
-  // resets it).
+  // the shared backoff ladder (a success resets it).
   ++stats_.fill_failures;
   stats_.bytes_wasted += attempt.bytes_moved;
   tree_.bump(tier_, "fill_failures");
   tree_.bump(tier_, "wan_bytes", attempt.bytes_moved.count());
   ++consecutive_failures_;
-  const FrameSender::RetryPolicy& retry = tree_.spec().retry;
+  const RetryPolicy& retry = tree_.spec().retry;
   if (!link_degraded_ && consecutive_failures_ >= retry.degrade_after) {
     link_degraded_ = true;
     ++stats_.degraded_events;
     tree_.bump(tier_, "degraded_events");
     tree_.update_degraded_gauge(tier_);
   }
-  double backoff =
-      retry.initial_backoff.seconds() *
-      std::pow(retry.multiplier, consecutive_failures_ - 1);
-  backoff = std::min(backoff, retry.max_backoff.seconds());
-  backoff *= jitter_rng_.uniform(1.0 - retry.jitter, 1.0 + retry.jitter);
   tree_.queue_.schedule_at(
-      now + attempt.duration + WallSeconds(backoff),
+      now + attempt.duration +
+          backoff(retry, consecutive_failures_, jitter_rng_),
       [this, sequence, frame] {
         ++stats_.fill_retries;
         tree_.bump(tier_, "fill_retries");
@@ -207,7 +183,7 @@ EdgeTree::EdgeTree(EventQueue& queue, TreeSpec spec, std::uint64_t seed,
   if (spec_.leaf_join_stagger.seconds() < 0.0) {
     throw std::invalid_argument("EdgeTree: leaf_join_stagger must be >= 0");
   }
-  validate_retry(spec_.retry);
+  validate(spec_.retry);
   constexpr std::int64_t kMaxNodes = 1'000'000;
   std::int64_t width = 1;
   for (std::size_t t = 0; t < spec_.tiers.size(); ++t) {
@@ -560,49 +536,13 @@ TreeSpec tree_spec_from_ini(const IniDocument& doc) {
     spec.tiers.push_back(std::move(tier));
   }
 
-  const auto check_positive = [&](const char* key, double v) {
-    if (v <= 0.0) {
-      throw std::runtime_error(std::string("[tree] ") + key +
-                               " must be > 0");
-    }
-    return v;
-  };
   if (const auto v = doc.get_int("tree", "viewers_per_leaf")) {
     if (*v < 1) {
       throw std::runtime_error("[tree] viewers_per_leaf must be >= 1");
     }
     spec.viewers_per_leaf = *v;
   }
-  if (const auto v = doc.get_double("tree", "retry_initial_seconds")) {
-    spec.retry.initial_backoff =
-        WallSeconds(check_positive("retry_initial_seconds", *v));
-  }
-  if (const auto v = doc.get_double("tree", "retry_multiplier")) {
-    if (*v < 1.0) {
-      throw std::runtime_error("[tree] retry_multiplier must be >= 1");
-    }
-    spec.retry.multiplier = *v;
-  }
-  if (const auto v = doc.get_double("tree", "retry_cap_seconds")) {
-    spec.retry.max_backoff =
-        WallSeconds(check_positive("retry_cap_seconds", *v));
-  }
-  if (spec.retry.max_backoff < spec.retry.initial_backoff) {
-    throw std::runtime_error(
-        "[tree] retry_cap_seconds must be >= retry_initial_seconds");
-  }
-  if (const auto v = doc.get_double("tree", "retry_jitter")) {
-    if (*v < 0.0 || *v >= 1.0) {
-      throw std::runtime_error("[tree] retry_jitter must be in [0, 1)");
-    }
-    spec.retry.jitter = *v;
-  }
-  if (const auto v = doc.get_int("tree", "degrade_after")) {
-    if (*v < 1) {
-      throw std::runtime_error("[tree] degrade_after must be >= 1");
-    }
-    spec.retry.degrade_after = static_cast<int>(*v);
-  }
+  spec.retry = retry_policy_from_ini(doc, "tree", spec.retry);
   if (const auto v = doc.get_double("tree", "join_stagger_seconds")) {
     if (*v < 0.0) {
       throw std::runtime_error("[tree] join_stagger_seconds must be >= 0");

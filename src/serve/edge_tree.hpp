@@ -17,9 +17,9 @@
 //
 // Every parent→child edge is an existing NetworkLink, so PR 3's failure
 // injection (LinkSpec::failure_probability, plan_transfer aborting at a
-// sampled progress fraction on a dedicated fault stream) and the sender's
-// retry/backoff ladder (FrameSender::RetryPolicy, reused verbatim) apply
-// per edge. Each EdgeNode owns a bounded FrameCache; a miss triggers a
+// sampled progress fraction on a dedicated fault stream) and the shared
+// retry ladder (transport/retry.hpp, the frame sender's too) apply per
+// edge. Each EdgeNode owns a bounded FrameCache; a miss triggers a
 // *fill* from the parent — and fills are single-flight: all downstream
 // requests for a frame that is already being fetched coalesce onto the one
 // in-flight WAN transfer (counted, so the dedup ratio is measurable). One
@@ -59,7 +59,7 @@
 #include "resources/event_queue.hpp"
 #include "resources/network.hpp"
 #include "serve/frame_cache.hpp"
-#include "transport/sender.hpp"
+#include "transport/retry.hpp"
 #include "util/ini.hpp"
 #include "util/thread_pool.hpp"
 
@@ -90,9 +90,9 @@ struct TreeSpec {
   /// read resident frames out of their leaf's cache; only the leaf itself
   /// pulls through the tree.
   std::int64_t viewers_per_leaf = 1;
-  /// Fill retry/backoff policy, shared by every node (PR 3's ladder:
-  /// exponential with jitter and a cap; a success resets it).
-  FrameSender::RetryPolicy retry{};
+  /// Fill retry/backoff policy, shared by every node (exponential with
+  /// jitter and a cap; a success resets it).
+  RetryPolicy retry{};
   /// Leaf i starts replaying at wall time i * join_stagger — the staggered
   /// joins real viewer populations show, and what lets late leaves hit
   /// caches their earlier siblings warmed.

@@ -51,8 +51,8 @@ ViewerSessionManager::ViewerSessionManager(EventQueue& queue, Options options,
       options_(std::move(options)),
       pool_(pool),
       rerender_fn_(std::move(rerender)),
-      cache_(options_.cache),
-      seed_(seed) {
+      seed_(seed),
+      cache_(options_.cache) {
   if (options_.rerender_workers < 1) {
     throw std::invalid_argument(
         "ViewerSessionManager: rerender_workers must be >= 1");
@@ -66,20 +66,19 @@ ViewerSessionManager::ViewerSessionManager(EventQueue& queue, Options options,
 
 ClientId ViewerSessionManager::attach(const ViewerConfig& config) {
   const int idx = viewer_count();
-  Session s;
-  s.config = config;
-  // Each client rides its own link instance with its own noise stream.
-  s.downlink = std::make_unique<NetworkLink>(
-      config.downlink, seed_ + 101 * static_cast<std::uint64_t>(idx + 1));
-  sessions_.push_back(std::move(s));
+  s_.sessions.push_back(Session{
+      .config = config,
+      .downlink = NetworkLink(
+          config.downlink,
+          seed_ + 101 * static_cast<std::uint64_t>(idx + 1))});
   if (config.join_wall <= queue_.now()) {
-    sessions_.back().active = true;
+    s_.sessions.back().active = true;
     pump(idx);
   } else {
     queue_.schedule_at(
         config.join_wall,
         [this, idx] {
-          sessions_[static_cast<std::size_t>(idx)].active = true;
+          s_.sessions[static_cast<std::size_t>(idx)].active = true;
           pump(idx);
         },
         "serve.join");
@@ -90,11 +89,11 @@ ClientId ViewerSessionManager::attach(const ViewerConfig& config) {
 ViewerSessionManager::Session& ViewerSessionManager::session_for(
     ClientId client) {
   if (!client.valid() ||
-      client.value >= static_cast<std::int64_t>(sessions_.size())) {
+      client.value >= static_cast<std::int64_t>(s_.sessions.size())) {
     throw std::invalid_argument("ViewerSessionManager: unknown client id " +
                                 std::to_string(client.value));
   }
-  return sessions_[static_cast<std::size_t>(client.value)];
+  return s_.sessions[static_cast<std::size_t>(client.value)];
 }
 
 const ViewerSessionManager::Session& ViewerSessionManager::session_for(
@@ -128,16 +127,16 @@ void ViewerSessionManager::reattach(ClientId client) {
 
 bool ViewerSessionManager::attached(ClientId client) const {
   if (!client.valid() ||
-      client.value >= static_cast<std::int64_t>(sessions_.size())) {
+      client.value >= static_cast<std::int64_t>(s_.sessions.size())) {
     return false;
   }
-  return !sessions_[static_cast<std::size_t>(client.value)].detached;
+  return !s_.sessions[static_cast<std::size_t>(client.value)].detached;
 }
 
 std::optional<ClientId> ViewerSessionManager::find_client(
     const std::string& name) const {
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    if (sessions_[i].config.name == name) {
+  for (std::size_t i = 0; i < s_.sessions.size(); ++i) {
+    if (s_.sessions[i].config.name == name) {
       return ClientId{static_cast<std::int64_t>(i)};
     }
   }
@@ -146,7 +145,7 @@ std::optional<ClientId> ViewerSessionManager::find_client(
 
 int ViewerSessionManager::attached_count() const {
   int n = 0;
-  for (const Session& s : sessions_) n += s.detached ? 0 : 1;
+  for (const Session& s : s_.sessions) n += s.detached ? 0 : 1;
   return n;
 }
 
@@ -162,13 +161,13 @@ void ViewerSessionManager::steer_view(ClientId client,
   // the new view simply applies to future renders.
   if (!s.active || s.detached || s.cursor < 0) return;
   const RenderKey rk{s.cursor, key};
-  const bool shared = rerender_waiters_.count(rk) != 0 ||
-                      rerender_in_service_.count(rk) != 0;
+  const bool shared = s_.rerender_waiters.count(rk) != 0 ||
+                      s_.rerender_in_service.count(rk) != 0;
   if (shared) {
-    ++steer_dedup_;
+    ++s_.steer_dedup;
     obs::count("serve.steer_dedup");
   } else {
-    ++steer_renders_;
+    ++s_.steer_renders;
     obs::count("serve.steer_rerenders");
   }
   s.waiting_rerender = true;
@@ -177,20 +176,20 @@ void ViewerSessionManager::steer_view(ClientId client,
 }
 
 void ViewerSessionManager::on_frame(const Frame& frame) {
-  if (!index_.empty() && frame.sequence <= index_.back().sequence) {
+  if (!s_.index.empty() && frame.sequence <= s_.index.back().sequence) {
     throw std::invalid_argument(
         "ViewerSessionManager: sequences must be increasing");
   }
   Frame m = frame;
   m.payload.reset();  // the index keeps metadata only
-  index_.push_back(std::move(m));
+  s_.index.push_back(std::move(m));
   cache_.insert(frame);
   for (int i = 0; i < viewer_count(); ++i) pump(i);
 }
 
 bool ViewerSessionManager::idle() const {
-  if (rerendering_ != 0 || !rerender_fifo_.empty()) return false;
-  for (const Session& s : sessions_) {
+  if (s_.rerendering != 0 || !s_.rerender_fifo.empty()) return false;
+  for (const Session& s : s_.sessions) {
     if (s.detached) continue;  // detached clients hold nothing up
     if (!s.active) return false;  // still waiting on its join event
     if (s.in_flight || s.waiting_rerender) return false;
@@ -201,9 +200,9 @@ bool ViewerSessionManager::idle() const {
 
 std::optional<std::int64_t> ViewerSessionManager::next_sequence(
     const Session& s) const {
-  if (index_.empty()) return std::nullopt;
+  if (s_.index.empty()) return std::nullopt;
   if (s.config.mode == ViewerMode::kLiveTail) {
-    const std::int64_t newest = index_.back().sequence;
+    const std::int64_t newest = s_.index.back().sequence;
     if (newest <= s.cursor) return std::nullopt;
     return newest;
   }
@@ -211,30 +210,30 @@ std::optional<std::int64_t> ViewerSessionManager::next_sequence(
   // simulated time; afterwards, replay strictly in sequence order.
   if (s.cursor < 0) {
     auto it = std::lower_bound(
-        index_.begin(), index_.end(), s.config.catchup_start,
+        s_.index.begin(), s_.index.end(), s.config.catchup_start,
         [](const Frame& f, SimSeconds t) { return f.sim_time < t; });
-    if (it == index_.end()) return std::nullopt;
+    if (it == s_.index.end()) return std::nullopt;
     return it->sequence;
   }
   auto it = std::upper_bound(
-      index_.begin(), index_.end(), s.cursor,
+      s_.index.begin(), s_.index.end(), s.cursor,
       [](std::int64_t seq, const Frame& f) { return seq < f.sequence; });
-  if (it == index_.end()) return std::nullopt;
+  if (it == s_.index.end()) return std::nullopt;
   return it->sequence;
 }
 
 const Frame& ViewerSessionManager::meta(std::int64_t sequence) const {
   auto it = std::lower_bound(
-      index_.begin(), index_.end(), sequence,
+      s_.index.begin(), s_.index.end(), sequence,
       [](const Frame& f, std::int64_t seq) { return f.sequence < seq; });
-  if (it == index_.end() || it->sequence != sequence) {
+  if (it == s_.index.end() || it->sequence != sequence) {
     throw std::logic_error("ViewerSessionManager: unknown sequence");
   }
   return *it;
 }
 
 void ViewerSessionManager::pump(int idx) {
-  Session& s = sessions_[static_cast<std::size_t>(idx)];
+  Session& s = s_.sessions[static_cast<std::size_t>(idx)];
   // Per-client backpressure: one frame in flight per downlink, one pending
   // re-render wait. A stalled client parks here without touching anyone
   // else's progress; a detached one receives nothing.
@@ -246,10 +245,10 @@ void ViewerSessionManager::pump(int idx) {
     // Frames superseded while the downlink was busy are dropped, like any
     // live stream tail; count them.
     auto first = std::upper_bound(
-        index_.begin(), index_.end(), s.cursor,
+        s_.index.begin(), s_.index.end(), s.cursor,
         [](std::int64_t c, const Frame& f) { return c < f.sequence; });
     auto chosen = std::lower_bound(
-        index_.begin(), index_.end(), *seq,
+        s_.index.begin(), s_.index.end(), *seq,
         [](const Frame& f, std::int64_t c) { return f.sequence < c; });
     s.stats.frames_skipped += chosen - first;
   }
@@ -268,10 +267,10 @@ void ViewerSessionManager::pump(int idx) {
 
 void ViewerSessionManager::start_transfer(int idx, const Frame& frame,
                                           bool cache_hit) {
-  Session& s = sessions_[static_cast<std::size_t>(idx)];
+  Session& s = s_.sessions[static_cast<std::size_t>(idx)];
   s.in_flight = true;
   const WallSeconds duration =
-      s.downlink->transfer_duration(frame.size, queue_.now());
+      s.downlink.transfer_duration(frame.size, queue_.now());
   obs::trace_sim("serve.deliver", queue_.now().seconds(), duration.seconds(),
                  "viewer=" + std::to_string(idx) +
                      " seq=" + std::to_string(frame.sequence) +
@@ -280,7 +279,7 @@ void ViewerSessionManager::start_transfer(int idx, const Frame& frame,
       duration,
       [this, idx, sequence = frame.sequence, sim_time = frame.sim_time,
        size = frame.size, cache_hit] {
-        Session& session = sessions_[static_cast<std::size_t>(idx)];
+        Session& session = s_.sessions[static_cast<std::size_t>(idx)];
         session.in_flight = false;
         if (session.detached) {
           // The client left while the frame was on the wire: the delivery
@@ -295,7 +294,7 @@ void ViewerSessionManager::start_transfer(int idx, const Frame& frame,
         session.stats.bytes_delivered += size;
         session.stats.latest_sim_time =
             std::max(session.stats.latest_sim_time, sim_time);
-        ++frames_served_;
+        ++s_.frames_served;
         obs::count("serve.frames_served");
         if (session.pending.has_value()) {
           // A steer re-render finished mid-transfer; deliver it now.
@@ -309,100 +308,32 @@ void ViewerSessionManager::start_transfer(int idx, const Frame& frame,
       "serve.deliver");
 }
 
-ViewerSessionManager::State ViewerSessionManager::snapshot() const {
-  State s;
-  s.cache = cache_.snapshot();
-  s.index = index_;
-  s.sessions.reserve(sessions_.size());
-  for (const Session& sess : sessions_) {
-    SessionState ss;
-    ss.config = sess.config;
-    ss.downlink = sess.downlink->snapshot();
-    ss.cursor = sess.cursor;
-    ss.active = sess.active;
-    ss.detached = sess.detached;
-    ss.in_flight = sess.in_flight;
-    ss.waiting_rerender = sess.waiting_rerender;
-    ss.view = sess.view;
-    ss.view_key = sess.view_key;
-    ss.pending = sess.pending;
-    ss.stats = sess.stats;
-    ss.records = sess.records;
-    s.sessions.push_back(std::move(ss));
-  }
-  s.rerender_fifo = rerender_fifo_;
-  s.rerender_waiters = rerender_waiters_;
-  s.rerender_in_service = rerender_in_service_;
-  s.rerendering = rerendering_;
-  s.frames_served = frames_served_;
-  s.rerenders = rerenders_;
-  s.steer_renders = steer_renders_;
-  s.steer_dedup = steer_dedup_;
-  return s;
-}
-
-void ViewerSessionManager::restore(const State& s) {
-  cache_.restore(s.cache);
-  index_ = s.index;
-  // Sessions attached after the snapshot vanish with it: their join/pump
-  // events rewind with the EventQueue, so nothing references them again.
-  sessions_.resize(s.sessions.size());
-  for (std::size_t i = 0; i < s.sessions.size(); ++i) {
-    const SessionState& ss = s.sessions[i];
-    Session& sess = sessions_[i];
-    sess.config = ss.config;
-    if (!sess.downlink) {
-      sess.downlink = std::make_unique<NetworkLink>(
-          ss.config.downlink,
-          seed_ + 101 * static_cast<std::uint64_t>(i + 1));
-    }
-    sess.downlink->restore(ss.downlink);
-    sess.cursor = ss.cursor;
-    sess.active = ss.active;
-    sess.detached = ss.detached;
-    sess.in_flight = ss.in_flight;
-    sess.waiting_rerender = ss.waiting_rerender;
-    sess.view = ss.view;
-    sess.view_key = ss.view_key;
-    sess.pending = ss.pending;
-    sess.stats = ss.stats;
-    sess.records = ss.records;
-  }
-  rerender_fifo_ = s.rerender_fifo;
-  rerender_waiters_ = s.rerender_waiters;
-  rerender_in_service_ = s.rerender_in_service;
-  rerendering_ = s.rerendering;
-  frames_served_ = s.frames_served;
-  rerenders_ = s.rerenders;
-  steer_renders_ = s.steer_renders;
-  steer_dedup_ = s.steer_dedup;
-}
-
 void ViewerSessionManager::request_rerender(int idx, const RenderKey& key) {
-  std::vector<int>& waiters = rerender_waiters_[key];
+  std::vector<int>& waiters = s_.rerender_waiters[key];
   waiters.push_back(idx);
   // First waiter enqueues the work; later ones piggyback on the same
   // re-render whether it is still queued or already in a slot.
-  if (waiters.size() == 1 && rerender_in_service_.count(key) == 0) {
-    rerender_fifo_.push_back(key);
+  if (waiters.size() == 1 && s_.rerender_in_service.count(key) == 0) {
+    s_.rerender_fifo.push_back(key);
   }
   drain_rerenders();
 }
 
 void ViewerSessionManager::drain_rerenders() {
-  while (rerendering_ < options_.rerender_workers && !rerender_fifo_.empty()) {
+  while (s_.rerendering < options_.rerender_workers &&
+         !s_.rerender_fifo.empty()) {
     // Claim every free slot: these re-renders run concurrently in virtual
     // time, so their real work may run concurrently on the pool too
     // (mirrors FrameReceiver::drain).
     std::vector<std::pair<RenderKey, Frame>> batch;
     while (static_cast<int>(batch.size()) <
-               options_.rerender_workers - rerendering_ &&
-           !rerender_fifo_.empty()) {
-      const RenderKey key = rerender_fifo_.front();
-      rerender_fifo_.pop_front();
+               options_.rerender_workers - s_.rerendering &&
+           !s_.rerender_fifo.empty()) {
+      const RenderKey key = s_.rerender_fifo.front();
+      s_.rerender_fifo.pop_front();
       batch.emplace_back(key, meta(key.first));
     }
-    for (const auto& b : batch) rerender_in_service_.insert(b.first);
+    for (const auto& b : batch) s_.rerender_in_service.insert(b.first);
 
     if (rerender_fn_) {
       if (pool_ != nullptr && batch.size() > 1) {
@@ -419,8 +350,8 @@ void ViewerSessionManager::drain_rerenders() {
     }
 
     for (const auto& b : batch) {
-      ++rerendering_;
-      ++rerenders_;
+      ++s_.rerendering;
+      ++s_.rerenders;
       obs::count("serve.rerenders");
       const Frame& f = b.second;
       const WallSeconds cost(
@@ -429,21 +360,21 @@ void ViewerSessionManager::drain_rerenders() {
       queue_.schedule_after(
           cost,
           [this, key = b.first, f] {
-            --rerendering_;
-            rerender_in_service_.erase(key);
+            --s_.rerendering;
+            s_.rerender_in_service.erase(key);
             // Back into the cache: the next session replaying this era
             // hits instead of re-rendering again. Steered (non-default)
             // views are client-specific images and stay out of the
             // default-keyed cache.
             if (key.second.empty()) cache_.insert(f);
-            std::vector<int> waiters = std::move(rerender_waiters_[key]);
-            rerender_waiters_.erase(key);
+            std::vector<int> waiters = std::move(s_.rerender_waiters[key]);
+            s_.rerender_waiters.erase(key);
             ADAPTVIZ_LOG_DEBUG("serve",
                                "frame #%lld re-rendered for %zu client(s)",
                                static_cast<long long>(f.sequence),
                                waiters.size());
             for (int idx : waiters) {
-              Session& session = sessions_[static_cast<std::size_t>(idx)];
+              Session& session = s_.sessions[static_cast<std::size_t>(idx)];
               session.waiting_rerender = false;
               if (session.detached) continue;  // result dropped
               if (session.in_flight) {

@@ -37,7 +37,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -167,7 +166,7 @@ class ViewerSessionManager {
 
   [[nodiscard]] const FrameCache& cache() const { return cache_; }
   [[nodiscard]] int viewer_count() const {
-    return static_cast<int>(sessions_.size());
+    return static_cast<int>(s_.sessions.size());
   }
   /// Currently-attached sessions (viewer_count() minus detached ones).
   [[nodiscard]] int attached_count() const;
@@ -190,12 +189,16 @@ class ViewerSessionManager {
   }
 
   /// Total deliveries across all clients.
-  [[nodiscard]] std::int64_t frames_served() const { return frames_served_; }
+  [[nodiscard]] std::int64_t frames_served() const {
+    return s_.frames_served;
+  }
   /// Total re-renders performed for evicted frames.
-  [[nodiscard]] std::int64_t rerenders() const { return rerenders_; }
+  [[nodiscard]] std::int64_t rerenders() const { return s_.rerenders; }
   /// Steer-driven re-renders actually performed / saved by deduplication.
-  [[nodiscard]] std::int64_t steer_renders() const { return steer_renders_; }
-  [[nodiscard]] std::int64_t steer_dedup() const { return steer_dedup_; }
+  [[nodiscard]] std::int64_t steer_renders() const {
+    return s_.steer_renders;
+  }
+  [[nodiscard]] std::int64_t steer_dedup() const { return s_.steer_dedup; }
   /// True when every attached session is caught up and nothing is in
   /// flight — the framework's drain condition.
   [[nodiscard]] bool idle() const;
@@ -205,57 +208,57 @@ class ViewerSessionManager {
   /// exactly as before the control plane existed.
   using RenderKey = std::pair<std::int64_t, std::string>;
 
-  /// Cache contents, replay index, the full per-session state (cursor,
-  /// latches, view, downlink link state), and the re-render pipeline.
-  /// Sessions attached after the snapshot are dropped by restore() —
-  /// their pending events rewind with the EventQueue.
-  struct SessionState {
-    ViewerConfig config{};
-    NetworkLink::State downlink;
-    std::int64_t cursor = -1;
-    bool active = false;
-    bool detached = false;
-    bool in_flight = false;
-    bool waiting_rerender = false;
-    ViewCommand view{};
-    std::string view_key;
-    std::optional<Frame> pending;
-    ViewerStats stats{};
-    std::vector<DeliveryRecord> records;
-  };
-  struct State {
-    FrameCache::State cache{};
-    std::vector<Frame> index;
-    std::vector<SessionState> sessions;
-    std::deque<RenderKey> rerender_fifo;
-    std::map<RenderKey, std::vector<int>> rerender_waiters;
-    std::set<RenderKey> rerender_in_service;
-    int rerendering = 0;
-    std::int64_t frames_served = 0;
-    std::int64_t rerenders = 0;
-    std::int64_t steer_renders = 0;
-    std::int64_t steer_dedup = 0;
-  };
-  [[nodiscard]] State snapshot() const;
-  void restore(const State& s);
-
- private:
+  /// One client's session: its own downlink (with its own noise stream),
+  /// cursor, latches, view and delivery series.
   struct Session {
     ViewerConfig config;
-    std::unique_ptr<NetworkLink> downlink;
+    NetworkLink downlink;
     std::int64_t cursor = -1;  // last delivered sequence
     bool active = false;       // false until join_wall passes
     bool detached = false;
     bool in_flight = false;
     bool waiting_rerender = false;
     ViewCommand view{};        // current steered view
-    std::string view_key;      // view_key(view), cached ("" = default)
+    std::string view_key{};    // view_key(view), cached ("" = default)
     /// Re-render finished while a transfer was in flight: delivered next.
-    std::optional<Frame> pending;
-    ViewerStats stats;
-    std::vector<DeliveryRecord> records;
+    std::optional<Frame> pending{};
+    ViewerStats stats{};
+    std::vector<DeliveryRecord> records{};
   };
 
+  /// Everything the manager mutates in place apart from the cache.
+  struct Live {
+    /// Every frame ever received, payload dropped: the replay index
+    /// catch-up cursors walk and the metadata source for re-renders.
+    /// Ordered by sequence (== arrival order == simulated-time order).
+    std::vector<Frame> index;
+    std::vector<Session> sessions;
+    std::deque<RenderKey> rerender_fifo;  // pending, FIFO
+    std::map<RenderKey, std::vector<int>> rerender_waiters;
+    std::set<RenderKey> rerender_in_service;
+    int rerendering = 0;  // busy re-render slots
+    std::int64_t frames_served = 0;
+    std::int64_t rerenders = 0;
+    std::int64_t steer_renders = 0;
+    std::int64_t steer_dedup = 0;
+  };
+
+  /// Cache contents plus the Live state. Sessions attached after the
+  /// snapshot are dropped by restore() — their pending events rewind with
+  /// the EventQueue.
+  struct State {
+    FrameCache::State cache{};
+    Live live;
+  };
+  [[nodiscard]] State snapshot() const {
+    return State{cache_.snapshot(), s_};
+  }
+  void restore(const State& s) {
+    cache_.restore(s.cache);
+    s_ = s.live;
+  }
+
+ private:
   Session& session_for(ClientId client);
   const Session& session_for(ClientId client) const;
   void pump(int idx);
@@ -268,26 +271,12 @@ class ViewerSessionManager {
   [[nodiscard]] const Frame& meta(std::int64_t sequence) const;
 
   EventQueue& queue_;
-  Options options_;
-  ThreadPool* pool_;
-  RenderFn rerender_fn_;
+  const Options options_;
+  ThreadPool* const pool_;
+  const RenderFn rerender_fn_;
+  const std::uint64_t seed_;
   FrameCache cache_;
-  std::uint64_t seed_;
-
-  /// Every frame ever received, payload dropped: the replay index catch-up
-  /// cursors walk and the metadata source for re-renders. Ordered by
-  /// sequence (== arrival order == simulated-time order).
-  std::vector<Frame> index_;
-  std::vector<Session> sessions_;
-
-  std::deque<RenderKey> rerender_fifo_;        // pending, FIFO
-  std::map<RenderKey, std::vector<int>> rerender_waiters_;
-  std::set<RenderKey> rerender_in_service_;
-  int rerendering_ = 0;  // busy re-render slots
-  std::int64_t frames_served_ = 0;
-  std::int64_t rerenders_ = 0;
-  std::int64_t steer_renders_ = 0;
-  std::int64_t steer_dedup_ = 0;
+  Live s_;
 };
 
 }  // namespace adaptviz

@@ -295,16 +295,16 @@ LocalControlPlane::LocalControlPlane(EventQueue& queue, WallSeconds latency,
 }
 
 ControlPlane::RunId LocalControlPlane::register_run(const std::string& label) {
-  if (registered_) {
+  if (s_.registered) {
     throw std::invalid_argument(
-        "LocalControlPlane: already fronting run '" + label_ + "'");
+        "LocalControlPlane: already fronting run '" + s_.label + "'");
   }
-  label_ = label;
-  registered_ = true;
+  s_.label = label;
+  s_.registered = true;
   return 0;
 }
 
-void LocalControlPlane::deregister_run(RunId) { registered_ = false; }
+void LocalControlPlane::deregister_run(RunId) { s_.registered = false; }
 
 ClientId LocalControlPlane::attach(RunId run, const std::string& client,
                                    const ObserverSpec& spec) {
@@ -313,25 +313,25 @@ ClientId LocalControlPlane::attach(RunId run, const std::string& client,
   e.type = SteeringEvent::Type::kAttach;
   e.attach = spec;
   steer(run, std::move(e));
-  names_.push_back(client);
-  return ClientId{static_cast<std::int64_t>(names_.size()) - 1};
+  s_.names.push_back(client);
+  return ClientId{static_cast<std::int64_t>(s_.names.size()) - 1};
 }
 
 void LocalControlPlane::detach(RunId run, ClientId client) {
   if (client.value < 0 ||
-      client.value >= static_cast<std::int64_t>(names_.size())) {
+      client.value >= static_cast<std::int64_t>(s_.names.size())) {
     throw std::invalid_argument("LocalControlPlane: unknown client id " +
                                 std::to_string(client.value));
   }
   SteeringEvent e;
-  e.client = names_[static_cast<std::size_t>(client.value)];
+  e.client = s_.names[static_cast<std::size_t>(client.value)];
   e.type = SteeringEvent::Type::kDetach;
   steer(run, std::move(e));
 }
 
 void LocalControlPlane::steer(RunId, SteeringEvent event) {
   validate(event);
-  ++sent_;
+  ++s_.sent;
   // event.wall on an inbound event is an earliest-apply request; the
   // channel latency always applies on top of "now".
   WallSeconds deliver_at =
@@ -345,7 +345,7 @@ void LocalControlPlane::send_command(SteeringCommand command,
     throw std::invalid_argument("control plane: negative delay");
   }
   validate(command);
-  ++sent_;
+  ++s_.sent;
   ADAPTVIZ_LOG_INFO("steering", "[%s] %s queued (%s)",
                     hh_mm(queue_.now()).c_str(), to_string(command.kind),
                     command.reason.c_str());
@@ -356,13 +356,13 @@ void LocalControlPlane::send_command(SteeringCommand command,
 }
 
 void LocalControlPlane::schedule_apply(WallSeconds at, SteeringEvent event) {
-  if (at < last_delivery_) at = last_delivery_;  // in order
-  last_delivery_ = at;
+  if (at < s_.last_delivery) at = s_.last_delivery;  // in order
+  s_.last_delivery = at;
   event.wall = at;
   queue_.schedule_at(
       at,
       [this, event = std::move(event)] {
-        ++applied_;
+        ++s_.applied;
         apply_(event);
       },
       "steering.deliver");
@@ -370,23 +370,14 @@ void LocalControlPlane::schedule_apply(WallSeconds at, SteeringEvent event) {
 
 void LocalControlPlane::schedule_replay(const SteeringEvent& event) {
   validate(event);
-  ++sent_;
+  ++s_.sent;
   queue_.schedule_at(
       event.wall,
       [this, event] {
-        ++applied_;
+        ++s_.applied;
         apply_(event);
       },
       "steering.replay");
-}
-
-void LocalControlPlane::observe(RunId, const SteeringObservation& obs) {
-  for (const auto& sink : sinks_) sink(obs);
-}
-
-void LocalControlPlane::add_observation_sink(
-    std::function<void(const SteeringObservation&)> sink) {
-  sinks_.push_back(std::move(sink));
 }
 
 }  // namespace adaptviz

@@ -210,7 +210,9 @@ class LocalControlPlane : public ControlPlane {
                   const ObserverSpec& spec) override;
   void detach(RunId run, ClientId client) override;
   void steer(RunId run, SteeringEvent event) override;
-  void observe(RunId run, const SteeringObservation& obs) override;
+  /// No observers attach to the in-process plane; observations go to an
+  /// external plane (ExperimentConfig::steering.control_plane).
+  void observe(RunId, const SteeringObservation&) override {}
   std::vector<SteeringEvent> drain(RunId, WallSeconds) override { return {}; }
 
   /// Convenience for command senders (the in-run policy): wraps `command`
@@ -224,11 +226,8 @@ class LocalControlPlane : public ControlPlane {
   /// replay path for recorded logs.
   void schedule_replay(const SteeringEvent& event);
 
-  /// Observation sinks invoked (in registration order) on observe().
-  void add_observation_sink(std::function<void(const SteeringObservation&)> s);
-
-  [[nodiscard]] int events_sent() const { return sent_; }
-  [[nodiscard]] int events_applied() const { return applied_; }
+  [[nodiscard]] int events_sent() const { return s_.sent; }
+  [[nodiscard]] int events_applied() const { return s_.applied; }
   [[nodiscard]] WallSeconds latency() const { return latency_; }
 
   /// Registration and delivery bookkeeping. In-flight deliveries are
@@ -238,37 +237,22 @@ class LocalControlPlane : public ControlPlane {
   struct State {
     std::string label;
     bool registered = false;
-    std::vector<std::string> names;
+    std::vector<std::string> names;  // client id -> name (ids are indices)
+    // In-order delivery even if latency were ever made variable.
     WallSeconds last_delivery{0.0};
     int sent = 0;
     int applied = 0;
   };
-  [[nodiscard]] State snapshot() const {
-    return State{label_, registered_, names_, last_delivery_, sent_, applied_};
-  }
-  void restore(const State& s) {
-    label_ = s.label;
-    registered_ = s.registered;
-    names_ = s.names;
-    last_delivery_ = s.last_delivery;
-    sent_ = s.sent;
-    applied_ = s.applied;
-  }
+  [[nodiscard]] State snapshot() const { return s_; }
+  void restore(const State& s) { s_ = s; }
 
  private:
   void schedule_apply(WallSeconds at, SteeringEvent event);
 
   EventQueue& queue_;
-  WallSeconds latency_;
-  ApplyFn apply_;
-  std::vector<std::function<void(const SteeringObservation&)>> sinks_;
-  std::string label_;
-  bool registered_ = false;
-  std::vector<std::string> names_;  // client id -> name (ids are indices)
-  // In-order delivery even if latency were ever made variable.
-  WallSeconds last_delivery_{0.0};
-  int sent_ = 0;
-  int applied_ = 0;
+  const WallSeconds latency_;
+  const ApplyFn apply_;
+  State s_;
 };
 
 }  // namespace adaptviz

@@ -23,24 +23,24 @@ FrameReceiver::FrameReceiver(EventQueue& queue, VisualizeFn visualize,
 }
 
 void FrameReceiver::on_frame_arrival(const Frame& frame) {
-  ++frames_received_;
+  ++s_.frames_received;
   obs::count("receiver.frames_received");
-  pending_.push_back(frame);
+  s_.pending.push_back(frame);
   obs::gauge_max("receiver.peak_backlog",
-                 static_cast<double>(pending_.size()));
+                 static_cast<double>(s_.pending.size()));
   drain();
 }
 
 void FrameReceiver::drain() {
-  while (rendering_ < worker_count_ && !pending_.empty()) {
+  while (s_.rendering < worker_count_ && !s_.pending.empty()) {
     // Claim every free render slot up front: these frames are "rendering
     // concurrently" in virtual time, so their real render work may run
     // concurrently on the pool too.
     std::vector<Frame> batch;
-    while (static_cast<int>(batch.size()) < worker_count_ - rendering_ &&
-           !pending_.empty()) {
-      batch.push_back(std::move(pending_.front()));
-      pending_.pop_front();
+    while (static_cast<int>(batch.size()) < worker_count_ - s_.rendering &&
+           !s_.pending.empty()) {
+      batch.push_back(std::move(s_.pending.front()));
+      s_.pending.pop_front();
     }
 
     if (render_) {
@@ -57,7 +57,7 @@ void FrameReceiver::drain() {
 
     // Bookkeeping stays serial and in arrival order.
     for (Frame& frame : batch) {
-      ++rendering_;
+      ++s_.rendering;
       const WallSeconds cost = visualize_(frame);
       obs::trace_sim("receiver.render_slot", queue_.now().seconds(),
                      cost.seconds(),
@@ -65,8 +65,8 @@ void FrameReceiver::drain() {
       queue_.schedule_after(
           cost,
           [this] {
-            --rendering_;
-            ++frames_visualized_;
+            --s_.rendering;
+            ++s_.frames_visualized;
             obs::count("receiver.frames_visualized");
             drain();
           },

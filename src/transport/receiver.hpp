@@ -52,13 +52,13 @@ class FrameReceiver {
   void on_frame_arrival(const Frame& frame);
 
   [[nodiscard]] std::int64_t frames_received() const {
-    return frames_received_;
+    return s_.frames_received;
   }
   [[nodiscard]] std::int64_t frames_visualized() const {
-    return frames_visualized_;
+    return s_.frames_visualized;
   }
-  [[nodiscard]] std::size_t backlog() const { return pending_.size(); }
-  [[nodiscard]] int workers_busy() const { return rendering_; }
+  [[nodiscard]] std::size_t backlog() const { return s_.pending.size(); }
+  [[nodiscard]] int workers_busy() const { return s_.rendering; }
   [[nodiscard]] int worker_count() const { return worker_count_; }
 
   /// Arrival queue + busy render slots + counters. In-flight render
@@ -66,32 +66,22 @@ class FrameReceiver {
   /// these counters, so restoring queue + receiver together is exact.
   struct State {
     std::deque<Frame> pending;
-    int rendering = 0;
+    int rendering = 0;  // busy workers
     std::int64_t frames_received = 0;
     std::int64_t frames_visualized = 0;
   };
-  [[nodiscard]] State snapshot() const {
-    return State{pending_, rendering_, frames_received_, frames_visualized_};
-  }
-  void restore(const State& s) {
-    pending_ = s.pending;
-    rendering_ = s.rendering;
-    frames_received_ = s.frames_received;
-    frames_visualized_ = s.frames_visualized;
-  }
+  [[nodiscard]] State snapshot() const { return s_; }
+  void restore(const State& s) { s_ = s; }
 
  private:
   void drain();
 
   EventQueue& queue_;
-  VisualizeFn visualize_;
-  int worker_count_;
-  ThreadPool* pool_;
-  RenderFn render_;
-  std::deque<Frame> pending_;
-  int rendering_ = 0;  // busy workers
-  std::int64_t frames_received_ = 0;
-  std::int64_t frames_visualized_ = 0;
+  const VisualizeFn visualize_;
+  const int worker_count_;
+  ThreadPool* const pool_;
+  const RenderFn render_;
+  State s_;
 };
 
 }  // namespace adaptviz

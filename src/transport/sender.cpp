@@ -1,7 +1,5 @@
 #include "transport/sender.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -22,53 +20,34 @@ FrameSender::FrameSender(EventQueue& queue, NetworkLink& link,
       estimator_(estimator),
       deliver_(std::move(deliver)),
       options_(options),
-      jitter_rng_(options.seed) {
+      s_{.jitter_rng = Rng(options.seed)} {
   if (!deliver_) throw std::invalid_argument("FrameSender: null delivery");
   if (options_.poll_interval.seconds() <= 0) {
     throw std::invalid_argument("FrameSender: poll interval must be > 0");
   }
-  const RetryPolicy& r = options_.retry;
-  if (r.initial_backoff.seconds() <= 0 || r.max_backoff < r.initial_backoff) {
-    throw std::invalid_argument("FrameSender: bad backoff bounds");
-  }
-  if (r.multiplier < 1.0) {
-    throw std::invalid_argument("FrameSender: backoff multiplier must be >= 1");
-  }
-  if (r.jitter < 0.0 || r.jitter >= 1.0) {
-    throw std::invalid_argument("FrameSender: jitter must be in [0, 1)");
-  }
-  if (r.degrade_after < 1) {
-    throw std::invalid_argument("FrameSender: degrade_after must be >= 1");
-  }
+  validate(options_.retry);
 }
 
-FrameSender::FrameSender(EventQueue& queue, NetworkLink& link,
-                         FrameCatalog& catalog, DiskModel& disk,
-                         BandwidthEstimator& estimator, DeliveryFn deliver,
-                         WallSeconds poll_interval)
-    : FrameSender(queue, link, catalog, disk, estimator, std::move(deliver),
-                  Options{.poll_interval = poll_interval}) {}
-
 void FrameSender::start() {
-  if (running_) return;
-  running_ = true;
+  if (s_.running) return;
+  s_.running = true;
   try_send();
 }
 
-void FrameSender::stop() { running_ = false; }
+void FrameSender::stop() { s_.running = false; }
 
 void FrameSender::kick() { try_send(); }
 
 void FrameSender::poll_event() {
-  poll_scheduled_ = false;
+  s_.poll_scheduled = false;
   try_send();
 }
 
 void FrameSender::retry_event() {
-  retry_pending_ = false;
-  current_backoff_ = WallSeconds(0.0);
-  if (!running_) return;
-  ++retries_;
+  s_.retry_pending = false;
+  s_.current_backoff = WallSeconds(0.0);
+  if (!s_.running) return;
+  ++s_.retries;
   obs::count("transport.retries");
   try_send();
 }
@@ -76,10 +55,10 @@ void FrameSender::retry_event() {
 void FrameSender::try_send() {
   // A pending retry owns the next attempt: kicks and polls must not sneak
   // a transfer in ahead of the backoff.
-  if (!running_ || in_flight_ || retry_pending_) return;
+  if (!s_.running || s_.in_flight || s_.retry_pending) return;
   if (catalog_.empty()) {
-    if (!poll_scheduled_) {
-      poll_scheduled_ = true;
+    if (!s_.poll_scheduled) {
+      s_.poll_scheduled = true;
       queue_.schedule_after(
           options_.poll_interval, [this] { poll_event(); }, "sender.poll");
     }
@@ -90,7 +69,7 @@ void FrameSender::try_send() {
 
 void FrameSender::begin_transfer() {
   Frame frame = catalog_.pop_oldest();
-  in_flight_ = true;
+  s_.in_flight = true;
   const WallSeconds start = queue_.now();
   const NetworkLink::TransferAttempt attempt =
       link_.plan_transfer(frame.size, start);
@@ -103,8 +82,8 @@ void FrameSender::begin_transfer() {
   queue_.schedule_after(
       attempt.duration,
       [this, frame = std::move(frame), attempt, start] {
-        in_flight_ = false;
-        if (!running_) {
+        s_.in_flight = false;
+        if (!s_.running) {
           // Stopped mid-flight: nothing was delivered and the bytes are
           // still on disk. Put the frame back so it is not silently lost —
           // a restarted sender ships it first.
@@ -120,11 +99,11 @@ void FrameSender::begin_transfer() {
         // transfer releases disk or feeds the bandwidth estimate.
         disk_.release(frame.size);
         estimator_.record_transfer(frame.size, attempt.duration);
-        consecutive_failures_ = 0;
-        if (degraded_) obs::gauge_set("transport.link_degraded", 0.0);
-        degraded_ = false;
-        ++frames_sent_;
-        bytes_sent_ += frame.size;
+        s_.consecutive_failures = 0;
+        if (s_.degraded) obs::gauge_set("transport.link_degraded", 0.0);
+        s_.degraded = false;
+        ++s_.frames_sent;
+        s_.bytes_sent += frame.size;
         obs::count("transport.frames_sent");
         obs::trace_sim("transport.transfer", start.seconds(),
                        attempt.duration.seconds(),
@@ -137,71 +116,34 @@ void FrameSender::begin_transfer() {
 }
 
 void FrameSender::on_transfer_failed(Frame frame) {
-  ++failures_;
-  ++consecutive_failures_;
+  ++s_.failures;
+  ++s_.consecutive_failures;
   obs::count("transport.failures");
-  if (consecutive_failures_ >= options_.retry.degrade_after && !degraded_) {
-    degraded_ = true;
+  if (s_.consecutive_failures >= options_.retry.degrade_after &&
+      !s_.degraded) {
+    s_.degraded = true;
     obs::gauge_set("transport.link_degraded", 1.0);
     ADAPTVIZ_LOG_INFO("sender",
                       "[%s] link degraded after %d consecutive failures",
-                      hh_mm(queue_.now()).c_str(), consecutive_failures_);
+                      hh_mm(queue_.now()).c_str(), s_.consecutive_failures);
   }
   const std::int64_t seq = frame.sequence;
   // The frame's bytes never left the simulation site: disk is NOT
   // released, and the frame returns to the catalog head to be re-sent
   // (the paper's delete-after-transfer semantics).
   catalog_.requeue_front(std::move(frame));
-  const RetryPolicy& r = options_.retry;
-  double delay = r.initial_backoff.seconds() *
-                 std::pow(r.multiplier,
-                          static_cast<double>(consecutive_failures_ - 1));
-  delay = std::min(delay, r.max_backoff.seconds());
-  if (r.jitter > 0.0) {
-    delay *= jitter_rng_.uniform(1.0 - r.jitter, 1.0 + r.jitter);
-  }
-  current_backoff_ = WallSeconds(delay);
-  retry_pending_ = true;
+  s_.current_backoff =
+      backoff(options_.retry, s_.consecutive_failures, s_.jitter_rng);
+  s_.retry_pending = true;
+  const double delay = s_.current_backoff.seconds();
   obs::observe("transport.backoff_seconds", delay);
   ADAPTVIZ_LOG_DEBUG("sender",
                      "frame #%lld aborted (failure %d in a row), retry in "
                      "%.1fs%s",
-                     static_cast<long long>(seq), consecutive_failures_,
-                     delay, degraded_ ? " [LINK DEGRADED]" : "");
+                     static_cast<long long>(seq), s_.consecutive_failures,
+                     delay, s_.degraded ? " [LINK DEGRADED]" : "");
   queue_.schedule_after(
-      current_backoff_, [this] { retry_event(); }, "sender.retry");
-}
-
-FrameSender::State FrameSender::snapshot() const {
-  State s;
-  s.jitter_rng = jitter_rng_;
-  s.running = running_;
-  s.in_flight = in_flight_;
-  s.poll_scheduled = poll_scheduled_;
-  s.retry_pending = retry_pending_;
-  s.degraded = degraded_;
-  s.consecutive_failures = consecutive_failures_;
-  s.current_backoff = current_backoff_;
-  s.frames_sent = frames_sent_;
-  s.failures = failures_;
-  s.retries = retries_;
-  s.bytes_sent = bytes_sent_;
-  return s;
-}
-
-void FrameSender::restore(const State& s) {
-  jitter_rng_ = s.jitter_rng;
-  running_ = s.running;
-  in_flight_ = s.in_flight;
-  poll_scheduled_ = s.poll_scheduled;
-  retry_pending_ = s.retry_pending;
-  degraded_ = s.degraded;
-  consecutive_failures_ = s.consecutive_failures;
-  current_backoff_ = s.current_backoff;
-  frames_sent_ = s.frames_sent;
-  failures_ = s.failures;
-  retries_ = s.retries;
-  bytes_sent_ = s.bytes_sent;
+      s_.current_backoff, [this] { retry_event(); }, "sender.retry");
 }
 
 }  // namespace adaptviz

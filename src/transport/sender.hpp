@@ -11,8 +11,8 @@
 // injectable failure model). The sender is a retry state machine — a failed
 // frame goes back to the catalog head with its disk bytes intact
 // (delete-after-transfer semantics: nothing is released until the frame has
-// actually landed), the next attempt waits out an exponential backoff with
-// jitter and a cap, and after `degrade_after` consecutive failures the
+// actually landed), the next attempt waits out the shared retry ladder
+// (transport/retry.hpp), and after `degrade_after` consecutive failures the
 // sender latches a link_degraded flag the application manager and decision
 // algorithms can observe (the transport analogue of the paper's CRITICAL
 // disk flag). Every frame written is therefore delivered exactly once, in
@@ -27,6 +27,7 @@
 #include "resources/event_queue.hpp"
 #include "resources/network.hpp"
 #include "transport/bandwidth_estimator.hpp"
+#include "transport/retry.hpp"
 #include "util/rng.hpp"
 
 namespace adaptviz {
@@ -35,23 +36,6 @@ class FrameSender {
  public:
   /// Called at the receiver side when a frame's last byte arrives.
   using DeliveryFn = std::function<void(const Frame&)>;
-
-  /// Backoff policy for failed transfer attempts.
-  struct RetryPolicy {
-    /// Delay before the first retry.
-    WallSeconds initial_backoff{5.0};
-    /// Growth factor per additional consecutive failure (>= 1).
-    double multiplier = 2.0;
-    /// Ceiling on the backoff delay.
-    WallSeconds max_backoff{300.0};
-    /// Uniform jitter fraction in [0, 1): each delay is scaled by a factor
-    /// drawn from [1 - jitter, 1 + jitter] so synchronized retry storms
-    /// decorrelate. Drawn from the sender's own seeded RNG.
-    double jitter = 0.2;
-    /// Consecutive failures before link_degraded() latches; any success
-    /// clears the flag and resets the backoff ladder.
-    int degrade_after = 5;
-  };
 
   struct Options {
     WallSeconds poll_interval{10.0};
@@ -64,12 +48,6 @@ class FrameSender {
               DiskModel& disk, BandwidthEstimator& estimator,
               DeliveryFn deliver, Options options);
 
-  /// Legacy convenience: default retry policy, custom poll interval.
-  FrameSender(EventQueue& queue, NetworkLink& link, FrameCatalog& catalog,
-              DiskModel& disk, BandwidthEstimator& estimator,
-              DeliveryFn deliver,
-              WallSeconds poll_interval = WallSeconds(10.0));
-
   /// Starts the daemon loop (idempotent).
   void start();
   /// Stops the daemon. An in-flight transfer is abandoned: when its
@@ -81,26 +59,26 @@ class FrameSender {
   /// retry backoff is pending — the backoff owns the next attempt.
   void kick();
 
-  [[nodiscard]] std::int64_t frames_sent() const { return frames_sent_; }
-  [[nodiscard]] Bytes bytes_sent() const { return bytes_sent_; }
-  [[nodiscard]] bool transfer_in_flight() const { return in_flight_; }
+  [[nodiscard]] std::int64_t frames_sent() const { return s_.frames_sent; }
+  [[nodiscard]] Bytes bytes_sent() const { return s_.bytes_sent; }
+  [[nodiscard]] bool transfer_in_flight() const { return s_.in_flight; }
 
   /// Aborted transfer attempts since construction.
-  [[nodiscard]] std::int64_t transfer_failures() const { return failures_; }
+  [[nodiscard]] std::int64_t transfer_failures() const { return s_.failures; }
   /// Re-attempts started after a backoff wait.
-  [[nodiscard]] std::int64_t transfer_retries() const { return retries_; }
+  [[nodiscard]] std::int64_t transfer_retries() const { return s_.retries; }
   /// Failures since the last successful transfer.
   [[nodiscard]] int consecutive_failures() const {
-    return consecutive_failures_;
+    return s_.consecutive_failures;
   }
   /// Latched after `degrade_after` consecutive failures; cleared by the
   /// next success. The escalation signal for the decision algorithms.
-  [[nodiscard]] bool link_degraded() const { return degraded_; }
+  [[nodiscard]] bool link_degraded() const { return s_.degraded; }
   /// Backoff delay of the pending retry (zero when none is pending).
   [[nodiscard]] WallSeconds current_backoff() const {
-    return current_backoff_;
+    return s_.current_backoff;
   }
-  [[nodiscard]] bool retry_pending() const { return retry_pending_; }
+  [[nodiscard]] bool retry_pending() const { return s_.retry_pending; }
 
   /// The whole retry state machine: phase flags, backoff ladder position,
   /// jitter RNG stream, and delivery counters. The in-flight transfer
@@ -121,8 +99,8 @@ class FrameSender {
     std::int64_t retries = 0;
     Bytes bytes_sent{};
   };
-  [[nodiscard]] State snapshot() const;
-  void restore(const State& s);
+  [[nodiscard]] State snapshot() const { return s_; }
+  void restore(const State& s) { s_ = s; }
 
  private:
   void poll_event();
@@ -136,21 +114,9 @@ class FrameSender {
   FrameCatalog& catalog_;
   DiskModel& disk_;
   BandwidthEstimator& estimator_;
-  DeliveryFn deliver_;
-  Options options_;
-  Rng jitter_rng_;
-
-  bool running_ = false;
-  bool in_flight_ = false;
-  bool poll_scheduled_ = false;
-  bool retry_pending_ = false;
-  bool degraded_ = false;
-  int consecutive_failures_ = 0;
-  WallSeconds current_backoff_{0.0};
-  std::int64_t frames_sent_ = 0;
-  std::int64_t failures_ = 0;
-  std::int64_t retries_ = 0;
-  Bytes bytes_sent_{};
+  const DeliveryFn deliver_;
+  const Options options_;
+  State s_;
 };
 
 }  // namespace adaptviz

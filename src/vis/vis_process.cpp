@@ -27,12 +27,12 @@ void VisualizationProcess::render_frame(const Frame& frame) const {
 }
 
 WallSeconds VisualizationProcess::record(const Frame& frame) {
-  records_.push_back(VisRecord{queue_.now(), frame.sim_time, frame.sequence,
+  s_.records.push_back(VisRecord{queue_.now(), frame.sim_time, frame.sequence,
                                frame.size});
   ADAPTVIZ_LOG_DEBUG("vis", "frame #%lld visualized at wall %s",
                      static_cast<long long>(frame.sequence),
                      hh_mm(queue_.now()).c_str());
-  if (options_.on_frame) options_.on_frame(frame, records_.back());
+  if (options_.on_frame) options_.on_frame(frame, s_.records.back());
   // Rendering touches the decoded fields, so the cost scales with the
   // pre-codec size even when the frame travelled compressed.
   return WallSeconds(options_.fixed_seconds +
@@ -40,7 +40,7 @@ WallSeconds VisualizationProcess::record(const Frame& frame) {
 }
 
 SimSeconds VisualizationProcess::latest_visualized_sim_time() const {
-  return records_.empty() ? SimSeconds(0.0) : records_.back().sim_time;
+  return s_.records.empty() ? SimSeconds(0.0) : s_.records.back().sim_time;
 }
 
 }  // namespace adaptviz

@@ -60,7 +60,7 @@ class VisualizationProcess {
   WallSeconds record(const Frame& frame);
 
   [[nodiscard]] const std::vector<VisRecord>& records() const {
-    return records_;
+    return s_.records;
   }
   /// Simulated time of the newest visualized frame (Fig. 7's y-axis head).
   [[nodiscard]] SimSeconds latest_visualized_sim_time() const;
@@ -69,13 +69,13 @@ class VisualizationProcess {
   struct State {
     std::vector<VisRecord> records;
   };
-  [[nodiscard]] State snapshot() const { return State{records_}; }
-  void restore(const State& s) { records_ = s.records; }
+  [[nodiscard]] State snapshot() const { return s_; }
+  void restore(const State& s) { s_ = s; }
 
  private:
   EventQueue& queue_;
-  Options options_;
-  std::vector<VisRecord> records_;
+  const Options options_;
+  State s_;
 };
 
 }  // namespace adaptviz

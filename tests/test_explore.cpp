@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -313,6 +314,56 @@ TEST(SnapshotRestore, ResumeIsBitwiseIdenticalAcrossPoolSizes) {
                            "pool_0v2");
   expect_results_identical(uninterrupted.at(0), uninterrupted.at(5),
                            "pool_0v5");
+}
+
+/// Runs `cfg` straight through, then again with a snapshot taken at the
+/// first event boundary where `take` holds: run to the end, restore,
+/// resume. The resumed result must match the uninterrupted one.
+void expect_resume_exact(const ExperimentConfig& cfg,
+                         const std::function<bool(AdaptiveFramework&)>& take,
+                         const std::string& tag) {
+  const ExperimentResult reference = run_experiment(cfg);
+
+  AdaptiveFramework fw(cfg);
+  fw.start_run();
+  while (!take(fw)) {
+    ASSERT_TRUE(fw.step_once()) << tag << ": run ended before the snapshot";
+  }
+  const ExperimentState checkpoint = fw.snapshot();
+  while (fw.step_once()) {
+  }
+  fw.restore(checkpoint);
+  while (fw.step_once()) {
+  }
+  expect_results_identical(reference, fw.finish_run(), tag);
+}
+
+// A snapshot taken while a failed transfer waits out its backoff: the
+// sender's retry ladder, jitter stream and requeued frame all rewind.
+TEST(SnapshotRestore, ResumeDuringRetryBackoffIsExact) {
+  ExperimentConfig cfg =
+      load_scenario(std::string(ADAPTVIZ_SCENARIO_DIR) + "/flaky_wan.ini");
+  cfg.sim_window = SimSeconds::hours(12.0);
+  expect_resume_exact(
+      cfg, [](AdaptiveFramework& fw) { return fw.sender().retry_pending(); },
+      "retry");
+}
+
+// A snapshot taken between two applied steering events of the checked-in
+// session, with viewers attached: serving, control-plane and steering
+// bookkeeping all rewind.
+TEST(SnapshotRestore, ResumeBetweenSteeringEventsIsExact) {
+  ExperimentConfig cfg = load_scenario(std::string(ADAPTVIZ_SCENARIO_DIR) +
+                                       "/steered_session.ini");
+  cfg.steering.replay_log_path =
+      std::string(ADAPTVIZ_SCENARIO_DIR) + "/steering_session.jsonl";
+  expect_resume_exact(
+      cfg,
+      [](AdaptiveFramework& fw) {
+        return fw.steering_events().size() == 3 && fw.serving() != nullptr &&
+               fw.serving()->attached_count() > 0;
+      },
+      "steered");
 }
 
 // A pre-start snapshot restores the framework to "never started":

@@ -33,7 +33,8 @@ struct Rig {
     config.processors = 64;
     config.output_interval = SimSeconds::minutes(12.0);
     sender = std::make_unique<FrameSender>(queue, link, catalog, disk,
-                                           estimator, [](const Frame&) {});
+                                           estimator, [](const Frame&) {},
+                                           FrameSender::Options{});
     SimulationProcess::Options opts;
     opts.end_time = end;
     SimulationProcess::Callbacks cbs;

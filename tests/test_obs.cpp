@@ -96,6 +96,32 @@ TEST(Metrics, SnapshotLookups) {
   EXPECT_EQ(snap.histogram("absent"), nullptr);
 }
 
+TEST(Metrics, RestoreRewindsEveryInstrument) {
+  MetricsRegistry reg;
+  reg.counter("c").add(3);
+  reg.gauge("g").set(1.5);
+  Histogram& h = reg.histogram("h");
+  h.observe(0.5);
+  h.observe(20.0);
+  const MetricsSnapshot before = reg.snapshot();
+
+  reg.counter("c").add(4);
+  reg.gauge("g").set(9.0);
+  h.observe(1e-5);
+  h.observe(5000.0);
+  reg.restore(before);
+  EXPECT_EQ(reg.snapshot(), before);
+
+  // Instruments created after the snapshot reset to zero / empty.
+  reg.histogram("late").observe(1.0);
+  reg.restore(before);
+  const Histogram::Snapshot late = reg.histogram("late").snapshot();
+  EXPECT_EQ(late.count, 0);
+  EXPECT_EQ(std::count(late.counts.begin(), late.counts.end(), 0),
+            static_cast<std::ptrdiff_t>(late.counts.size()));
+  EXPECT_DOUBLE_EQ(late.sum, 0.0);
+}
+
 TEST(Metrics, SnapshotIsNameSorted) {
   MetricsRegistry reg;
   reg.counter("zz").add();

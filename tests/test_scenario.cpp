@@ -174,6 +174,15 @@ TEST(Scenario, Validation) {
   EXPECT_THROW(scenario_from_ini(IniDocument::parse(
                    "[faults]\ntransfer_failure_rate = -0.1\n")),
                std::runtime_error);
+  EXPECT_THROW(scenario_from_ini(IniDocument::parse(
+                   "[faults]\nretry_jitter = 1\n")),
+               std::runtime_error);
+  EXPECT_THROW(scenario_from_ini(IniDocument::parse(
+                   "[faults]\nretry_multiplier = 0.5\n")),
+               std::runtime_error);
+  EXPECT_THROW(scenario_from_ini(IniDocument::parse(
+                   "[faults]\ndegrade_after = 0\n")),
+               std::runtime_error);
 }
 
 TEST(ScenarioServe, SectionParsesIntoSessionOptions) {

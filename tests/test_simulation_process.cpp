@@ -38,7 +38,7 @@ struct Rig {
     config.resolution_km = 24.0;
     sender = std::make_unique<FrameSender>(
         queue, link, catalog, disk, estimator,
-        [this](const Frame&) { ++delivered; });
+        [this](const Frame&) { ++delivered; }, FrameSender::Options{});
     SimulationProcess::Options opts;
     opts.end_time = end;
     opts.stall_poll = WallSeconds::minutes(5.0);

@@ -390,6 +390,7 @@ TEST(SteeringEndToEnd, TightenOutputBoundsProducesMoreFrames) {
   const ExperimentResult steered = run_experiment(cfg);
 
   ASSERT_FALSE(steered.steering.empty());
+  EXPECT_EQ(steered.steering[0].type, SteeringEvent::Type::kCommand);
   EXPECT_EQ(steered.steering[0].command.kind,
             SteeringCommand::Kind::kSetOutputBounds);
   EXPECT_GT(steered.summary.frames_written, base.summary.frames_written);
@@ -591,9 +592,12 @@ TEST(SteeringReplay, ScriptedAttachDetachMidRun) {
   EXPECT_GT(r.summary.total_stall_time.as_hours(), 1.5);
   EXPECT_LT(r.summary.total_stall_time.as_hours(), 3.0);
 
-  // Pause commands also land in the legacy command log.
+  // Of the applied events, only the pause command is in the result's
+  // command series, stamped with its delivery time.
   ASSERT_EQ(r.steering.size(), 1u);
+  EXPECT_EQ(r.steering[0].type, SteeringEvent::Type::kCommand);
   EXPECT_EQ(r.steering[0].command.kind, SteeringCommand::Kind::kPause);
+  EXPECT_EQ(r.steering[0].wall.seconds(), pause.wall.seconds());
 }
 
 // An attached observer's knob proposal is the third decision input: the

@@ -38,7 +38,7 @@ struct Rig {
         [this](const Frame& f) {
           delivered.push_back({queue.now().seconds(), f.sequence});
         },
-        WallSeconds(10.0));
+        FrameSender::Options{.poll_interval = WallSeconds(10.0)});
   }
 
   Frame frame(std::int64_t seq, double mb) {
@@ -318,7 +318,7 @@ TEST(SenderRetry, StopDuringBackoffKeepsFrameAndRestartResumes) {
 
 TEST(SenderRetry, PolicyValidation) {
   FaultRig rig(0.0);
-  auto make = [&](FrameSender::RetryPolicy retry) {
+  auto make = [&](RetryPolicy retry) {
     FrameSender::Options opts;
     opts.retry = retry;
     return FrameSender(rig.queue, rig.link, rig.catalog, rig.disk,
@@ -337,11 +337,12 @@ TEST(SenderRetry, PolicyValidation) {
 TEST(Sender, Validation) {
   Rig rig;
   EXPECT_THROW(FrameSender(rig.queue, rig.link, rig.catalog, rig.disk,
-                           rig.estimator, nullptr),
+                           rig.estimator, nullptr, FrameSender::Options{}),
                std::invalid_argument);
   EXPECT_THROW(FrameSender(
                    rig.queue, rig.link, rig.catalog, rig.disk, rig.estimator,
-                   [](const Frame&) {}, WallSeconds(0.0)),
+                   [](const Frame&) {},
+                   FrameSender::Options{.poll_interval = WallSeconds(0.0)}),
                std::invalid_argument);
 }
 
