@@ -62,22 +62,17 @@ void BM_SwStep(benchmark::State& state) {
 }
 BENCHMARK(BM_SwStep)->Arg(300)->Arg(192)->Arg(96);
 
-// --- Parallel scaling: persistent pool vs spawn-per-call ---------------
+// --- Parallel scaling on the persistent pool ----------------------------
 //
-// The same 96-km shallow-water step at 1/2/4/8 workers, with the six
-// parallel regions per step dispatched either to the persistent pool
-// (use_thread_pool=true, the production path) or to fresh std::threads
-// per region (the pre-pool behavior, kept as parallel_for_rows_spawn).
-// The pool must win at 4+ workers: spawn-per-call pays ~6*(workers-1)
-// thread creations per step.
+// The same 96-km shallow-water step at 1/2/4/8 workers, its six parallel
+// regions per step dispatched to the persistent pool.
 
-void sw_step_scaling(benchmark::State& state, bool use_pool) {
+void BM_SwStepPool(benchmark::State& state) {
   const double res = 96.0;
   GridSpec g(60.0, -10.0, 60.0, 50.0, res);
   DomainState s(g);
   SwParams params;
   params.threads = static_cast<int>(state.range(0));
-  params.use_thread_pool = use_pool;
   SwSolver solver(params);
   const double dt = SwSolver::dt_for_resolution_km(res);
   for (auto _ : state) {
@@ -87,14 +82,10 @@ void sw_step_scaling(benchmark::State& state, bool use_pool) {
                           static_cast<int64_t>(g.point_count()));
 }
 
-void BM_SwStepPool(benchmark::State& state) { sw_step_scaling(state, true); }
 BENCHMARK(BM_SwStepPool)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-void BM_SwStepSpawn(benchmark::State& state) { sw_step_scaling(state, false); }
-BENCHMARK(BM_SwStepSpawn)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 // Raw fork-join dispatch latency of one near-empty region: the fixed
-// overhead every parallel call pays under each runtime.
+// overhead every parallel call pays.
 void BM_ParallelForPool(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   std::size_t sink = 0;
@@ -105,18 +96,6 @@ void BM_ParallelForPool(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ParallelForPool)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_ParallelForSpawn(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  std::size_t sink = 0;
-  for (auto _ : state) {
-    parallel_for_rows_spawn(0, 64, threads,
-                            [&](std::size_t lo, std::size_t hi) {
-                              benchmark::DoNotOptimize(sink += hi - lo);
-                            });
-  }
-}
-BENCHMARK(BM_ParallelForSpawn)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_ModelFullStep(benchmark::State& state) {
   ModelConfig cfg;

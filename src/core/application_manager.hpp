@@ -94,9 +94,6 @@ class ApplicationManager {
   void set_observer_digest(const ObserverDigest& digest) {
     s_.observers = digest;
   }
-  [[nodiscard]] const ObserverDigest& observer_digest() const {
-    return s_.observers;
-  }
 
   [[nodiscard]] const std::vector<DecisionRecord>& decisions() const {
     return s_.decisions;

@@ -539,11 +539,6 @@ void AdaptiveFramework::set_adversary_plan(AdversaryPlan plan) {
 }
 
 ExperimentState AdaptiveFramework::snapshot() const {
-  if (tree_ != nullptr) {
-    throw std::logic_error(
-        "AdaptiveFramework::snapshot: the [tree] edge cache does not "
-        "support snapshot/restore");
-  }
   if (config_.steering.control_plane != nullptr) {
     throw std::logic_error(
         "AdaptiveFramework::snapshot: an external control plane does not "
@@ -566,6 +561,7 @@ ExperimentState AdaptiveFramework::snapshot() const {
   s.telemetry = telemetry_->snapshot();
   s.control = control_->snapshot();
   if (serving_) s.serving = serving_->snapshot();
+  if (tree_) s.tree = tree_->snapshot();
   s.run = run_;
   if (obs_) s.metrics = obs_->metrics().snapshot();
   return s;
@@ -596,6 +592,7 @@ void AdaptiveFramework::restore(const ExperimentState& s) {
     // with the events that would have referenced it.
     serving_.reset();
   }
+  if (tree_) tree_->restore(*s.tree);
   run_ = s.run;
   if (obs_) obs_->metrics().restore(s.metrics);
 }

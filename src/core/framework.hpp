@@ -291,6 +291,9 @@ struct ExperimentState {
   /// Absent when the serving subsystem had not been created yet (restore
   /// then tears a later-created manager back down).
   std::optional<ViewerSessionManager::State> serving;
+  /// Present exactly when [tree] is configured (the tree is built with the
+  /// framework).
+  std::optional<EdgeTree::State> tree;
   RunBookkeeping run;
   /// Every instrument at capture time (empty when observability is off);
   /// restore() rewinds counters, gauges and histograms to it.
@@ -333,8 +336,8 @@ class AdaptiveFramework {
   ExperimentResult finish_run();
 
   /// Whole-experiment checkpoint at the current event boundary. Throws
-  /// std::logic_error when a configured subsystem has no snapshot support
-  /// (the [tree] edge cache, an external control plane).
+  /// std::logic_error with an external control plane: a RegistrationServer
+  /// is shared across runs, so its state is not this run's to rewind.
   [[nodiscard]] ExperimentState snapshot() const;
   /// Rewinds this instance to `s`. Only valid with a state captured from
   /// this same instance.
@@ -345,9 +348,6 @@ class AdaptiveFramework {
   /// due at the current decision count. The already-applied prefix must
   /// be unchanged; throws std::invalid_argument otherwise.
   void set_adversary_plan(AdversaryPlan plan);
-  [[nodiscard]] const AdversaryPlan& adversary_plan() const {
-    return config_.adversary;
-  }
   /// Decisions the application manager has made so far (adversary actions
   /// key off this count).
   [[nodiscard]] int decisions_made() const;
@@ -380,9 +380,6 @@ class AdaptiveFramework {
   [[nodiscard]] const std::vector<SteeringEvent>& steering_events() const {
     return run_.steering_events;
   }
-  /// The run's in-process control plane (always present). Tests and custom
-  /// drivers steer through it directly.
-  [[nodiscard]] LocalControlPlane& control_plane() { return *control_; }
 
  private:
   [[nodiscard]] TelemetrySample sample_now();

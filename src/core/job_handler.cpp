@@ -95,9 +95,10 @@ void JobHandler::restart() {
             s_.restarting = false;
             return;
           }
+          NclFile reloaded;
           const NclFile& source = ckpt_path.empty()
                                       ? checkpoint
-                                      : (reloaded_ = NclFile::load(ckpt_path));
+                                      : (reloaded = NclFile::load(ckpt_path));
           auto model = std::make_unique<WeatherModel>(
               WeatherModel::restore(s_.model_config, ladder_, source));
           if (model->modeled_resolution_km() != config_.resolution_km) {

@@ -91,10 +91,6 @@ class JobHandler {
   const ResolutionLadder ladder_;
   const Options options_;
   State s_;
-  /// Scratch for file-based checkpoints (keeps the reload alive while the
-  /// model is rebuilt from it). Not state: every restart overwrites it
-  /// before reading it.
-  NclFile reloaded_;
 };
 
 }  // namespace adaptviz

@@ -499,8 +499,6 @@ bool bits_equal(const std::vector<double>& a, const std::vector<double>& b,
 
 FrameFieldCodec::FrameFieldCodec(CodecOptions options) : options_(options) {}
 
-void FrameFieldCodec::reset_history() { slots_.clear(); }
-
 double FrameFieldCodec::cumulative_ratio() const {
   return total_raw_ == 0 || total_encoded_ == 0
              ? 1.0

@@ -153,15 +153,9 @@ class FrameFieldCodec {
   /// is set and any field fails to reconstruct bit-for-bit.
   CodecFrameReport encode_frame_fields(const std::vector<FieldView>& fields);
 
-  /// Drops all history (job restart from checkpoint).
-  void reset_history();
-
   [[nodiscard]] const CodecOptions& options() const { return options_; }
-  /// Totals since construction.
+  /// Raw bytes encoded since construction.
   [[nodiscard]] std::size_t total_raw_bytes() const { return total_raw_; }
-  [[nodiscard]] std::size_t total_encoded_bytes() const {
-    return total_encoded_;
-  }
   /// Cumulative ratio over every field encoded so far (1.0 before the
   /// first frame).
   [[nodiscard]] double cumulative_ratio() const;

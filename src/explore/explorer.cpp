@@ -35,7 +35,7 @@ std::vector<double> parse_double_list(const std::string& text,
   std::string token;
   while (in >> token) {
     const auto v = wire::parse_double(token);
-    if (!v) {
+    if (!v || !std::isfinite(*v)) {
       throw std::runtime_error(std::string("scenario: explore.") + key +
                                ": bad number '" + token + "'");
     }
@@ -317,11 +317,6 @@ ScenarioExplorer::ScenarioExplorer(ExperimentConfig config, ExploreSpec spec)
     throw std::invalid_argument(
         "ScenarioExplorer: config.adversary must be empty — the explorer "
         "owns the plan (replay an explored plan through a plain run)");
-  }
-  if (spec_.use_snapshots && config_.serve.tree.enabled()) {
-    throw std::logic_error(
-        "ScenarioExplorer: the [tree] edge cache does not support "
-        "snapshot/restore");
   }
   if (spec_.use_snapshots && config_.steering.control_plane != nullptr) {
     throw std::logic_error(

@@ -96,10 +96,10 @@ std::string to_string(const ExploreReport& report);
 
 class ScenarioExplorer {
  public:
-  /// `config.adversary` must be empty (the explorer owns the plan) and the
-  /// scenario must not configure subsystems without snapshot support (the
-  /// [tree] edge cache, an external control plane) when use_snapshots is
-  /// set. Throws std::invalid_argument / std::logic_error otherwise.
+  /// `config.adversary` must be empty (the explorer owns the plan) and,
+  /// when use_snapshots is set, the scenario must not use an external
+  /// control plane (it is shared across runs, so it cannot be rewound).
+  /// Throws std::invalid_argument / std::logic_error otherwise.
   ScenarioExplorer(ExperimentConfig config, ExploreSpec spec);
 
   /// Runs the full search and returns the report.

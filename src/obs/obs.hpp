@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -95,59 +96,38 @@ inline void trace_sim(const char* stage, double start_seconds,
 // the call site and resolve() against the bundle captured for the event.
 // The cache keys on the bundle epoch, never its address.
 
-class HotCounter {
+template <typename Instrument>
+class HotHandle {
  public:
-  explicit HotCounter(const char* name) noexcept : name_(name) {}
-  Counter* resolve(Observability* o) {
+  explicit HotHandle(const char* name) noexcept : name_(name) {}
+  Instrument* resolve(Observability* o) {
     if (o == nullptr) return nullptr;
     if (epoch_ != o->epoch()) {
-      slot_ = &o->metrics().counter(name_);
+      slot_ = &lookup(o->metrics());
       epoch_ = o->epoch();
     }
     return slot_;
   }
 
  private:
-  const char* name_;
-  std::uint64_t epoch_ = 0;
-  Counter* slot_ = nullptr;
-};
-
-class HotGauge {
- public:
-  explicit HotGauge(const char* name) noexcept : name_(name) {}
-  Gauge* resolve(Observability* o) {
-    if (o == nullptr) return nullptr;
-    if (epoch_ != o->epoch()) {
-      slot_ = &o->metrics().gauge(name_);
-      epoch_ = o->epoch();
+  Instrument& lookup(MetricsRegistry& m) const {
+    if constexpr (std::is_same_v<Instrument, Counter>) {
+      return m.counter(name_);
+    } else if constexpr (std::is_same_v<Instrument, Gauge>) {
+      return m.gauge(name_);
+    } else {
+      return m.histogram(name_);
     }
-    return slot_;
   }
 
- private:
   const char* name_;
   std::uint64_t epoch_ = 0;
-  Gauge* slot_ = nullptr;
+  Instrument* slot_ = nullptr;
 };
 
-class HotHistogram {
- public:
-  explicit HotHistogram(const char* name) noexcept : name_(name) {}
-  Histogram* resolve(Observability* o) {
-    if (o == nullptr) return nullptr;
-    if (epoch_ != o->epoch()) {
-      slot_ = &o->metrics().histogram(name_);
-      epoch_ = o->epoch();
-    }
-    return slot_;
-  }
-
- private:
-  const char* name_;
-  std::uint64_t epoch_ = 0;
-  Histogram* slot_ = nullptr;
-};
+using HotCounter = HotHandle<Counter>;
+using HotGauge = HotHandle<Gauge>;
+using HotHistogram = HotHandle<Histogram>;
 
 /// RAII timer for sub-stages inside the solver/render inner loops:
 /// histogram only, no trace event. These stages fire several times per

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "obs/obs.hpp"
+#include "util/string_util.hpp"
 #include "util/wire.hpp"
 
 namespace adaptviz {
@@ -42,129 +43,6 @@ std::uint64_t fnv1a_mix_double(std::uint64_t h, double d) {
 
 }  // namespace
 
-// ---------------------------------------------------------------- EdgeNode
-
-EdgeNode::EdgeNode(EdgeTree& tree, EdgeNode* parent, int tier, int index,
-                   const EdgeTierSpec& spec, std::uint64_t seed)
-    : tree_(tree),
-      parent_(parent),
-      tier_(tier),
-      name_("tree.t" + std::to_string(tier) + ".n" + std::to_string(index)),
-      codec_ratio_(spec.codec_ratio),
-      uplink_(std::make_unique<NetworkLink>(
-          spec.uplink, node_seed(seed, tier, index, 0x00edbe1eca11eULL))),
-      jitter_rng_(node_seed(seed, tier, index, 0x0000b0ff5a17ULL)) {
-  FrameCacheConfig cache = spec.cache;
-  cache.obs_prefix = "tree.t" + std::to_string(tier);
-  cache_ = std::make_unique<FrameCache>(std::move(cache));
-}
-
-Bytes EdgeNode::wire_bytes(const Frame& frame) const {
-  // Link-level compression on this tier's uplink: the wire carries
-  // size / ratio, the cache holds the full frame either way.
-  const auto wire =
-      static_cast<std::int64_t>(frame.size.as_double() / codec_ratio_);
-  return Bytes(std::max<std::int64_t>(1, wire));
-}
-
-void EdgeNode::fetch(std::int64_t sequence, FrameCallback on_ready) {
-  if (auto hit = cache_->lookup(sequence)) {
-    // Resident: deliver on the event loop (same virtual instant) so every
-    // delivery path is an event and hit chains never recurse.
-    tree_.queue_.schedule_after(
-        WallSeconds(0.0),
-        [cb = std::move(on_ready), frame = *std::move(hit)] { cb(frame); },
-        name_ + ".hit");
-    return;
-  }
-  // Miss (counted by lookup). Single-flight: the first waiter starts the
-  // fill; everyone else coalesces onto the in-flight transfer.
-  auto& waiters = waiters_[sequence];
-  waiters.push_back(std::move(on_ready));
-  if (waiters.size() == 1) {
-    start_fill(sequence);
-  } else {
-    ++stats_.fill_coalesced;
-    tree_.bump(tier_, "fill_coalesced");
-  }
-}
-
-void EdgeNode::start_fill(std::int64_t sequence) {
-  ++stats_.fills;
-  tree_.bump(tier_, "fills");
-  auto cb = [this, sequence](const Frame& frame) {
-    attempt_transfer(sequence, frame);
-  };
-  if (parent_ != nullptr) {
-    parent_->fetch(sequence, std::move(cb));
-  } else {
-    tree_.origin_fetch(sequence, std::move(cb));
-  }
-}
-
-void EdgeNode::attempt_transfer(std::int64_t sequence, const Frame& frame) {
-  const Bytes wire = wire_bytes(frame);
-  const WallSeconds now = tree_.queue_.now();
-  const auto attempt = uplink_->plan_transfer(wire, now);
-  if (!attempt.failed) {
-    tree_.queue_.schedule_at(
-        now + attempt.duration,
-        [this, sequence, frame] { finish_fill(sequence, frame); },
-        name_ + ".fill");
-    return;
-  }
-  // Aborted mid-flight: the partial bytes are wasted wire time; retry after
-  // the shared backoff ladder (a success resets it).
-  ++stats_.fill_failures;
-  stats_.bytes_wasted += attempt.bytes_moved;
-  tree_.bump(tier_, "fill_failures");
-  tree_.bump(tier_, "wan_bytes", attempt.bytes_moved.count());
-  ++consecutive_failures_;
-  const RetryPolicy& retry = tree_.spec().retry;
-  if (!link_degraded_ && consecutive_failures_ >= retry.degrade_after) {
-    link_degraded_ = true;
-    ++stats_.degraded_events;
-    tree_.bump(tier_, "degraded_events");
-    tree_.update_degraded_gauge(tier_);
-  }
-  tree_.queue_.schedule_at(
-      now + attempt.duration +
-          backoff(retry, consecutive_failures_, jitter_rng_),
-      [this, sequence, frame] {
-        ++stats_.fill_retries;
-        tree_.bump(tier_, "fill_retries");
-        attempt_transfer(sequence, frame);
-      },
-      name_ + ".retry");
-}
-
-void EdgeNode::finish_fill(std::int64_t sequence, const Frame& frame) {
-  const Bytes wire = wire_bytes(frame);
-  stats_.bytes_filled += wire;
-  tree_.bump(tier_, "wan_bytes", wire.count());
-  if (consecutive_failures_ != 0 || link_degraded_) {
-    consecutive_failures_ = 0;
-    if (link_degraded_) {
-      link_degraded_ = false;
-      tree_.update_degraded_gauge(tier_);
-    }
-  }
-  const double staleness =
-      (tree_.queue_.now() - tree_.publish_wall(sequence)).seconds();
-  stats_.staleness_sum_s += staleness;
-  stats_.staleness_max_s = std::max(stats_.staleness_max_s, staleness);
-  ++stats_.staleness_count;
-  tree_.record_staleness(tier_, staleness);
-  cache_->insert(frame);
-  // Drain every waiter of this single flight. New fetches arriving from a
-  // waiter's continuation must start a fresh flight, so detach the list
-  // first.
-  auto it = waiters_.find(sequence);
-  std::vector<FrameCallback> waiters = std::move(it->second);
-  waiters_.erase(it);
-  for (auto& cb : waiters) cb(frame);
-}
-
 // ---------------------------------------------------------------- EdgeTree
 
 EdgeTree::EdgeTree(EventQueue& queue, TreeSpec spec, std::uint64_t seed,
@@ -172,8 +50,7 @@ EdgeTree::EdgeTree(EventQueue& queue, TreeSpec spec, std::uint64_t seed,
     : queue_(queue),
       spec_(std::move(spec)),
       pool_(pool),
-      render_fn_(std::move(render_fn)),
-      seed_(seed) {
+      render_fn_(std::move(render_fn)) {
   if (spec_.tiers.empty()) {
     throw std::invalid_argument("EdgeTree: spec has no tiers");
   }
@@ -205,95 +82,210 @@ EdgeTree::EdgeTree(EventQueue& queue, TreeSpec spec, std::uint64_t seed,
   }
 
   // Build tier by tier; node (t, i)'s parent is node (t-1, i / fan_out[t]).
-  tiers_.resize(spec_.tiers.size());
+  s_.tiers.resize(spec_.tiers.size());
   width = 1;
   for (std::size_t t = 0; t < spec_.tiers.size(); ++t) {
     const EdgeTierSpec& tier = spec_.tiers[t];
+    FrameCacheConfig cache = tier.cache;
+    cache.obs_prefix = "tree.t" + std::to_string(t);
     width *= tier.fan_out;
-    tiers_[t].reserve(static_cast<std::size_t>(width));
+    s_.tiers[t].reserve(static_cast<std::size_t>(width));
     for (std::int64_t i = 0; i < width; ++i) {
-      EdgeNode* parent =
-          t == 0 ? nullptr
-                 : tiers_[t - 1][static_cast<std::size_t>(i / tier.fan_out)]
-                       .get();
-      tiers_[t].push_back(std::unique_ptr<EdgeNode>(
-          new EdgeNode(*this, parent, static_cast<int>(t),
-                       static_cast<int>(i), tier, seed_)));
+      const int ti = static_cast<int>(t);
+      const int ii = static_cast<int>(i);
+      s_.tiers[t].push_back(Node{
+          FrameCache(cache),
+          NetworkLink(tier.uplink, node_seed(seed, ti, ii, 0x00edbe1eca11eULL)),
+          RetryLadder(node_seed(seed, ti, ii, 0x0000b0ff5a17ULL))});
     }
   }
 
   // Leaves join staggered — the warm-cache effect a real viewer population
   // shows: leaf 0's pulls fill the shared parents, later leaves hit them.
-  leaves_.resize(tiers_.back().size());
-  inactive_leaves_ = static_cast<int>(leaves_.size());
-  for (std::size_t i = 0; i < leaves_.size(); ++i) {
-    leaves_[i].node = tiers_.back()[i].get();
+  s_.leaves.resize(s_.tiers.back().size());
+  s_.inactive_leaves = static_cast<int>(s_.leaves.size());
+  for (std::size_t i = 0; i < s_.leaves.size(); ++i) {
     queue_.schedule_at(
         spec_.leaf_join_stagger * static_cast<double>(i),
         [this, i] {
-          leaves_[i].active = true;
-          --inactive_leaves_;
+          s_.leaves[i].active = true;
+          --s_.inactive_leaves;
           pump_leaf(static_cast<int>(i));
         },
         "tree.leaf_join");
   }
 }
 
+std::string EdgeTree::node_name(int tier, int index) {
+  return "tree.t" + std::to_string(tier) + ".n" + std::to_string(index);
+}
+
+EdgeTree::Node& EdgeTree::node_at(int tier, int index) {
+  return s_.tiers[static_cast<std::size_t>(tier)]
+                 [static_cast<std::size_t>(index)];
+}
+
+Bytes EdgeTree::wire_bytes(int tier, const Frame& frame) const {
+  // Link-level compression on this tier's uplink: the wire carries
+  // size / ratio, the cache holds the full frame either way.
+  const auto wire = static_cast<std::int64_t>(
+      frame.size.as_double() /
+      spec_.tiers[static_cast<std::size_t>(tier)].codec_ratio);
+  return Bytes(std::max<std::int64_t>(1, wire));
+}
+
+void EdgeTree::fetch(int tier, int index, std::int64_t sequence, int waiter) {
+  Node& node = node_at(tier, index);
+  if (auto hit = node.cache.lookup(sequence)) {
+    // Resident: deliver on the event loop (same virtual instant) so every
+    // delivery path is an event and hit chains never recurse.
+    queue_.schedule_after(
+        WallSeconds(0.0),
+        [this, tier, waiter, frame = *std::move(hit)] {
+          deliver(tier, waiter, frame);
+        },
+        node_name(tier, index) + ".hit");
+    return;
+  }
+  // Miss (counted by lookup). Single-flight: the first waiter starts the
+  // fill; everyone else coalesces onto the in-flight transfer.
+  auto& waiters = node.waiters[sequence];
+  waiters.push_back(waiter);
+  if (waiters.size() == 1) {
+    start_fill(tier, index, sequence);
+  } else {
+    ++node.stats.fill_coalesced;
+    bump(tier, "fill_coalesced");
+  }
+}
+
+void EdgeTree::start_fill(int tier, int index, std::int64_t sequence) {
+  ++node_at(tier, index).stats.fills;
+  bump(tier, "fills");
+  if (tier > 0) {
+    fetch(tier - 1, index / spec_.tiers[static_cast<std::size_t>(tier)].fan_out,
+          sequence, index);
+    return;
+  }
+  // The origin is authoritative: every published frame is answerable.
+  ++s_.origin_requests;
+  auto it = std::lower_bound(
+      s_.index.begin(), s_.index.end(), sequence,
+      [](const Frame& f, std::int64_t seq) { return f.sequence < seq; });
+  if (it == s_.index.end() || it->sequence != sequence) {
+    throw std::logic_error("EdgeTree: fetch of an unpublished sequence " +
+                           std::to_string(sequence));
+  }
+  attempt_transfer(tier, index, sequence, *it);
+}
+
+void EdgeTree::deliver(int tier, int waiter, const Frame& frame) {
+  if (tier + 1 == tier_count()) {
+    on_leaf_frame(waiter, frame);
+  } else {
+    attempt_transfer(tier + 1, waiter, frame.sequence, frame);
+  }
+}
+
+void EdgeTree::attempt_transfer(int tier, int index, std::int64_t sequence,
+                                const Frame& frame) {
+  Node& node = node_at(tier, index);
+  const Bytes wire = wire_bytes(tier, frame);
+  const WallSeconds now = queue_.now();
+  const auto attempt = node.uplink.plan_transfer(wire, now);
+  if (!attempt.failed) {
+    queue_.schedule_at(
+        now + attempt.duration,
+        [this, tier, index, sequence, frame] {
+          finish_fill(tier, index, sequence, frame);
+        },
+        node_name(tier, index) + ".fill");
+    return;
+  }
+  // Aborted mid-flight: the partial bytes are wasted wire time; retry after
+  // the shared backoff ladder (a success resets it).
+  ++node.stats.fill_failures;
+  node.stats.bytes_wasted += attempt.bytes_moved;
+  bump(tier, "fill_failures");
+  bump(tier, "wan_bytes", attempt.bytes_moved.count());
+  const RetryLadder::Failure step = node.ladder.fail(spec_.retry);
+  if (step.latched) {
+    ++node.stats.degraded_events;
+    bump(tier, "degraded_events");
+    update_degraded_gauge(tier);
+  }
+  queue_.schedule_at(
+      now + attempt.duration + step.backoff,
+      [this, tier, index, sequence, frame] {
+        ++node_at(tier, index).stats.fill_retries;
+        bump(tier, "fill_retries");
+        attempt_transfer(tier, index, sequence, frame);
+      },
+      node_name(tier, index) + ".retry");
+}
+
+void EdgeTree::finish_fill(int tier, int index, std::int64_t sequence,
+                           const Frame& frame) {
+  Node& node = node_at(tier, index);
+  const Bytes wire = wire_bytes(tier, frame);
+  node.stats.bytes_filled += wire;
+  bump(tier, "wan_bytes", wire.count());
+  if (node.ladder.succeed()) update_degraded_gauge(tier);
+  const double staleness = (queue_.now() - publish_wall(sequence)).seconds();
+  node.stats.staleness_sum_s += staleness;
+  node.stats.staleness_max_s = std::max(node.stats.staleness_max_s, staleness);
+  ++node.stats.staleness_count;
+  record_staleness(tier, staleness);
+  node.cache.insert(frame);
+  // Drain every waiter of this single flight. New fetches arriving from a
+  // waiter's continuation must start a fresh flight, so detach the list
+  // first.
+  auto it = node.waiters.find(sequence);
+  const std::vector<int> waiters = std::move(it->second);
+  node.waiters.erase(it);
+  for (const int waiter : waiters) deliver(tier, waiter, frame);
+}
+
 void EdgeTree::publish(const Frame& frame) {
-  if (!index_.empty() && frame.sequence <= index_.back().sequence) {
+  if (!s_.index.empty() && frame.sequence <= s_.index.back().sequence) {
     throw std::invalid_argument(
         "EdgeTree::publish: sequences must be strictly increasing");
   }
   Frame stored = frame;
   stored.payload.reset();  // the tree models bytes; the origin index holds
                            // metadata only so memory stays bounded
-  index_.push_back(std::move(stored));
-  publish_walls_.push_back(queue_.now());
+  s_.index.push_back(std::move(stored));
+  s_.publish_walls.push_back(queue_.now());
   if (auto* o = obs::current()) {
     o->metrics().counter("tree.published").add(1);
   }
-  for (std::size_t i = 0; i < leaves_.size(); ++i) {
+  for (std::size_t i = 0; i < s_.leaves.size(); ++i) {
     pump_leaf(static_cast<int>(i));
   }
 }
 
-void EdgeTree::origin_fetch(std::int64_t sequence,
-                            EdgeNode::FrameCallback cb) {
-  ++origin_requests_;
-  auto it = std::lower_bound(
-      index_.begin(), index_.end(), sequence,
-      [](const Frame& f, std::int64_t seq) { return f.sequence < seq; });
-  if (it == index_.end() || it->sequence != sequence) {
-    throw std::logic_error("EdgeTree: fetch of an unpublished sequence " +
-                           std::to_string(sequence));
-  }
-  cb(*it);
-}
-
 void EdgeTree::pump_leaf(int leaf) {
-  LeafState& state = leaves_[static_cast<std::size_t>(leaf)];
-  if (!state.active || state.in_flight || state.cursor >= index_.size()) {
+  Leaf& state = s_.leaves[static_cast<std::size_t>(leaf)];
+  if (!state.active || state.in_flight || state.cursor >= s_.index.size()) {
     return;
   }
   state.in_flight = true;
-  const std::int64_t sequence = index_[state.cursor].sequence;
-  state.node->fetch(sequence, [this, leaf](const Frame& frame) {
-    on_leaf_frame(leaf, frame);
-  });
+  fetch(tier_count() - 1, leaf, s_.index[state.cursor].sequence, leaf);
 }
 
 void EdgeTree::on_leaf_frame(int leaf, const Frame& frame) {
-  LeafState& state = leaves_[static_cast<std::size_t>(leaf)];
+  Leaf& state = s_.leaves[static_cast<std::size_t>(leaf)];
   const WallSeconds now = queue_.now();
   state.records.push_back(LeafDelivery{
       now, frame.sim_time, frame.sequence, frame.size,
       now - publish_wall(frame.sequence)});
   ++state.cursor;
   state.in_flight = false;
-  ++leaf_frames_delivered_;
+  ++s_.leaf_frames_delivered;
   // The leaf's attached viewer population reads the now-resident frame out
   // of the leaf cache: viewers_per_leaf aggregated hits, zero WAN bytes.
-  state.node->cache_->record_fanout_hits(spec_.viewers_per_leaf);
+  node_at(tier_count() - 1, leaf)
+      .cache.record_fanout_hits(spec_.viewers_per_leaf);
   if (auto* o = obs::current()) {
     o->metrics().counter("tree.viewer_frames").add(spec_.viewers_per_leaf);
   }
@@ -317,13 +309,13 @@ void EdgeTree::drain_renders() {
 }
 
 bool EdgeTree::idle() const {
-  if (inactive_leaves_ != 0) return false;
-  for (const LeafState& state : leaves_) {
-    if (state.in_flight || state.cursor < index_.size()) return false;
+  if (s_.inactive_leaves != 0) return false;
+  for (const Leaf& state : s_.leaves) {
+    if (state.in_flight || state.cursor < s_.index.size()) return false;
   }
-  for (const auto& tier : tiers_) {
-    for (const auto& node : tier) {
-      if (node->busy()) return false;
+  for (const auto& tier : s_.tiers) {
+    for (const Node& node : tier) {
+      if (!node.waiters.empty()) return false;
     }
   }
   return true;
@@ -331,28 +323,28 @@ bool EdgeTree::idle() const {
 
 WallSeconds EdgeTree::publish_wall(std::int64_t sequence) const {
   auto it = std::lower_bound(
-      index_.begin(), index_.end(), sequence,
+      s_.index.begin(), s_.index.end(), sequence,
       [](const Frame& f, std::int64_t seq) { return f.sequence < seq; });
-  return publish_walls_[static_cast<std::size_t>(it - index_.begin())];
+  return s_.publish_walls[static_cast<std::size_t>(it - s_.index.begin())];
 }
 
 EdgeTierStats EdgeTree::tier_stats(int tier) const {
   EdgeTierStats out;
-  for (const auto& node : tiers_[static_cast<std::size_t>(tier)]) {
+  for (const Node& node : s_.tiers[static_cast<std::size_t>(tier)]) {
     ++out.nodes;
-    const FrameCacheStats& cache = node->cache().stats();
+    const FrameCacheStats& cache = node.cache.stats();
     out.cache_hits += cache.hits;
     out.cache_misses += cache.misses;
     out.cache_evictions += cache.evictions;
     out.cache_insertions += cache.insertions;
     out.peak_node_bytes = std::max(out.peak_node_bytes, cache.peak_bytes);
-    const EdgeNode::Stats& stats = node->stats();
+    const NodeStats& stats = node.stats;
     out.fills += stats.fills;
     out.fill_coalesced += stats.fill_coalesced;
     out.fill_retries += stats.fill_retries;
     out.fill_failures += stats.fill_failures;
     out.degraded_events += stats.degraded_events;
-    if (node->link_degraded()) ++out.links_degraded;
+    if (node.ladder.degraded) ++out.links_degraded;
     out.bytes_filled += stats.bytes_filled;
     out.bytes_wasted += stats.bytes_wasted;
     out.staleness_sum_s += stats.staleness_sum_s;
@@ -364,9 +356,9 @@ EdgeTierStats EdgeTree::tier_stats(int tier) const {
 
 std::uint64_t EdgeTree::delivery_digest(bool include_wall_times) const {
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t leaf = 0; leaf < leaves_.size(); ++leaf) {
+  for (std::size_t leaf = 0; leaf < s_.leaves.size(); ++leaf) {
     h = fnv1a_mix(h, static_cast<std::uint64_t>(leaf));
-    for (const LeafDelivery& d : leaves_[leaf].records) {
+    for (const LeafDelivery& d : s_.leaves[leaf].records) {
       h = fnv1a_mix(h, static_cast<std::uint64_t>(d.sequence));
       h = fnv1a_mix(h, static_cast<std::uint64_t>(d.size.count()));
       h = fnv1a_mix_double(h, d.sim_time.seconds());
@@ -392,8 +384,8 @@ void EdgeTree::bump(int tier, const char* suffix, std::int64_t n) {
 void EdgeTree::update_degraded_gauge(int tier) {
   if (auto* o = obs::current()) {
     int degraded = 0;
-    for (const auto& node : tiers_[static_cast<std::size_t>(tier)]) {
-      if (node->link_degraded()) ++degraded;
+    for (const Node& node : s_.tiers[static_cast<std::size_t>(tier)]) {
+      if (node.ladder.degraded) ++degraded;
     }
     o->metrics()
         .gauge(metric(tier, "links_degraded"))
@@ -411,34 +403,21 @@ void EdgeTree::record_staleness(int tier, double seconds) {
 
 namespace {
 
-/// Splits a comma-separated value list, trimming whitespace.
-std::vector<std::string> split_list(const std::string& value) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= value.size()) {
-    std::size_t comma = value.find(',', start);
-    if (comma == std::string::npos) comma = value.size();
-    std::string item = value.substr(start, comma - start);
-    const auto a = item.find_first_not_of(" \t");
-    if (a == std::string::npos) {
-      item.clear();
-    } else {
-      const auto b = item.find_last_not_of(" \t");
-      item = item.substr(a, b - a + 1);
+/// Comma-separated list of finite numbers; blank items are skipped.
+std::vector<double> parse_list(const std::string& key,
+                               const std::string& value) {
+  std::vector<double> out;
+  for (const std::string& part : split(value, ',')) {
+    const std::string item = trim(part);
+    if (item.empty()) continue;
+    const auto v = wire::parse_double(item);
+    if (!v || !std::isfinite(*v)) {
+      throw std::runtime_error("[tree] " + key + ": malformed number '" +
+                               item + "'");
     }
-    if (!item.empty()) out.push_back(std::move(item));
-    start = comma + 1;
+    out.push_back(*v);
   }
   return out;
-}
-
-double parse_double(const std::string& key, const std::string& item) {
-  const auto v = wire::parse_double(item);
-  if (!v) {
-    throw std::runtime_error("[tree] " + key + ": malformed number '" + item +
-                             "'");
-  }
-  return *v;
 }
 
 /// Per-tier list: a single value broadcasts to every tier; otherwise the
@@ -447,18 +426,15 @@ std::vector<double> tier_list(const IniDocument& doc, const std::string& key,
                               std::size_t tiers, double fallback) {
   const auto raw = doc.get("tree", key);
   if (!raw.has_value()) return std::vector<double>(tiers, fallback);
-  const auto items = split_list(*raw);
-  if (items.empty()) {
+  const std::vector<double> out = parse_list(key, *raw);
+  if (out.empty()) {
     throw std::runtime_error("[tree] " + key + ": empty value");
   }
-  std::vector<double> out;
-  out.reserve(items.size());
-  for (const auto& item : items) out.push_back(parse_double(key, item));
   if (out.size() == 1) return std::vector<double>(tiers, out.front());
   if (out.size() != tiers) {
     throw std::runtime_error(
         "[tree] " + key + ": expected 1 or " + std::to_string(tiers) +
-        " values (one per tier), got " + std::to_string(items.size()));
+        " values (one per tier), got " + std::to_string(out.size()));
   }
   return out;
 }
@@ -476,11 +452,10 @@ TreeSpec tree_spec_from_ini(const IniDocument& doc) {
     throw std::runtime_error("[tree] fan_out is required");
   }
   std::vector<int> fan_out;
-  for (const auto& item : split_list(*fan_raw)) {
-    const double v = parse_double("fan_out", item);
+  for (const double v : parse_list("fan_out", *fan_raw)) {
     if (v < 1.0 || v != std::floor(v)) {
-      throw std::runtime_error("[tree] fan_out: '" + item +
-                               "' is not a positive integer");
+      throw std::runtime_error(
+          format("[tree] fan_out: '%g' is not a positive integer", v));
     }
     fan_out.push_back(static_cast<int>(v));
   }

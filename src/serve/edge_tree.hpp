@@ -19,7 +19,7 @@
 // injection (LinkSpec::failure_probability, plan_transfer aborting at a
 // sampled progress fraction on a dedicated fault stream) and the shared
 // retry ladder (transport/retry.hpp, the frame sender's too) apply per
-// edge. Each EdgeNode owns a bounded FrameCache; a miss triggers a
+// edge. Each node owns a bounded FrameCache; a miss triggers a
 // *fill* from the parent — and fills are single-flight: all downstream
 // requests for a frame that is already being fetched coalesce onto the one
 // in-flight WAN transfer (counted, so the dedup ratio is measurable). One
@@ -46,12 +46,15 @@
 // identical across thread-pool sizes, and across tree *shapes* with equal
 // leaf counts (every leaf replays the full stream in order regardless of
 // what hangs above it).
+//
+// Every node is a plain value in the tree's State — a pending fill's
+// waiters are indices one tier down, not closures — so snapshot() and
+// restore() copy the whole tree, and a [tree] run rewinds like any other.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -155,67 +158,6 @@ struct LeafDelivery {
   WallSeconds staleness{};
 };
 
-class EdgeTree;
-
-/// One node of the tree: a bounded cache plus an uplink to its parent.
-/// Constructed only by EdgeTree; exposed for tests and metrics readers.
-class EdgeNode {
- public:
-  using FrameCallback = std::function<void(const Frame&)>;
-
-  /// Per-node slice of the tier stats above.
-  struct Stats {
-    std::int64_t fills = 0;
-    std::int64_t fill_coalesced = 0;
-    std::int64_t fill_retries = 0;
-    std::int64_t fill_failures = 0;
-    std::int64_t degraded_events = 0;
-    Bytes bytes_filled{};
-    Bytes bytes_wasted{};
-    double staleness_sum_s = 0.0;
-    double staleness_max_s = 0.0;
-    std::int64_t staleness_count = 0;
-  };
-
-  /// Resolves `sequence` for a downstream consumer: cache hit calls back
-  /// immediately; a miss joins the single-flight fill (starting it if this
-  /// is the first waiter). The callback fires on the event loop once the
-  /// frame is resident.
-  void fetch(std::int64_t sequence, FrameCallback on_ready);
-
-  [[nodiscard]] const FrameCache& cache() const { return *cache_; }
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] bool link_degraded() const { return link_degraded_; }
-  [[nodiscard]] const std::string& name() const { return name_; }
-  /// True while any fill (including one waiting out a retry backoff) is
-  /// pending on this node.
-  [[nodiscard]] bool busy() const { return !waiters_.empty(); }
-
- private:
-  friend class EdgeTree;
-
-  EdgeNode(EdgeTree& tree, EdgeNode* parent, int tier, int index,
-           const EdgeTierSpec& spec, std::uint64_t seed);
-
-  void start_fill(std::int64_t sequence);
-  void attempt_transfer(std::int64_t sequence, const Frame& frame);
-  void finish_fill(std::int64_t sequence, const Frame& frame);
-  [[nodiscard]] Bytes wire_bytes(const Frame& frame) const;
-
-  EdgeTree& tree_;
-  EdgeNode* parent_;  // nullptr only for the origin pseudo-node
-  int tier_;
-  std::string name_;
-  double codec_ratio_;
-  std::unique_ptr<NetworkLink> uplink_;
-  std::unique_ptr<FrameCache> cache_;
-  Rng jitter_rng_;
-  std::map<std::int64_t, std::vector<FrameCallback>> waiters_;
-  int consecutive_failures_ = 0;
-  bool link_degraded_ = false;
-  Stats stats_;
-};
-
 class EdgeTree {
  public:
   /// Optional side-effect work per leaf delivery (e.g. decoding/rendering
@@ -241,7 +183,7 @@ class EdgeTree {
     return static_cast<int>(spec_.tiers.size());
   }
   [[nodiscard]] int nodes_in_tier(int tier) const {
-    return static_cast<int>(tiers_[static_cast<std::size_t>(tier)].size());
+    return static_cast<int>(s_.tiers[static_cast<std::size_t>(tier)].size());
   }
   [[nodiscard]] int leaf_count() const {
     return nodes_in_tier(tier_count() - 1);
@@ -250,10 +192,6 @@ class EdgeTree {
     return static_cast<std::int64_t>(leaf_count()) * spec_.viewers_per_leaf;
   }
   [[nodiscard]] const TreeSpec& spec() const { return spec_; }
-  [[nodiscard]] const EdgeNode& node(int tier, int index) const {
-    return *tiers_[static_cast<std::size_t>(tier)]
-                  [static_cast<std::size_t>(index)];
-  }
 
   /// Aggregate stats over one tier's nodes.
   [[nodiscard]] EdgeTierStats tier_stats(int tier) const;
@@ -264,21 +202,21 @@ class EdgeTree {
   }
   /// Fetches the origin answered directly (== tier-0 fills + coalesced).
   [[nodiscard]] std::int64_t origin_requests() const {
-    return origin_requests_;
+    return s_.origin_requests;
   }
   [[nodiscard]] std::int64_t frames_published() const {
-    return static_cast<std::int64_t>(index_.size());
+    return static_cast<std::int64_t>(s_.index.size());
   }
   /// Leaf deliveries × viewers_per_leaf: frames that reached a viewer.
   [[nodiscard]] std::int64_t frames_delivered() const {
-    return leaf_frames_delivered_ * spec_.viewers_per_leaf;
+    return s_.leaf_frames_delivered * spec_.viewers_per_leaf;
   }
   [[nodiscard]] std::int64_t leaf_frames_delivered() const {
-    return leaf_frames_delivered_;
+    return s_.leaf_frames_delivered;
   }
   [[nodiscard]] const std::vector<LeafDelivery>& leaf_deliveries(
       int leaf) const {
-    return leaves_[static_cast<std::size_t>(leaf)].records;
+    return s_.leaves[static_cast<std::size_t>(leaf)].records;
   }
 
   /// Blocks until every leaf render task submitted to the pool so far has
@@ -294,21 +232,87 @@ class EdgeTree {
   [[nodiscard]] std::uint64_t delivery_digest(
       bool include_wall_times = false) const;
 
- private:
-  friend class EdgeNode;
-
-  struct LeafState {
-    EdgeNode* node = nullptr;
-    std::size_t cursor = 0;  // next index_ position to pull
-    bool active = false;
-    bool in_flight = false;
-    std::vector<LeafDelivery> records;
+  /// Per-node slice of the tier stats above.
+  struct NodeStats {
+    std::int64_t fills = 0;
+    std::int64_t fill_coalesced = 0;
+    std::int64_t fill_retries = 0;
+    std::int64_t fill_failures = 0;
+    std::int64_t degraded_events = 0;
+    Bytes bytes_filled{};
+    Bytes bytes_wasted{};
+    double staleness_sum_s = 0.0;
+    double staleness_max_s = 0.0;
+    std::int64_t staleness_count = 0;
   };
 
+  /// One node: a bounded cache plus an uplink to its parent, with the fill
+  /// protocol's state beside them.
+  struct Node {
+    FrameCache cache;
+    NetworkLink uplink;
+    /// Fill retry ladder; `ladder.degraded` is the node's link_degraded
+    /// latch.
+    RetryLadder ladder;
+    /// Pending single-flight fills by sequence. Each waiter is an index one
+    /// tier down: the child node that missed, or on the leaf tier the leaf
+    /// itself. Non-empty while any fill (including one waiting out a retry
+    /// backoff) is pending.
+    std::map<std::int64_t, std::vector<int>> waiters{};
+    NodeStats stats{};
+  };
+
+  /// One leaf's replay cursor and delivery series (leaf i pulls through
+  /// node i of the last tier).
+  struct Leaf {
+    std::size_t cursor = 0;  // next index position to pull
+    bool active = false;
+    bool in_flight = false;
+    std::vector<LeafDelivery> records{};
+  };
+
+  /// Everything the tree mutates. Pending transfers, retries and hit
+  /// deliveries live as events in the EventQueue and capture only indices
+  /// and frames by value, so restoring queue + tree state together resumes
+  /// the tree exactly.
+  struct State {
+    std::vector<std::vector<Node>> tiers;
+    std::vector<Leaf> leaves;
+    /// Authoritative frame index at the origin (payloads dropped), ordered
+    /// by sequence, plus each frame's publish wall time.
+    std::vector<Frame> index;
+    std::vector<WallSeconds> publish_walls;
+    std::int64_t origin_requests = 0;
+    std::int64_t leaf_frames_delivered = 0;
+    int inactive_leaves = 0;
+  };
+  [[nodiscard]] State snapshot() const { return s_; }
+  void restore(const State& s) { s_ = s; }
+
+  [[nodiscard]] const Node& node(int tier, int index) const {
+    return s_.tiers[static_cast<std::size_t>(tier)]
+                   [static_cast<std::size_t>(index)];
+  }
+  /// "tree.t<tier>.n<index>": the node's event-label prefix.
+  [[nodiscard]] static std::string node_name(int tier, int index);
+
+ private:
+  /// Resolves `sequence` at node (tier, index) for `waiter` one tier down:
+  /// a cache hit delivers on the event loop at the same instant; a miss
+  /// joins the single-flight fill (starting it if this is the first
+  /// waiter).
+  void fetch(int tier, int index, std::int64_t sequence, int waiter);
+  void start_fill(int tier, int index, std::int64_t sequence);
+  void attempt_transfer(int tier, int index, std::int64_t sequence,
+                        const Frame& frame);
+  void finish_fill(int tier, int index, std::int64_t sequence,
+                   const Frame& frame);
+  /// Hands `frame`, now resident at `tier`, to one of its waiters.
+  void deliver(int tier, int waiter, const Frame& frame);
+  [[nodiscard]] Node& node_at(int tier, int index);
+  [[nodiscard]] Bytes wire_bytes(int tier, const Frame& frame) const;
   void pump_leaf(int leaf);
   void on_leaf_frame(int leaf, const Frame& frame);
-  /// Origin-side resolve: always answerable once published.
-  void origin_fetch(std::int64_t sequence, EdgeNode::FrameCallback cb);
   [[nodiscard]] WallSeconds publish_wall(std::int64_t sequence) const;
   void bump(int tier, const char* suffix, std::int64_t n = 1);
   void update_degraded_gauge(int tier);
@@ -316,22 +320,13 @@ class EdgeTree {
   [[nodiscard]] std::string metric(int tier, const char* suffix) const;
 
   EventQueue& queue_;
-  TreeSpec spec_;
-  ThreadPool* pool_;
-  RenderFn render_fn_;
-  std::uint64_t seed_;
-
-  /// Authoritative frame index at the origin (payloads dropped), ordered
-  /// by sequence, plus each frame's publish wall time.
-  std::vector<Frame> index_;
-  std::vector<WallSeconds> publish_walls_;
-
-  std::vector<std::vector<std::unique_ptr<EdgeNode>>> tiers_;
-  std::vector<LeafState> leaves_;
+  const TreeSpec spec_;
+  ThreadPool* const pool_;
+  const RenderFn render_fn_;
+  State s_;
+  /// Scratch, not state: handles of leaf renders in flight on the pool,
+  /// joined by drain_renders().
   std::vector<ThreadPool::TaskHandle> pending_renders_;
-  std::int64_t origin_requests_ = 0;
-  std::int64_t leaf_frames_delivered_ = 0;
-  int inactive_leaves_ = 0;
 };
 
 // ---- [tree] INI schema ----

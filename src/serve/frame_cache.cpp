@@ -1,5 +1,6 @@
 #include "serve/frame_cache.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -38,109 +39,82 @@ FrameCache::FrameCache(FrameCacheConfig config) : config_(std::move(config)) {
 }
 
 bool FrameCache::insert(const Frame& frame) {
-  if (auto it = entries_.find(frame.sequence); it != entries_.end()) {
+  if (auto it = s_.entries.find(frame.sequence); it != s_.entries.end()) {
     // Already resident: refresh recency only.
-    lru_.erase(it->second.lru_it);
-    lru_.push_front(frame.sequence);
-    it->second.lru_it = lru_.begin();
+    it->second.last_use = ++s_.use_clock;
     return true;
   }
   if (frame.size > config_.capacity) {
-    ++stats_.rejected;
+    ++s_.stats.rejected;
     obs::count(obs_rejections_.c_str());
     return false;
   }
   // Make room *before* admitting so resident bytes never exceed capacity.
-  while (bytes_ + frame.size > config_.capacity ||
-         (config_.max_frames != 0 && entries_.size() >= config_.max_frames)) {
+  while (s_.bytes + frame.size > config_.capacity ||
+         (config_.max_frames != 0 && s_.entries.size() >= config_.max_frames)) {
     evict_one();
   }
-  lru_.push_front(frame.sequence);
-  entries_.emplace(frame.sequence, Entry{frame, lru_.begin()});
-  bytes_ += frame.size;
-  ++stats_.insertions;
-  stats_.peak_bytes = std::max(stats_.peak_bytes, bytes_);
+  s_.entries.emplace(frame.sequence, Entry{frame, ++s_.use_clock});
+  s_.bytes += frame.size;
+  ++s_.stats.insertions;
+  s_.stats.peak_bytes = std::max(s_.stats.peak_bytes, s_.bytes);
   obs::count(obs_insertions_.c_str());
-  obs::gauge_max(obs_peak_mb_.c_str(), bytes_.mb());
+  obs::gauge_max(obs_peak_mb_.c_str(), s_.bytes.mb());
   return true;
 }
 
 std::optional<Frame> FrameCache::lookup(std::int64_t sequence) {
-  auto it = entries_.find(sequence);
-  if (it == entries_.end()) {
-    ++stats_.misses;
+  auto it = s_.entries.find(sequence);
+  if (it == s_.entries.end()) {
+    ++s_.stats.misses;
     obs::count(obs_misses_.c_str());
     return std::nullopt;
   }
-  ++stats_.hits;
+  ++s_.stats.hits;
   obs::count(obs_hits_.c_str());
-  lru_.erase(it->second.lru_it);
-  lru_.push_front(sequence);
-  it->second.lru_it = lru_.begin();
+  it->second.last_use = ++s_.use_clock;
   return it->second.frame;
 }
 
 bool FrameCache::contains(std::int64_t sequence) const {
-  return entries_.find(sequence) != entries_.end();
+  return s_.entries.find(sequence) != s_.entries.end();
 }
 
 void FrameCache::record_fanout_hits(std::int64_t n) {
   if (n <= 0) return;
-  stats_.hits += n;
+  s_.stats.hits += n;
   obs::count(obs_hits_.c_str(), n);
 }
 
 std::vector<std::int64_t> FrameCache::resident_sequences() const {
   std::vector<std::int64_t> out;
-  out.reserve(entries_.size());
-  for (const auto& [seq, entry] : entries_) out.push_back(seq);
+  out.reserve(s_.entries.size());
+  for (const auto& [seq, entry] : s_.entries) out.push_back(seq);
   return out;
 }
 
-FrameCache::State FrameCache::snapshot() const {
-  State s;
-  s.frames.reserve(entries_.size());
-  for (const auto& [seq, entry] : entries_) s.frames.push_back(entry.frame);
-  s.lru.assign(lru_.begin(), lru_.end());
-  s.bytes = bytes_;
-  s.stats = stats_;
-  return s;
-}
-
-void FrameCache::restore(const State& s) {
-  entries_.clear();
-  lru_.assign(s.lru.begin(), s.lru.end());
-  // Index list positions by sequence, then point each rebuilt entry at its
-  // spot in the restored recency order.
-  std::map<std::int64_t, std::list<std::int64_t>::iterator> where;
-  for (auto it = lru_.begin(); it != lru_.end(); ++it) where[*it] = it;
-  for (const Frame& f : s.frames) {
-    const auto w = where.find(f.sequence);
-    if (w == where.end()) {
-      throw std::logic_error("FrameCache::restore: frame missing from lru");
-    }
-    entries_.emplace(f.sequence, Entry{f, w->second});
-  }
-  bytes_ = s.bytes;
-  stats_ = s.stats;
-}
-
 void FrameCache::evict_one() {
-  if (entries_.empty()) {
+  if (s_.entries.empty()) {
     throw std::logic_error("FrameCache: eviction from an empty cache");
   }
-  std::int64_t victim = 0;
-  switch (config_.policy) {
-    case EvictionPolicy::kLru:
-      victim = lru_.back();
-      break;
-    case EvictionPolicy::kStrideThinning:
-      victim = stride_victim();
-      break;
-  }
-  erase_entry(entries_.find(victim));
-  ++stats_.evictions;
+  const std::int64_t victim = config_.policy == EvictionPolicy::kLru
+                                  ? lru_victim()
+                                  : stride_victim();
+  const auto it = s_.entries.find(victim);
+  s_.bytes -= it->second.frame.size;
+  s_.entries.erase(it);
+  ++s_.stats.evictions;
   obs::count(obs_evictions_.c_str());
+}
+
+std::int64_t FrameCache::lru_victim() const {
+  // Every insert and hit takes a fresh clock value, so the smallest stamp
+  // is the unique least recently used entry.
+  const auto it = std::min_element(
+      s_.entries.begin(), s_.entries.end(), [](const auto& a, const auto& b) {
+        return a.second.last_use < b.second.last_use;
+      });
+  return it->first;
 }
 
 std::int64_t FrameCache::stride_victim() const {
@@ -148,12 +122,12 @@ std::int64_t FrameCache::stride_victim() const {
   // its neighbours; the first and last resident frames anchor the span and
   // are only evicted when nothing else remains. Ties break toward the lower
   // sequence so eviction order is fully deterministic.
-  if (entries_.size() <= 2) return entries_.begin()->first;
+  if (s_.entries.size() <= 2) return s_.entries.begin()->first;
   double best_gap = std::numeric_limits<double>::infinity();
-  std::int64_t best_seq = entries_.begin()->first;
-  auto prev = entries_.begin();
+  std::int64_t best_seq = s_.entries.begin()->first;
+  auto prev = s_.entries.begin();
   auto cur = std::next(prev);
-  for (auto next = std::next(cur); next != entries_.end();
+  for (auto next = std::next(cur); next != s_.entries.end();
        prev = cur, cur = next, ++next) {
     const double gap = (next->second.frame.sim_time -
                         prev->second.frame.sim_time)
@@ -164,12 +138,6 @@ std::int64_t FrameCache::stride_victim() const {
     }
   }
   return best_seq;
-}
-
-void FrameCache::erase_entry(std::map<std::int64_t, Entry>::iterator it) {
-  bytes_ -= it->second.frame.size;
-  lru_.erase(it->second.lru_it);
-  entries_.erase(it);
 }
 
 }  // namespace adaptviz

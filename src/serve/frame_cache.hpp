@@ -27,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <optional>
 #include <string>
@@ -95,35 +94,36 @@ class FrameCache {
   /// the leaf cache without materializing one lookup per viewer.
   void record_fanout_hits(std::int64_t n);
 
-  [[nodiscard]] std::size_t frame_count() const { return entries_.size(); }
-  [[nodiscard]] Bytes bytes_cached() const { return bytes_; }
-  [[nodiscard]] const FrameCacheStats& stats() const { return stats_; }
+  [[nodiscard]] std::size_t frame_count() const { return s_.entries.size(); }
+  [[nodiscard]] Bytes bytes_cached() const { return s_.bytes; }
+  [[nodiscard]] const FrameCacheStats& stats() const { return s_.stats; }
   [[nodiscard]] const FrameCacheConfig& config() const { return config_; }
 
   /// Resident sequences in ascending order (tests, coverage inspection).
   [[nodiscard]] std::vector<std::int64_t> resident_sequences() const;
 
-  /// Cache contents as values: resident frames, the LRU order as a
-  /// sequence list (front = most recent), byte occupancy and counters.
-  /// restore() rebuilds the entry map and list iterators from it.
+  /// One resident frame plus its recency: the use-clock value of its last
+  /// insert or hit (LRU evicts the smallest).
+  struct Entry {
+    Frame frame;
+    std::uint64_t last_use = 0;
+  };
+  /// Cache contents as plain values: resident entries keyed by sequence
+  /// (map order == output order == simulated-time order, which is what
+  /// stride thinning walks), the use clock, byte occupancy and counters.
   struct State {
-    std::vector<Frame> frames;       // ascending sequence order
-    std::vector<std::int64_t> lru;   // front = most recently used
+    std::map<std::int64_t, Entry> entries;
+    std::uint64_t use_clock = 0;
     Bytes bytes{};
     FrameCacheStats stats{};
   };
-  [[nodiscard]] State snapshot() const;
-  void restore(const State& s);
+  [[nodiscard]] State snapshot() const { return s_; }
+  void restore(const State& s) { s_ = s; }
 
  private:
-  struct Entry {
-    Frame frame;
-    std::list<std::int64_t>::iterator lru_it;  // position in lru_
-  };
-
   void evict_one();
+  [[nodiscard]] std::int64_t lru_victim() const;
   [[nodiscard]] std::int64_t stride_victim() const;
-  void erase_entry(std::map<std::int64_t, Entry>::iterator it);
 
   FrameCacheConfig config_;
   // Obs metric names, precomputed so the hot counters don't concatenate
@@ -134,12 +134,7 @@ class FrameCache {
   std::string obs_evictions_;
   std::string obs_rejections_;
   std::string obs_peak_mb_;
-  /// Keyed by sequence; map order == output order == simulated-time order,
-  /// which is what stride thinning walks.
-  std::map<std::int64_t, Entry> entries_;
-  std::list<std::int64_t> lru_;  // front = most recently used
-  Bytes bytes_{};
-  FrameCacheStats stats_;
+  State s_;
 };
 
 }  // namespace adaptviz

@@ -52,7 +52,7 @@ ViewerSessionManager::ViewerSessionManager(EventQueue& queue, Options options,
       pool_(pool),
       rerender_fn_(std::move(rerender)),
       seed_(seed),
-      cache_(options_.cache) {
+      s_{.cache = FrameCache(options_.cache)} {
   if (options_.rerender_workers < 1) {
     throw std::invalid_argument(
         "ViewerSessionManager: rerender_workers must be >= 1");
@@ -183,7 +183,7 @@ void ViewerSessionManager::on_frame(const Frame& frame) {
   Frame m = frame;
   m.payload.reset();  // the index keeps metadata only
   s_.index.push_back(std::move(m));
-  cache_.insert(frame);
+  s_.cache.insert(frame);
   for (int i = 0; i < viewer_count(); ++i) pump(i);
 }
 
@@ -253,7 +253,7 @@ void ViewerSessionManager::pump(int idx) {
     s.stats.frames_skipped += chosen - first;
   }
 
-  if (std::optional<Frame> frame = cache_.lookup(*seq)) {
+  if (std::optional<Frame> frame = s_.cache.lookup(*seq)) {
     ++s.stats.cache_hits;
     start_transfer(idx, *frame, /*cache_hit=*/true);
   } else {
@@ -366,7 +366,7 @@ void ViewerSessionManager::drain_rerenders() {
             // hits instead of re-rendering again. Steered (non-default)
             // views are client-specific images and stay out of the
             // default-keyed cache.
-            if (key.second.empty()) cache_.insert(f);
+            if (key.second.empty()) s_.cache.insert(f);
             std::vector<int> waiters = std::move(s_.rerender_waiters[key]);
             s_.rerender_waiters.erase(key);
             ADAPTVIZ_LOG_DEBUG("serve",

@@ -164,7 +164,7 @@ class ViewerSessionManager {
   /// every session. Sequences must be strictly increasing.
   void on_frame(const Frame& frame);
 
-  [[nodiscard]] const FrameCache& cache() const { return cache_; }
+  [[nodiscard]] const FrameCache& cache() const { return s_.cache; }
   [[nodiscard]] int viewer_count() const {
     return static_cast<int>(s_.sessions.size());
   }
@@ -226,37 +226,27 @@ class ViewerSessionManager {
     std::vector<DeliveryRecord> records{};
   };
 
-  /// Everything the manager mutates in place apart from the cache.
-  struct Live {
+  /// Everything the manager mutates, the cache included. Sessions
+  /// attached after a snapshot are dropped by restore() — their pending
+  /// events rewind with the EventQueue.
+  struct State {
+    FrameCache cache;
     /// Every frame ever received, payload dropped: the replay index
     /// catch-up cursors walk and the metadata source for re-renders.
     /// Ordered by sequence (== arrival order == simulated-time order).
-    std::vector<Frame> index;
-    std::vector<Session> sessions;
-    std::deque<RenderKey> rerender_fifo;  // pending, FIFO
-    std::map<RenderKey, std::vector<int>> rerender_waiters;
-    std::set<RenderKey> rerender_in_service;
+    std::vector<Frame> index{};
+    std::vector<Session> sessions{};
+    std::deque<RenderKey> rerender_fifo{};  // pending, FIFO
+    std::map<RenderKey, std::vector<int>> rerender_waiters{};
+    std::set<RenderKey> rerender_in_service{};
     int rerendering = 0;  // busy re-render slots
     std::int64_t frames_served = 0;
     std::int64_t rerenders = 0;
     std::int64_t steer_renders = 0;
     std::int64_t steer_dedup = 0;
   };
-
-  /// Cache contents plus the Live state. Sessions attached after the
-  /// snapshot are dropped by restore() — their pending events rewind with
-  /// the EventQueue.
-  struct State {
-    FrameCache::State cache{};
-    Live live;
-  };
-  [[nodiscard]] State snapshot() const {
-    return State{cache_.snapshot(), s_};
-  }
-  void restore(const State& s) {
-    cache_.restore(s.cache);
-    s_ = s.live;
-  }
+  [[nodiscard]] State snapshot() const { return s_; }
+  void restore(const State& s) { s_ = s; }
 
  private:
   Session& session_for(ClientId client);
@@ -275,8 +265,7 @@ class ViewerSessionManager {
   ThreadPool* const pool_;
   const RenderFn rerender_fn_;
   const std::uint64_t seed_;
-  FrameCache cache_;
-  Live s_;
+  State s_;
 };
 
 }  // namespace adaptviz

@@ -33,6 +33,21 @@ WallSeconds backoff(const RetryPolicy& r, int failures, Rng& rng) {
   return WallSeconds(delay);
 }
 
+RetryLadder::Failure RetryLadder::fail(const RetryPolicy& policy) {
+  ++consecutive_failures;
+  const bool latched =
+      !degraded && consecutive_failures >= policy.degrade_after;
+  degraded = degraded || latched;
+  return {backoff(policy, consecutive_failures, jitter_rng), latched};
+}
+
+bool RetryLadder::succeed() {
+  const bool cleared = degraded;
+  consecutive_failures = 0;
+  degraded = false;
+  return cleared;
+}
+
 RetryPolicy retry_policy_from_ini(const IniDocument& doc,
                                   const std::string& section,
                                   RetryPolicy base) {

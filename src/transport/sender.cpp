@@ -20,7 +20,7 @@ FrameSender::FrameSender(EventQueue& queue, NetworkLink& link,
       estimator_(estimator),
       deliver_(std::move(deliver)),
       options_(options),
-      s_{.jitter_rng = Rng(options.seed)} {
+      s_{.ladder = RetryLadder(options.seed)} {
   if (!deliver_) throw std::invalid_argument("FrameSender: null delivery");
   if (options_.poll_interval.seconds() <= 0) {
     throw std::invalid_argument("FrameSender: poll interval must be > 0");
@@ -99,9 +99,9 @@ void FrameSender::begin_transfer() {
         // transfer releases disk or feeds the bandwidth estimate.
         disk_.release(frame.size);
         estimator_.record_transfer(frame.size, attempt.duration);
-        s_.consecutive_failures = 0;
-        if (s_.degraded) obs::gauge_set("transport.link_degraded", 0.0);
-        s_.degraded = false;
+        if (s_.ladder.succeed()) {
+          obs::gauge_set("transport.link_degraded", 0.0);
+        }
         ++s_.frames_sent;
         s_.bytes_sent += frame.size;
         obs::count("transport.frames_sent");
@@ -117,31 +117,30 @@ void FrameSender::begin_transfer() {
 
 void FrameSender::on_transfer_failed(Frame frame) {
   ++s_.failures;
-  ++s_.consecutive_failures;
   obs::count("transport.failures");
-  if (s_.consecutive_failures >= options_.retry.degrade_after &&
-      !s_.degraded) {
-    s_.degraded = true;
+  const RetryLadder::Failure step = s_.ladder.fail(options_.retry);
+  if (step.latched) {
     obs::gauge_set("transport.link_degraded", 1.0);
     ADAPTVIZ_LOG_INFO("sender",
                       "[%s] link degraded after %d consecutive failures",
-                      hh_mm(queue_.now()).c_str(), s_.consecutive_failures);
+                      hh_mm(queue_.now()).c_str(),
+                      s_.ladder.consecutive_failures);
   }
   const std::int64_t seq = frame.sequence;
   // The frame's bytes never left the simulation site: disk is NOT
   // released, and the frame returns to the catalog head to be re-sent
   // (the paper's delete-after-transfer semantics).
   catalog_.requeue_front(std::move(frame));
-  s_.current_backoff =
-      backoff(options_.retry, s_.consecutive_failures, s_.jitter_rng);
+  s_.current_backoff = step.backoff;
   s_.retry_pending = true;
   const double delay = s_.current_backoff.seconds();
   obs::observe("transport.backoff_seconds", delay);
   ADAPTVIZ_LOG_DEBUG("sender",
                      "frame #%lld aborted (failure %d in a row), retry in "
                      "%.1fs%s",
-                     static_cast<long long>(seq), s_.consecutive_failures,
-                     delay, s_.degraded ? " [LINK DEGRADED]" : "");
+                     static_cast<long long>(seq),
+                     s_.ladder.consecutive_failures, delay,
+                     s_.ladder.degraded ? " [LINK DEGRADED]" : "");
   queue_.schedule_after(
       s_.current_backoff, [this] { retry_event(); }, "sender.retry");
 }

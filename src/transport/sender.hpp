@@ -28,7 +28,6 @@
 #include "resources/network.hpp"
 #include "transport/bandwidth_estimator.hpp"
 #include "transport/retry.hpp"
-#include "util/rng.hpp"
 
 namespace adaptviz {
 
@@ -69,30 +68,28 @@ class FrameSender {
   [[nodiscard]] std::int64_t transfer_retries() const { return s_.retries; }
   /// Failures since the last successful transfer.
   [[nodiscard]] int consecutive_failures() const {
-    return s_.consecutive_failures;
+    return s_.ladder.consecutive_failures;
   }
   /// Latched after `degrade_after` consecutive failures; cleared by the
   /// next success. The escalation signal for the decision algorithms.
-  [[nodiscard]] bool link_degraded() const { return s_.degraded; }
+  [[nodiscard]] bool link_degraded() const { return s_.ladder.degraded; }
   /// Backoff delay of the pending retry (zero when none is pending).
   [[nodiscard]] WallSeconds current_backoff() const {
     return s_.current_backoff;
   }
   [[nodiscard]] bool retry_pending() const { return s_.retry_pending; }
 
-  /// The whole retry state machine: phase flags, backoff ladder position,
-  /// jitter RNG stream, and delivery counters. The in-flight transfer
-  /// itself lives as a pending completion event in the EventQueue — its
-  /// closure holds the frame by value, so restoring queue + sender state
-  /// together resumes the transfer exactly.
+  /// The whole retry state machine: phase flags, the retry ladder (failure
+  /// count, degraded latch, jitter stream), and delivery counters. The
+  /// in-flight transfer itself lives as a pending completion event in the
+  /// EventQueue — its closure holds the frame by value, so restoring
+  /// queue + sender state together resumes the transfer exactly.
   struct State {
-    Rng jitter_rng;
+    RetryLadder ladder;
     bool running = false;
     bool in_flight = false;
     bool poll_scheduled = false;
     bool retry_pending = false;
-    bool degraded = false;
-    int consecutive_failures = 0;
     WallSeconds current_backoff{0.0};
     std::int64_t frames_sent = 0;
     std::int64_t failures = 0;

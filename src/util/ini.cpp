@@ -1,5 +1,6 @@
 #include "util/ini.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -120,9 +121,9 @@ std::optional<double> IniDocument::get_double(const std::string& section,
   auto v = get(section, key);
   if (!v) return std::nullopt;
   const auto d = wire::parse_double(*v);
-  if (!d) {
+  if (!d || !std::isfinite(*d)) {
     throw std::runtime_error("ini: [" + section + "] " + key +
-                             " is not a number: '" + *v + "'");
+                             " is not a finite number: '" + *v + "'");
   }
   return d;
 }

@@ -43,6 +43,8 @@ class IniDocument {
                                    const std::string& key,
                                    const std::string& fallback) const;
   /// Typed getters throw std::runtime_error when present but malformed.
+  /// get_double also rejects nan and inf, which would slip through every
+  /// range check.
   [[nodiscard]] std::optional<double> get_double(const std::string& section,
                                                  const std::string& key) const;
   [[nodiscard]] std::optional<long> get_int(const std::string& section,

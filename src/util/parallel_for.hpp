@@ -5,14 +5,12 @@
 // own rows, so results are bitwise identical to the serial loop for any
 // worker count.
 //
-// Since the persistent-pool runtime (util/thread_pool.hpp) this is a thin
-// veneer over ThreadPool::shared(): no threads are spawned per call, and
-// the templated overload passes the callable by reference with no
-// std::function allocation.
+// A thin veneer over the persistent pool (util/thread_pool.hpp,
+// ThreadPool::shared()): no threads are spawned per call, and the callable
+// is passed by reference with no std::function allocation.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 
 #include "util/thread_pool.hpp"
 
@@ -27,17 +25,5 @@ void parallel_for_rows(std::size_t begin, std::size_t end, int threads,
                        Body&& body) {
   ThreadPool::shared().parallel_for(begin, end, threads, body);
 }
-
-/// ABI-stable overload for callers that already hold a std::function; thin
-/// wrapper over the templated fast path.
-void parallel_for_rows(std::size_t begin, std::size_t end, int threads,
-                       const std::function<void(std::size_t, std::size_t)>& body);
-
-/// The pre-pool implementation: spawns and joins fresh std::threads on
-/// every call. Kept only as the benchmark baseline for the persistent pool
-/// (bench_micro's pool-vs-spawn cases); production code paths use the pool.
-void parallel_for_rows_spawn(
-    std::size_t begin, std::size_t end, int threads,
-    const std::function<void(std::size_t, std::size_t)>& body);
 
 }  // namespace adaptviz

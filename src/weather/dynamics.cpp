@@ -22,18 +22,6 @@
 namespace adaptviz {
 namespace {
 
-// Routes a parallel region to the persistent pool or, for bench_micro's
-// pool-vs-spawn baseline, to the spawn-per-call implementation.
-template <typename Body>
-void dispatch_rows(const SwParams& p, std::size_t begin, std::size_t end,
-                   const Body& body) {
-  if (p.use_thread_pool) {
-    parallel_for_rows(begin, end, p.threads, body);
-  } else {
-    parallel_for_rows_spawn(begin, end, p.threads, body);
-  }
-}
-
 // One interior row of the shallow-water tendency stencil, branch-free over
 // raw spans: hm/hc/hp are rows j-1/j/j+1 of h (likewise u, v), odh/odu/odv
 // the output row. Every expression matches the scalar reference bit for
@@ -341,9 +329,9 @@ void SwSolver::compute_tendency(const DomainState& s, const SwForcing& f,
   };  // row_kernel_rows
 
   if (params_.kernel == SwKernel::kScalarReference) {
-    dispatch_rows(params_, 1, ny - 1, reference_rows);
+    parallel_for_rows(1, ny - 1, params_.threads, reference_rows);
   } else {
-    dispatch_rows(params_, 1, ny - 1, row_kernel_rows);
+    parallel_for_rows(1, ny - 1, params_.threads, row_kernel_rows);
   }
 }
 
@@ -383,9 +371,10 @@ void SwSolver::step(DomainState& state, double dt,
       double* dh = state.h.data().data();
       double* du = state.u.data().data();
       double* dv = state.v.data().data();
-      dispatch_rows(params_, 0, n, [=](std::size_t lo, std::size_t hi) {
-        rk3_axpy_inplace(dh, du, dv, th, tu, tv, a, lo, hi);
-      });
+      parallel_for_rows(0, n, params_.threads,
+                        [=](std::size_t lo, std::size_t hi) {
+                          rk3_axpy_inplace(dh, du, dv, th, tu, tv, a, lo, hi);
+                        });
     } else {
       double* dh = stage.h.data().data();
       double* du = stage.u.data().data();
@@ -393,9 +382,11 @@ void SwSolver::step(DomainState& state, double dt,
       const double* h0 = state.h.data().data();
       const double* u0 = state.u.data().data();
       const double* v0 = state.v.data().data();
-      dispatch_rows(params_, 0, n, [=](std::size_t lo, std::size_t hi) {
-        rk3_axpy(dh, du, dv, h0, u0, v0, th, tu, tv, a, lo, hi);
-      });
+      parallel_for_rows(0, n, params_.threads,
+                        [=](std::size_t lo, std::size_t hi) {
+                          rk3_axpy(dh, du, dv, h0, u0, v0, th, tu, tv, a, lo,
+                                   hi);
+                        });
     }
   }
 }

@@ -61,10 +61,6 @@ struct SwParams {
   /// bitwise identical for any count. Lanes come from the shared persistent
   /// pool (util/thread_pool.hpp).
   int threads = 1;
-  /// Benchmark escape hatch: when false, parallel regions spawn and join
-  /// fresh std::threads per call (the pre-pool behavior) instead of using
-  /// the persistent pool. Only bench_micro's pool-vs-spawn cases set this.
-  bool use_thread_pool = true;
   /// Tendency implementation; tests and bench_micro pin kScalarReference
   /// to compare against the vectorizable row kernels.
   SwKernel kernel = SwKernel::kRowKernel;

@@ -97,7 +97,7 @@ TEST(EdgeTree, TopologyMultipliesFanOutTierByTier) {
   EXPECT_EQ(tree.nodes_in_tier(1), 6);
   EXPECT_EQ(tree.leaf_count(), 6);
   EXPECT_EQ(tree.modeled_viewers(), 300);
-  EXPECT_EQ(tree.node(1, 5).name(), "tree.t1.n5");
+  EXPECT_EQ(EdgeTree::node_name(1, 5), "tree.t1.n5");
 }
 
 TEST(EdgeTree, PublishRejectsNonIncreasingSequences) {
@@ -140,7 +140,7 @@ TEST(EdgeTree, SingleFlightCoalescesConcurrentFills) {
                 /*seed=*/1);
   publish_cadence(queue, tree, 4);
   queue.run_all();
-  const EdgeNode::Stats& parent = tree.node(0, 0).stats();
+  const EdgeTree::NodeStats& parent = tree.node(0, 0).stats;
   EXPECT_EQ(parent.fills, 4);           // one upstream flight per frame
   EXPECT_EQ(parent.fill_coalesced, 4);  // the sibling's request, every time
   EXPECT_EQ(tree.origin_requests(), 4);
@@ -160,10 +160,10 @@ TEST(EdgeTree, LateLeavesHitCachesEarlierSiblingsWarmed) {
   publish_cadence(queue, tree, 4);
   queue.run_all();
   EXPECT_TRUE(tree.idle());
-  const EdgeNode::Stats& parent = tree.node(0, 0).stats();
+  const EdgeTree::NodeStats& parent = tree.node(0, 0).stats;
   EXPECT_EQ(parent.fills, 4);
   EXPECT_EQ(parent.fill_coalesced, 0);
-  EXPECT_EQ(tree.node(0, 0).cache().stats().hits, 4);
+  EXPECT_EQ(tree.node(0, 0).cache.stats().hits, 4);
   EXPECT_EQ(tree.origin_bytes_on_wan(), Bytes::megabytes(10.0) * 4.0);
   ASSERT_EQ(tree.leaf_deliveries(1).size(), 4u);
 }
@@ -185,14 +185,14 @@ TEST(EdgeTree, FailingFillKeepsWaitersCoalescedAndLatchesDegraded) {
   tree.publish(mkframe(0, 10, 0));
   queue.run_until(WallSeconds(200.0));
 
-  const EdgeNode& parent = tree.node(0, 0);
-  EXPECT_EQ(parent.stats().fills, 1);  // still the one single flight
-  EXPECT_GE(parent.stats().fill_failures, 3);
-  EXPECT_EQ(parent.stats().fill_retries, parent.stats().fill_failures - 1);
-  EXPECT_EQ(parent.stats().fill_coalesced, 1);  // leaf 1, during a backoff
-  EXPECT_TRUE(parent.link_degraded());
-  EXPECT_EQ(parent.stats().degraded_events, 1);  // latched once, not per fail
-  EXPECT_TRUE(parent.busy());
+  const EdgeTree::Node& parent = tree.node(0, 0);
+  EXPECT_EQ(parent.stats.fills, 1);  // still the one single flight
+  EXPECT_GE(parent.stats.fill_failures, 3);
+  EXPECT_EQ(parent.stats.fill_retries, parent.stats.fill_failures - 1);
+  EXPECT_EQ(parent.stats.fill_coalesced, 1);  // leaf 1, during a backoff
+  EXPECT_TRUE(parent.ladder.degraded);
+  EXPECT_EQ(parent.stats.degraded_events, 1);  // latched once, not per fail
+  EXPECT_FALSE(parent.waiters.empty());
   EXPECT_FALSE(tree.idle());
   EXPECT_EQ(tree.tier_stats(0).links_degraded, 1);
   EXPECT_EQ(tree.leaf_frames_delivered(), 0);
@@ -215,7 +215,7 @@ TEST(EdgeTree, RetriesRecoverToExactlyOnceDeliveryAndClearDegraded) {
   EXPECT_EQ(t0.fill_retries, t0.fill_failures);  // every abort was retried
   EXPECT_GT(t0.degraded_events, 0);
   EXPECT_EQ(t0.links_degraded, 0);  // the last fill succeeded and cleared it
-  EXPECT_FALSE(tree.node(0, 0).link_degraded());
+  EXPECT_FALSE(tree.node(0, 0).ladder.degraded);
   // Single-flight survived the retries: one successful fill per frame.
   EXPECT_EQ(t0.fills, 10);
   EXPECT_EQ(t0.bytes_filled, Bytes::megabytes(10.0) * 10.0);
@@ -256,7 +256,7 @@ TEST(EdgeTree, CodecRatioShrinksWireBytesNotCachedBytes) {
   tree.publish(mkframe(0, 8, 0));
   queue.run_all();
   EXPECT_EQ(tree.origin_bytes_on_wan(), Bytes::megabytes(2.0));
-  EXPECT_EQ(tree.node(0, 0).cache().bytes_cached(), Bytes::megabytes(8.0));
+  EXPECT_EQ(tree.node(0, 0).cache.bytes_cached(), Bytes::megabytes(8.0));
 }
 
 TEST(EdgeTree, NodeCachesStayBoundedUnderEvictionPressure) {

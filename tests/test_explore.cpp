@@ -23,6 +23,7 @@
 
 #include "campaign/campaign.hpp"
 #include "core/scenario.hpp"
+#include "serve/registration.hpp"
 #include "util/thread_pool.hpp"
 
 namespace adaptviz {
@@ -140,6 +141,12 @@ TEST(ExploreSpecIni, RejectsBadValues) {
   EXPECT_THROW(explore_spec_from_ini(IniDocument::parse(
                    "[explore]\nbandwidth_drop_tiers = nope\n")),
                std::runtime_error);
+  EXPECT_THROW(explore_spec_from_ini(IniDocument::parse(
+                   "[explore]\nbandwidth_drop_tiers = 0.5 nan\n")),
+               std::runtime_error);
+  EXPECT_THROW(explore_spec_from_ini(IniDocument::parse(
+                   "[explore]\nfailure_burst_levels = inf\n")),
+               std::runtime_error);
 }
 
 TEST(AdversaryPlan, RoundTripsThroughText) {
@@ -220,9 +227,12 @@ TEST(Explorer, RejectsConfiguredAdversaryAndUnsnapshotableSubsystems) {
   cfg.adversary = {{1, AdversaryActionKind::kDiskShock, 0.5}};
   EXPECT_THROW(ScenarioExplorer(cfg, quick_spec()), std::invalid_argument);
 
-  ExperimentConfig with_tree = smoke_config();
-  with_tree.serve.tree.tiers.push_back(EdgeTierSpec{});
-  EXPECT_THROW(ScenarioExplorer(with_tree, quick_spec()), std::logic_error);
+  // An external control plane is shared across runs, so a snapshot cannot
+  // rewind it.
+  RegistrationServer server;
+  ExperimentConfig external = smoke_config();
+  external.steering.control_plane = &server;
+  EXPECT_THROW(ScenarioExplorer(external, quick_spec()), std::logic_error);
 }
 
 // The bitwise-replay anchor: the worst plan the explorer found, replayed
@@ -318,11 +328,16 @@ TEST(SnapshotRestore, ResumeIsBitwiseIdenticalAcrossPoolSizes) {
 
 /// Runs `cfg` straight through, then again with a snapshot taken at the
 /// first event boundary where `take` holds: run to the end, restore,
-/// resume. The resumed result must match the uninterrupted one.
-void expect_resume_exact(const ExperimentConfig& cfg,
-                         const std::function<bool(AdaptiveFramework&)>& take,
-                         const std::string& tag) {
-  const ExperimentResult reference = run_experiment(cfg);
+/// resume. The resumed result must match the uninterrupted one, and so
+/// must `fingerprint` of the two frameworks when given.
+void expect_resume_exact(
+    const ExperimentConfig& cfg,
+    const std::function<bool(AdaptiveFramework&)>& take,
+    const std::string& tag,
+    const std::function<std::uint64_t(const AdaptiveFramework&)>&
+        fingerprint = nullptr) {
+  AdaptiveFramework straight(cfg);
+  const ExperimentResult reference = straight.run();
 
   AdaptiveFramework fw(cfg);
   fw.start_run();
@@ -336,6 +351,9 @@ void expect_resume_exact(const ExperimentConfig& cfg,
   while (fw.step_once()) {
   }
   expect_results_identical(reference, fw.finish_run(), tag);
+  if (fingerprint) {
+    EXPECT_EQ(fingerprint(straight), fingerprint(fw)) << tag;
+  }
 }
 
 // A snapshot taken while a failed transfer waits out its backoff: the
@@ -347,6 +365,25 @@ TEST(SnapshotRestore, ResumeDuringRetryBackoffIsExact) {
   expect_resume_exact(
       cfg, [](AdaptiveFramework& fw) { return fw.sender().retry_pending(); },
       "retry");
+}
+
+// A snapshot taken while a regional cache waits out a fill-retry backoff:
+// every node's cache, uplink, retry ladder and waiters, the leaf cursors
+// and the origin index all rewind with the pending tree events.
+TEST(SnapshotRestore, ResumeWithEdgeTreeIsExact) {
+  ExperimentConfig cfg =
+      load_scenario(std::string(ADAPTVIZ_SCENARIO_DIR) + "/edge_tree.ini");
+  cfg.sim_window = SimSeconds::hours(12.0);
+  expect_resume_exact(
+      cfg,
+      [](AdaptiveFramework& fw) {
+        const EdgeTierStats t0 = fw.tree()->tier_stats(0);
+        return t0.fill_failures > t0.fill_retries;  // a retry is pending
+      },
+      "tree",
+      [](const AdaptiveFramework& fw) {
+        return fw.tree()->delivery_digest(/*include_wall_times=*/true);
+      });
 }
 
 // A snapshot taken between two applied steering events of the checked-in

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <set>
+#include <string>
 
 namespace adaptviz {
 namespace {
@@ -183,6 +184,24 @@ TEST(Scenario, Validation) {
   EXPECT_THROW(scenario_from_ini(IniDocument::parse(
                    "[faults]\ndegrade_after = 0\n")),
                std::runtime_error);
+  // NaN passes every range check, so non-finite numbers are rejected at
+  // the INI boundary with the key named.
+  const char* non_finite[] = {
+      "[faults]\nretry_multiplier = nan\n",
+      "[experiment]\ndecision_period_hours = nan\n",
+      "[experiment]\nsim_window_hours = inf\n",
+      "[serve]\ncache_gb = nan\n",
+  };
+  for (const char* ini : non_finite) {
+    try {
+      (void)scenario_from_ini(IniDocument::parse(ini));
+      ADD_FAILURE() << "accepted: " << ini;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("not a finite number"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ScenarioServe, SectionParsesIntoSessionOptions) {
@@ -320,6 +339,10 @@ TEST(ScenarioTree, RejectsNonsensicalValues) {
       "[tree]\nfan_out = 2\nretry_jitter = 1\n",
       "[tree]\nfan_out = 2\ndegrade_after = 0\n",
       "[tree]\nfan_out = 2\njoin_stagger_seconds = -1\n",
+      "[tree]\nfan_out = 2\nfailure_rate = nan\n",
+      "[tree]\nfan_out = 2\nuplink_mbps = inf\n",
+      "[tree]\nfan_out = nan\n",
+      "[tree]\nfan_out = 2\nretry_multiplier = nan\n",
   };
   for (const char* ini : bad) {
     EXPECT_THROW(scenario_from_ini(IniDocument::parse(ini)),

@@ -113,6 +113,43 @@ TEST(Cache, CountersAndContainsSideEffects) {
   EXPECT_EQ(cache.stats().misses, 1);
 }
 
+// Snapshot, then touch, insert and evict, then restore: from there on the
+// cache evicts in exactly the order of one that was never interrupted.
+TEST(Cache, RestoreRewindsEvictionOrder) {
+  for (const EvictionPolicy policy :
+       {EvictionPolicy::kLru, EvictionPolicy::kStrideThinning}) {
+    const FrameCacheConfig config{.capacity = Bytes::megabytes(4),
+                                  .policy = policy};
+    auto warm = [](FrameCache& cache) {
+      for (int i = 0; i < 4; ++i) cache.insert(mkframe(i, 1, 10.0 * i));
+      cache.lookup(0);
+    };
+    // Resident sets after each step of a fixed touch + insert sequence.
+    auto churn = [](FrameCache& cache) {
+      std::vector<std::vector<std::int64_t>> out;
+      for (int i = 4; i < 10; ++i) {
+        cache.lookup(i - 3);
+        cache.insert(mkframe(i, 1, 10.0 * i + (i % 3)));
+        out.push_back(cache.resident_sequences());
+      }
+      return out;
+    };
+    FrameCache reference(config);
+    warm(reference);
+    const auto expected = churn(reference);
+
+    FrameCache cache(config);
+    warm(cache);
+    const FrameCache::State checkpoint = cache.snapshot();
+    churn(cache);  // touches, inserts and evicts past the checkpoint
+    cache.restore(checkpoint);
+    EXPECT_EQ(churn(cache), expected) << to_string(policy);
+    EXPECT_EQ(cache.stats().evictions, reference.stats().evictions);
+    EXPECT_EQ(cache.stats().hits, reference.stats().hits);
+    EXPECT_EQ(cache.bytes_cached(), reference.bytes_cached());
+  }
+}
+
 TEST(Cache, PolicyNamesRoundTrip) {
   EXPECT_STREQ(to_string(EvictionPolicy::kLru), "lru");
   EXPECT_STREQ(to_string(EvictionPolicy::kStrideThinning), "stride-thin");

@@ -9,13 +9,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "util/parallel_for.hpp"
 
 namespace adaptviz {
 namespace {
@@ -178,28 +176,7 @@ TEST(ThreadPool, SharedSingletonIsStable) {
   EXPECT_GE(a->worker_count(), 1);
 }
 
-TEST(ParallelForRows, TemplateAndFunctionOverloadsAgree) {
-  const std::size_t n = 37;
-  const auto lambda_counts = visit_counts(n, [&](auto body) {
-    parallel_for_rows(0, n, 4, body);  // templated fast path
-  });
-  const auto fn_counts = visit_counts(n, [&](auto body) {
-    const std::function<void(std::size_t, std::size_t)> f = body;
-    parallel_for_rows(0, n, 4, f);  // ABI-stable wrapper
-  });
-  EXPECT_EQ(lambda_counts, fn_counts);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(lambda_counts[i], 1);
-}
-
-TEST(ParallelForRows, SpawnBaselineCoversRange) {
-  const std::size_t n = 53;
-  const auto counts = visit_counts(n, [&](auto body) {
-    parallel_for_rows_spawn(0, n, 4, body);
-  });
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(counts[i], 1);
-}
-
-// The static partition must match the historical spawn-per-call partition:
+// The static partition must match the historical per-call thread bands:
 // min(threads, n) bands of ceil(n / W), in-range, disjoint, ordered.
 TEST(ThreadPool, StaticPartitionMatchesLegacyBands) {
   ThreadPool pool(7);
