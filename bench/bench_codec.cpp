@@ -56,9 +56,8 @@ struct OiResult {
 /// Runs `frames` consecutive frames at `oi_seconds` cadence through a
 /// fresh codec, on a model already spun up past `spinup`.
 OiResult run_oi(WeatherModel& model, double oi_seconds, int frames) {
-  FrameFieldCodec codec(CodecOptions{/*enabled=*/true,
-                                     CodecPrecision::kFloat32,
-                                     /*verify_roundtrip=*/true});
+  FrameFieldCodec codec(
+      CodecOptions{/*enabled=*/true, CodecPrecision::kFloat32});
   std::vector<FieldView> fields;
   OiResult out;
   double encode_s = 0.0;

@@ -1,7 +1,6 @@
 #include "campaign/campaign.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <mutex>
@@ -9,9 +8,7 @@
 #include <stdexcept>
 
 #include "util/logging.hpp"
-#include "util/string_util.hpp"
 #include "util/thread_pool.hpp"
-#include "util/wire.hpp"
 
 namespace adaptviz {
 namespace {
@@ -371,27 +368,16 @@ std::vector<CampaignRunRecord> CampaignRunner::run(const CampaignSpec& spec,
 
 namespace {
 
-std::vector<std::string> parse_name_list(const std::string& spec) {
-  std::vector<std::string> out;
-  for (const std::string& part : split(spec, ',')) {
-    const std::string name = trim(part);
-    if (!name.empty()) out.push_back(name);
-  }
-  return out;
+// A sites axis replaces the whole preset per cell; per-key [site]
+// overrides apply only to the base scenario's site.
+std::pair<std::string, SiteSpec> named_site(const std::string& name) {
+  return {name, site_preset(name)};
 }
 
-std::vector<double> parse_double_list(const std::string& key,
-                                      const std::string& spec) {
-  std::vector<double> out;
-  for (const std::string& name : parse_name_list(spec)) {
-    const auto v = wire::parse_double(name);
-    if (!v || !std::isfinite(*v)) {
-      throw std::runtime_error("campaign: malformed " + key + " entry '" +
-                               name + "'");
-    }
-    out.push_back(*v);
-  }
-  return out;
+bool codec_state(const std::string& name) {
+  if (name == "on" || name == "true" || name == "1") return true;
+  if (name == "off" || name == "false" || name == "0") return false;
+  throw std::runtime_error("entries must be on/off, got '" + name + "'");
 }
 
 }  // namespace
@@ -407,90 +393,21 @@ CampaignSpec campaign_from_ini(const IniDocument& doc) {
   CampaignSpec spec;
   // Everything outside [campaign] is the base scenario, parsed unchanged.
   spec.base = scenario_from_ini(doc);
-  spec.name = doc.get_or("campaign", "name", spec.base.name);
-
-  if (auto v = doc.get("campaign", "sites")) {
-    for (const std::string& name : parse_name_list(*v)) {
-      // Note: a sites axis replaces the whole preset per cell; per-key
-      // [site] overrides apply only to the base scenario's site.
-      spec.sites.emplace_back(name, site_preset(name));
-    }
-  }
-  if (auto v = doc.get("campaign", "algorithms")) {
-    for (const std::string& name : parse_name_list(*v)) {
-      spec.algorithms.push_back(algorithm_from_name(name));
-    }
-  }
-  if (auto v = doc.get("campaign", "seeds")) {
-    for (const double seed : parse_double_list("seeds", *v)) {
-      if (seed < 0 || seed != static_cast<double>(
-                                  static_cast<std::uint64_t>(seed))) {
-        throw std::runtime_error(
-            "campaign: seeds must be non-negative integers");
-      }
-      spec.seeds.push_back(static_cast<std::uint64_t>(seed));
-    }
-  }
-  if (auto v = doc.get("campaign", "disk_gb")) {
-    for (const double gb : parse_double_list("disk_gb", *v)) {
-      if (gb <= 0) {
-        throw std::runtime_error("campaign: disk_gb entries must be > 0");
-      }
-      spec.disk_caps.push_back(Bytes::gigabytes(gb));
-    }
-  }
-  if (auto v = doc.get("campaign", "failure_rates")) {
-    for (const double rate : parse_double_list("failure_rates", *v)) {
-      if (rate < 0.0 || rate > 1.0) {
-        throw std::runtime_error(
-            "campaign: failure_rates entries must be in [0, 1]");
-      }
-      spec.failure_rates.push_back(rate);
-    }
-  }
-  if (auto v = doc.get("campaign", "codec")) {
-    for (const std::string& name : parse_name_list(*v)) {
-      if (name == "on" || name == "true" || name == "1") {
-        spec.codecs.push_back(true);
-      } else if (name == "off" || name == "false" || name == "0") {
-        spec.codecs.push_back(false);
-      } else {
-        throw std::runtime_error("campaign: codec entries must be on/off, "
-                                 "got '" + name + "'");
-      }
-    }
-  }
-  if (auto v = doc.get("campaign", "decision_period_hours")) {
-    for (const double h :
-         parse_double_list("decision_period_hours", *v)) {
-      if (h <= 0) {
-        throw std::runtime_error(
-            "campaign: decision_period_hours entries must be > 0");
-      }
-      spec.decision_periods.push_back(WallSeconds::hours(h));
-    }
-  }
-  if (auto v = doc.get("campaign", "vis_workers")) {
-    for (const double w : parse_double_list("vis_workers", *v)) {
-      if (w < 1 || w != static_cast<double>(static_cast<int>(w))) {
-        throw std::runtime_error(
-            "campaign: vis_workers entries must be positive integers");
-      }
-      spec.vis_workers.push_back(static_cast<int>(w));
-    }
-  }
-  if (auto v = doc.get_int("campaign", "concurrency")) {
-    if (*v < 1) {
-      throw std::runtime_error("campaign: concurrency must be >= 1");
-    }
-    spec.concurrency = static_cast<int>(*v);
-  }
-  if (auto v = doc.get_int("campaign", "workers")) {
-    if (*v < 0) {
-      throw std::runtime_error("campaign: workers must be >= 0");
-    }
-    spec.workers = static_cast<int>(*v);
-  }
+  spec.name = spec.base.name;
+  read_section(doc, "campaign", [&spec](IniSection& s) {
+    s.field("name", spec.name);
+    s.field("sites", spec.sites, named_site);
+    s.field("algorithms", spec.algorithms, algorithm_from_name);
+    s.field("seeds", spec.seeds, at_least(0));
+    s.field("disk_gb", spec.disk_caps, Bytes::gigabytes, above(0));
+    s.field("failure_rates", spec.failure_rates, between(0, 1));
+    s.field("codec", spec.codecs, codec_state);
+    s.field("decision_period_hours", spec.decision_periods,
+            WallSeconds::hours, above(0));
+    s.field("vis_workers", spec.vis_workers, at_least(1));
+    s.field("concurrency", spec.concurrency, at_least(1));
+    s.field("workers", spec.workers, at_least(0));
+  });
   return spec;
 }
 

@@ -208,8 +208,8 @@ class CampaignRunner {
 /// True when the document has a [campaign] section.
 [[nodiscard]] bool is_campaign_ini(const IniDocument& doc);
 
-/// Builds a CampaignSpec from a parsed campaign document. Unknown axis
-/// values raise std::runtime_error naming the offending entry.
+/// Builds a CampaignSpec from a parsed campaign document. An unknown key
+/// or a bad axis value raises std::runtime_error naming `[campaign] key`.
 CampaignSpec campaign_from_ini(const IniDocument& doc);
 
 /// Loads and parses a campaign file.

@@ -33,14 +33,13 @@ std::vector<LinkOutage> parse_outages(const std::string& spec) {
     if (w.empty()) continue;
     const auto parts = split(w, '-');
     if (parts.size() != 2) {
-      throw std::runtime_error("scenario: outage window '" + w +
+      throw std::runtime_error("outage window '" + w +
                                "' must be start-end (hours)");
     }
     const auto start = wire::parse_double(trim(parts[0]));
     const auto end = wire::parse_double(trim(parts[1]));
     if (!start || !end) {
-      throw std::runtime_error("scenario: malformed outage window '" + w +
-                               "'");
+      throw std::runtime_error("malformed outage window '" + w + "'");
     }
     out.push_back(
         LinkOutage{WallSeconds::hours(*start), WallSeconds::hours(*end)});
@@ -48,258 +47,187 @@ std::vector<LinkOutage> parse_outages(const std::string& spec) {
   return out;
 }
 
+CodecPrecision codec_precision_from(const std::string& name) {
+  if (name == "float32") return CodecPrecision::kFloat32;
+  if (name == "float64") return CodecPrecision::kFloat64;
+  throw std::runtime_error("must be float32 or float64");
+}
+
+// One field table per scenario section. Each names every key its section
+// owns, with the key's decoder and range check; scenario_from_ini()
+// rejects any other key, and any section no table owns.
+
+void experiment_fields(IniSection& s, ExperimentConfig& c) {
+  s.field("name", c.name);
+  s.field("algorithm", c.algorithm, algorithm_from_name);
+  s.field("sim_window_hours", c.sim_window, SimSeconds::hours);
+  s.field("max_wall_hours", c.max_wall, WallSeconds::hours);
+  s.field("decision_period_hours", c.decision_period, WallSeconds::hours);
+  s.field("compute_scale", c.model.compute_scale);
+  s.field("seed", c.seed);
+  s.field("vis_workers", c.vis_workers);
+  s.field("keep_payloads", c.keep_payloads);
+  s.field("max_series_points", c.max_series_points, at_least(0));
+}
+
+void site_fields(IniSection& s, ExperimentConfig& c) {
+  // The Table IV preset first; the keys below override it.
+  s.field("preset", c.site, site_preset);
+  s.field("max_cores", c.site.machine.max_cores);
+  s.field("min_cores", c.site.machine.min_cores);
+  s.field("disk_gb", c.site.disk_capacity, Bytes::gigabytes);
+  s.field("wan_mbps", c.site.wan_nominal, Bandwidth::mbps);
+  s.field("wan_efficiency", c.site.wan_efficiency);
+  s.field("io_mbps", c.site.io_bandwidth, Bandwidth::megabytes_per_second);
+}
+
+void bounds_fields(IniSection& s, ExperimentConfig& c) {
+  s.field("min_output_interval_min", c.bounds.min_output_interval,
+          SimSeconds::minutes);
+  s.field("max_output_interval_min", c.bounds.max_output_interval,
+          SimSeconds::minutes);
+}
+
+// "Extend our framework for a larger grid": the domain box and base
+// resolution are fully configurable.
+void model_fields(IniSection& s, ExperimentConfig& c) {
+  s.field("base_resolution_km", c.model.base_resolution_km);
+  s.field("nest_extent_deg", c.model.nest_extent_deg);
+  s.field("lon0", c.model.lon0);
+  s.field("lat0", c.model.lat0);
+  s.field("extent_lon_deg", c.model.extent_lon_deg);
+  s.field("extent_lat_deg", c.model.extent_lat_deg);
+}
+
+// Optional on-disk protocol artifacts.
+void files_fields(IniSection& s, ExperimentConfig& c) {
+  s.field("config_file", c.manager.config_file_path);
+  s.field("checkpoint_dir", c.job.checkpoint_dir);
+}
+
+// Scheduled WAN outages, `windows = 10-14, 30-31.5` in wall hours.
+void outages_fields(IniSection& s, ExperimentConfig& c) {
+  s.field("windows", c.wan_outages, parse_outages);
+}
+
+// Transport failure injection plus the sender's retry policy.
+void faults_fields(IniSection& s, ExperimentConfig& c) {
+  s.field("transfer_failure_rate", c.faults.transfer_failure_rate,
+          between(0.0, 1.0));
+  retry_fields(s, c.faults.retry);
+}
+
+// Environment actions keyed by decision boundary, the plain-scenario
+// replay format for explored branches: `plan` is the whitespace-separated
+// to_string(AdversaryPlan) form, e.g.
+//   plan = 1:bandwidth-drop=0.25 2:disk-shock=0.9
+void adversary_fields(IniSection& s, ExperimentConfig& c) {
+  if (s.field("plan", c.adversary, adversary_plan_from)) {
+    validate(c.adversary);
+  }
+}
+
+// Visualization-site frame cache + viewer fan-out. Nonsensical values are
+// rejected with the key named, never silently clamped: a zero-byte cache
+// or a negative render cost is a typo the author wants to hear about.
+void serve_fields(IniSection& s, ExperimentConfig& c) {
+  // The viewer fleet is built from five keys.
+  int viewers = 0;
+  double downlink_mbps = 100.0;
+  double catchup_fraction = 0.0;
+  double catchup_start_hours = 0.0;
+  double catchup_join_hours = 0.0;
+  s.field("viewers", viewers, at_least(0));
+  s.field("viewer_downlink_mbps", downlink_mbps, above(0));
+  s.field("catchup_fraction", catchup_fraction, between(0.0, 1.0));
+  s.field("catchup_start_hours", catchup_start_hours, at_least(0));
+  s.field("catchup_join_wall_hours", catchup_join_hours, at_least(0));
+  c.serve.viewers = make_viewer_fleet(
+      viewers, Bandwidth::mbps(downlink_mbps), catchup_fraction,
+      SimSeconds::hours(catchup_start_hours),
+      WallSeconds::hours(catchup_join_hours));
+
+  ViewerSessionManager::Options& session = c.serve.session;
+  s.field("cache_gb", session.cache.capacity, Bytes::gigabytes, above(0));
+  s.field("cache_frames", session.cache.max_frames, at_least(0));
+  s.field("cache_policy", session.cache.policy, eviction_policy_from);
+  s.field("rerender_workers", session.rerender_workers, at_least(1));
+  s.field("rerender_fixed_seconds", session.rerender_fixed_seconds,
+          at_least(0));
+  s.field("rerender_seconds_per_gb", session.rerender_seconds_per_gb,
+          at_least(0));
+}
+
+// Lossless frame codec: a [codec] section turns it on (enabling it
+// switches Frame::size to encoded bytes through disk, WAN, and cache
+// accounting).
+void codec_fields(IniSection& s, ExperimentConfig& c) {
+  c.codec.enabled = true;
+  s.field("enabled", c.codec.enabled);
+  s.field("precision", c.codec.precision, codec_precision_from);
+}
+
+// Observability layer (metrics registry + stage tracer): a [obs] section
+// turns it on.
+void obs_fields(IniSection& s, ExperimentConfig& c) {
+  c.observability = true;
+  s.field("enabled", c.observability);
+  s.field("trace_capacity", c.obs.trace_capacity, above(0));
+}
+
+// The control plane's run-side knobs. Policies and external registration
+// servers are code-level wiring; scenario files configure latency, the
+// inbox poll cadence, and record/replay log paths.
+void steering_fields(IniSection& s, ExperimentConfig& c) {
+  s.field("latency_seconds", c.steering.latency, at_least(0));
+  s.field("poll_period_seconds", c.steering.poll_period, above(0));
+  s.field("record_log", c.steering.record_log_path);
+  s.field("replay_log", c.steering.replay_log_path);
+}
+
+using SectionTable = void (*)(IniSection&, ExperimentConfig&);
+
+// Each table reads its section only when the section is present. [tree]
+// is owned by serve/edge_tree.cpp and read after these; [explore] and
+// [campaign] belong to their own readers, which callers run on the same
+// document.
+constexpr std::pair<const char*, SectionTable> kSections[] = {
+    {"experiment", experiment_fields}, {"site", site_fields},
+    {"bounds", bounds_fields},         {"model", model_fields},
+    {"files", files_fields},           {"outages", outages_fields},
+    {"faults", faults_fields},         {"adversary", adversary_fields},
+    {"serve", serve_fields},           {"codec", codec_fields},
+    {"obs", obs_fields},               {"steering", steering_fields},
+};
+
+bool owned(const std::string& section) {
+  for (const auto& entry : kSections) {
+    if (section == entry.first) return true;
+  }
+  return section == "tree" || section == "explore" || section == "campaign";
+}
+
 }  // namespace
 
 ExperimentConfig scenario_from_ini(const IniDocument& doc) {
+  for (const auto& [name, keys] : doc.sections()) {
+    if (owned(name)) continue;
+    const std::string first = keys.empty() ? "" : keys.begin()->first;
+    if (name.empty() && !first.empty()) {
+      throw std::runtime_error("scenario: key '" + first +
+                               "' comes before the first [section] header");
+    }
+    throw std::runtime_error("scenario: unknown section [" + name + "]" +
+                             (first.empty() ? "" : " holding " + first));
+  }
+
   ExperimentConfig cfg;
-
-  // [experiment]
-  cfg.name = doc.get_or("experiment", "name", "scenario");
-  cfg.algorithm =
-      algorithm_from_name(
-          doc.get_or("experiment", "algorithm", "optimization"));
-  if (auto v = doc.get_double("experiment", "sim_window_hours")) {
-    cfg.sim_window = SimSeconds::hours(*v);
+  cfg.name = "scenario";
+  for (const auto& [name, table] : kSections) {
+    if (!doc.has_section(name)) continue;
+    read_section(doc, name, [&cfg, table](IniSection& s) { table(s, cfg); });
   }
-  if (auto v = doc.get_double("experiment", "max_wall_hours")) {
-    cfg.max_wall = WallSeconds::hours(*v);
-  }
-  if (auto v = doc.get_double("experiment", "decision_period_hours")) {
-    cfg.decision_period = WallSeconds::hours(*v);
-  }
-  if (auto v = doc.get_double("experiment", "compute_scale")) {
-    cfg.model.compute_scale = *v;
-  }
-  if (auto v = doc.get_int("experiment", "seed")) {
-    cfg.seed = static_cast<std::uint64_t>(*v);
-  }
-  if (auto v = doc.get_int("experiment", "vis_workers")) {
-    cfg.vis_workers = static_cast<int>(*v);
-  }
-  if (auto v = doc.get_bool("experiment", "keep_payloads")) {
-    cfg.keep_payloads = *v;
-  }
-  if (auto v = doc.get_int("experiment", "max_series_points")) {
-    if (*v < 0) {
-      throw std::runtime_error(
-          "scenario: experiment.max_series_points must be >= 0");
-    }
-    cfg.max_series_points = static_cast<std::size_t>(*v);
-  }
-
-  // [site]
-  cfg.site = site_preset(doc.get_or("site", "preset", "inter-department"));
-  if (auto v = doc.get_int("site", "max_cores")) {
-    cfg.site.machine.max_cores = static_cast<int>(*v);
-  }
-  if (auto v = doc.get_int("site", "min_cores")) {
-    cfg.site.machine.min_cores = static_cast<int>(*v);
-  }
-  if (auto v = doc.get_double("site", "disk_gb")) {
-    cfg.site.disk_capacity = Bytes::gigabytes(*v);
-  }
-  if (auto v = doc.get_double("site", "wan_mbps")) {
-    cfg.site.wan_nominal = Bandwidth::mbps(*v);
-  }
-  if (auto v = doc.get_double("site", "wan_efficiency")) {
-    cfg.site.wan_efficiency = *v;
-  }
-  if (auto v = doc.get_double("site", "io_mbps")) {
-    cfg.site.io_bandwidth = Bandwidth::megabytes_per_second(*v);
-  }
-
-  // [bounds]
-  if (auto v = doc.get_double("bounds", "min_output_interval_min")) {
-    cfg.bounds.min_output_interval = SimSeconds::minutes(*v);
-  }
-  if (auto v = doc.get_double("bounds", "max_output_interval_min")) {
-    cfg.bounds.max_output_interval = SimSeconds::minutes(*v);
-  }
-
-  // [model] — "extend our framework for a larger grid": the domain box and
-  // base resolution are fully configurable.
-  if (auto v = doc.get_double("model", "base_resolution_km")) {
-    cfg.model.base_resolution_km = *v;
-  }
-  if (auto v = doc.get_double("model", "nest_extent_deg")) {
-    cfg.model.nest_extent_deg = *v;
-  }
-  if (auto v = doc.get_double("model", "lon0")) cfg.model.lon0 = *v;
-  if (auto v = doc.get_double("model", "lat0")) cfg.model.lat0 = *v;
-  if (auto v = doc.get_double("model", "extent_lon_deg")) {
-    cfg.model.extent_lon_deg = *v;
-  }
-  if (auto v = doc.get_double("model", "extent_lat_deg")) {
-    cfg.model.extent_lat_deg = *v;
-  }
-
-  // [files] — optional on-disk protocol artifacts.
-  if (auto v = doc.get("files", "config_file")) {
-    cfg.manager.config_file_path = *v;
-  }
-  if (auto v = doc.get("files", "checkpoint_dir")) {
-    cfg.job.checkpoint_dir = *v;
-  }
-
-  // [outages]
-  if (auto v = doc.get("outages", "windows")) {
-    cfg.wan_outages = parse_outages(*v);
-  }
-
-  // [faults] — transport failure injection + the sender's retry policy.
-  if (doc.has_section("faults")) {
-    if (auto v = doc.get_double("faults", "transfer_failure_rate")) {
-      if (*v < 0.0 || *v > 1.0) {
-        throw std::runtime_error(
-            "scenario: faults.transfer_failure_rate must be in [0, 1]");
-      }
-      cfg.faults.transfer_failure_rate = *v;
-    }
-    cfg.faults.retry =
-        retry_policy_from_ini(doc, "faults", cfg.faults.retry);
-  }
-
-  // [adversary] — environment actions keyed by decision boundary, the
-  // plain-scenario replay format for explored branches. `plan` is the
-  // whitespace-separated to_string(AdversaryPlan) form, e.g.
-  //   plan = 1:bandwidth-drop=0.25 2:disk-shock=0.9
-  if (auto v = doc.get("adversary", "plan")) {
-    cfg.adversary = adversary_plan_from(*v);
-    validate(cfg.adversary);
-  }
-
-  // [serve] — visualization-site frame cache + viewer fan-out. Nonsensical
-  // values are rejected here with the offending key named, never silently
-  // clamped: a config that asks for a zero-byte cache or negative render
-  // cost is a typo the author wants to hear about, not run with.
-  if (doc.has_section("serve")) {
-    const int viewers =
-        static_cast<int>(doc.get_int("serve", "viewers").value_or(0));
-    if (viewers < 0) {
-      throw std::runtime_error("scenario: serve.viewers must be >= 0");
-    }
-    const double downlink_mbps =
-        doc.get_double("serve", "viewer_downlink_mbps").value_or(100.0);
-    if (downlink_mbps <= 0.0) {
-      throw std::runtime_error(
-          "scenario: serve.viewer_downlink_mbps must be > 0");
-    }
-    const Bandwidth downlink = Bandwidth::mbps(downlink_mbps);
-    const double catchup_fraction =
-        doc.get_double("serve", "catchup_fraction").value_or(0.0);
-    if (catchup_fraction < 0.0 || catchup_fraction > 1.0) {
-      throw std::runtime_error(
-          "scenario: serve.catchup_fraction must be in [0, 1]");
-    }
-    const double catchup_start_hours =
-        doc.get_double("serve", "catchup_start_hours").value_or(0.0);
-    const double catchup_join_hours =
-        doc.get_double("serve", "catchup_join_wall_hours").value_or(0.0);
-    if (catchup_start_hours < 0.0 || catchup_join_hours < 0.0) {
-      throw std::runtime_error(
-          "scenario: serve catch-up times must be >= 0 hours");
-    }
-    const SimSeconds catchup_start = SimSeconds::hours(catchup_start_hours);
-    const WallSeconds catchup_join = WallSeconds::hours(catchup_join_hours);
-    cfg.serve.viewers = make_viewer_fleet(viewers, downlink, catchup_fraction,
-                                          catchup_start, catchup_join);
-    if (auto v = doc.get_double("serve", "cache_gb")) {
-      if (*v <= 0.0) {
-        throw std::runtime_error("scenario: serve.cache_gb must be > 0");
-      }
-      cfg.serve.session.cache.capacity = Bytes::gigabytes(*v);
-    }
-    if (auto v = doc.get_int("serve", "cache_frames")) {
-      if (*v < 0) {
-        throw std::runtime_error("scenario: serve.cache_frames must be >= 0");
-      }
-      cfg.serve.session.cache.max_frames = static_cast<std::size_t>(*v);
-    }
-    if (auto v = doc.get("serve", "cache_policy")) {
-      cfg.serve.session.cache.policy = eviction_policy_from(*v);
-    }
-    if (auto v = doc.get_int("serve", "rerender_workers")) {
-      if (*v < 1) {
-        throw std::runtime_error(
-            "scenario: serve.rerender_workers must be >= 1");
-      }
-      cfg.serve.session.rerender_workers = static_cast<int>(*v);
-    }
-    if (auto v = doc.get_double("serve", "rerender_fixed_seconds")) {
-      if (*v < 0.0) {
-        throw std::runtime_error(
-            "scenario: serve.rerender_fixed_seconds must be >= 0");
-      }
-      cfg.serve.session.rerender_fixed_seconds = *v;
-    }
-    if (auto v = doc.get_double("serve", "rerender_seconds_per_gb")) {
-      if (*v < 0.0) {
-        throw std::runtime_error(
-            "scenario: serve.rerender_seconds_per_gb must be >= 0");
-      }
-      cfg.serve.session.rerender_seconds_per_gb = *v;
-    }
-  }
-
-  // [tree] — edge-cache distribution tree below the visualization site.
-  // All key validation lives with the schema in serve/edge_tree.cpp.
   cfg.serve.tree = tree_spec_from_ini(doc);
-
-  // [codec] — lossless frame codec (off by default; enabling it switches
-  // Frame::size to encoded bytes through disk, WAN, and cache accounting).
-  if (doc.has_section("codec")) {
-    cfg.codec.enabled = doc.get_bool("codec", "enabled").value_or(true);
-    if (auto v = doc.get("codec", "precision")) {
-      if (*v == "float32") {
-        cfg.codec.precision = CodecPrecision::kFloat32;
-      } else if (*v == "float64") {
-        cfg.codec.precision = CodecPrecision::kFloat64;
-      } else {
-        throw std::runtime_error(
-            "scenario: codec.precision must be float32 or float64");
-      }
-    }
-    if (auto v = doc.get_bool("codec", "verify_roundtrip")) {
-      cfg.codec.verify_roundtrip = *v;
-    }
-  }
-
-  // [obs] — observability layer (metrics registry + stage tracer).
-  if (doc.has_section("obs")) {
-    cfg.observability = doc.get_bool("obs", "enabled").value_or(true);
-    if (auto v = doc.get_int("obs", "trace_capacity")) {
-      if (*v <= 0) {
-        throw std::runtime_error("scenario: obs.trace_capacity must be > 0");
-      }
-      cfg.obs.trace_capacity = static_cast<std::size_t>(*v);
-    }
-  }
-
-  // [steering] — the control plane's run-side knobs. Policies and external
-  // registration servers are code-level wiring; scenario files configure
-  // latency, the inbox poll cadence, and record/replay log paths.
-  if (doc.has_section("steering")) {
-    if (auto v = doc.get_double("steering", "latency_seconds")) {
-      if (*v < 0.0) {
-        throw std::runtime_error(
-            "scenario: steering.latency_seconds must be >= 0");
-      }
-      cfg.steering.latency = WallSeconds(*v);
-    }
-    if (auto v = doc.get_double("steering", "poll_period_seconds")) {
-      if (*v <= 0.0) {
-        throw std::runtime_error(
-            "scenario: steering.poll_period_seconds must be > 0");
-      }
-      cfg.steering.poll_period = WallSeconds(*v);
-    }
-    if (auto v = doc.get("steering", "record_log")) {
-      cfg.steering.record_log_path = *v;
-    }
-    if (auto v = doc.get("steering", "replay_log")) {
-      cfg.steering.replay_log_path = *v;
-    }
-  }
 
   // Sanity.
   if (cfg.model.compute_scale < 1.0) {

@@ -2,62 +2,14 @@
 //
 // The paper's future work asks to run "a larger grid and ... different
 // configuration settings"; scenario files make any configuration runnable
-// without recompiling (see tools/adaptviz_run and scenarios/*.ini):
-//
-//   [experiment]
-//   name = my-run
-//   algorithm = optimization          ; or greedy-threshold
-//   sim_window_hours = 60
-//   max_wall_hours = 60
-//   decision_period_hours = 1.5
-//   compute_scale = 8
-//   seed = 42
-//   vis_workers = 1
-//
-//   [site]
-//   preset = inter-department         ; inter-department | intra-country |
-//                                     ; cross-continent (each overridable)
-//   max_cores = 48
-//   disk_gb = 182
-//   wan_mbps = 56
-//   wan_efficiency = 0.10
-//   io_mbps = 150
-//
-//   [bounds]
-//   min_output_interval_min = 3
-//   max_output_interval_min = 25
-//
-//   [model]
-//   base_resolution_km = 24
-//   nest_extent_deg = 9
-//
-//   [outages]                          ; optional failure injection
-//   windows = 10-14, 30-31.5           ; wall hours
-//
-//   [faults]                           ; optional transport failure model
-//   transfer_failure_rate = 0.15       ; P(one transfer attempt aborts)
-//   retry_initial_seconds = 5          ; first backoff delay
-//   retry_multiplier = 2.0             ; exponential growth per failure
-//   retry_cap_seconds = 300            ; backoff ceiling
-//   retry_jitter = 0.2                 ; +/- fraction drawn per retry
-//   degrade_after = 5                  ; consecutive failures -> degraded
-//
-//   [serve]                            ; optional multi-client fan-out
-//   viewers = 32                       ; 0 / absent section = paper setup
-//   viewer_downlink_mbps = 100
-//   cache_gb = 4
-//   cache_frames = 0                   ; 0 = bytes-only bound
-//   cache_policy = lru                 ; lru | stride-thin
-//   catchup_fraction = 0.25            ; share of viewers replaying history
-//   catchup_start_hours = 0            ; sim time catch-up viewers start at
-//   catchup_join_wall_hours = 12       ; wall time catch-up viewers connect
-//   rerender_workers = 2
-//
-//   [steering]                         ; optional control plane
-//   latency_seconds = 0.3              ; command-channel WAN latency
-//   poll_period_seconds = 60           ; external-inbox drain cadence
-//   record_log = out/steering_log.jsonl ; save the applied event stream
-//   replay_log = steering_session.jsonl ; apply a recorded/scripted stream
+// without recompiling (see tools/adaptviz_run and scenarios/*.ini). Each
+// section has exactly one owner table, and those tables are the reference
+// for its keys, their units and their range checks: the twelve sections
+// from [experiment] to [steering] in scenario.cpp, [tree] in
+// serve/edge_tree.cpp, the retry keys [faults] and [tree] share in
+// transport/retry.cpp, [explore] in explore/explorer.cpp and [campaign] in
+// campaign/campaign.cpp. A section or key no table names, and a key
+// written twice, is an error; list values take commas, spaces or both.
 #pragma once
 
 #include <string>
@@ -78,8 +30,10 @@ SiteSpec site_preset(const std::string& name);
 /// unknown name. Inverse of to_string(AlgorithmKind).
 AlgorithmKind algorithm_from_name(const std::string& name);
 
-/// Builds an ExperimentConfig from a parsed scenario document. Unknown
-/// values raise std::runtime_error with the offending key.
+/// Builds an ExperimentConfig from a parsed scenario document. An unknown
+/// section, an unknown key or a bad value raises std::runtime_error naming
+/// the `[section] key`. [explore] and [campaign] are left to
+/// explore_spec_from_ini() and campaign_from_ini().
 ExperimentConfig scenario_from_ini(const IniDocument& doc);
 
 /// Loads and parses a scenario file.

@@ -528,20 +528,18 @@ CodecFrameReport FrameFieldCodec::encode_frame_fields(
     report.encode_seconds += std::chrono::duration<double>(t1 - t0).count();
     ++report.fields;
 
-    if (options_.verify_roundtrip) {
-      const auto d0 = std::chrono::steady_clock::now();
-      const std::vector<double> back =
-          decode_frame(enc, slot.prev.empty() ? nullptr : &prev,
-                       slot.prev2.empty() ? nullptr : &prev2);
-      const auto d1 = std::chrono::steady_clock::now();
-      report.decode_seconds +=
-          std::chrono::duration<double>(d1 - d0).count();
-      std::vector<double> want(cur.data, cur.data + cur.count());
-      if (!bits_equal(back, want, options_.precision)) {
-        throw std::logic_error(
-            "FrameFieldCodec: decoded frame does not reconstruct the "
-            "encoded values bit-for-bit");
-      }
+    const auto d0 = std::chrono::steady_clock::now();
+    const std::vector<double> back =
+        decode_frame(enc, slot.prev.empty() ? nullptr : &prev,
+                     slot.prev2.empty() ? nullptr : &prev2);
+    const auto d1 = std::chrono::steady_clock::now();
+    report.decode_seconds +=
+        std::chrono::duration<double>(d1 - d0).count();
+    std::vector<double> want(cur.data, cur.data + cur.count());
+    if (!bits_equal(back, want, options_.precision)) {
+      throw std::logic_error(
+          "FrameFieldCodec: decoded frame does not reconstruct the "
+          "encoded values bit-for-bit");
     }
 
     slot.prev2 = std::move(slot.prev);

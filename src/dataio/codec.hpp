@@ -115,10 +115,6 @@ struct CodecOptions {
   /// existing golden stands.
   bool enabled = false;
   CodecPrecision precision = CodecPrecision::kFloat32;
-  /// Decode each encoded field and compare bit-for-bit against what was
-  /// encoded. Cheap at compute-grid sizes, proves losslessness on every
-  /// frame of every run, and produces the decode-time measurement.
-  bool verify_roundtrip = true;
 };
 
 /// Aggregate result of encoding one frame's field set.
@@ -126,7 +122,7 @@ struct CodecFrameReport {
   std::size_t raw_bytes = 0;      // at the coded precision, summed
   std::size_t encoded_bytes = 0;  // payload bytes, summed
   double encode_seconds = 0.0;    // host wall clock
-  double decode_seconds = 0.0;    // 0 unless verify_roundtrip
+  double decode_seconds = 0.0;    // host wall clock, verify decode
   int fields = 0;
 
   [[nodiscard]] double ratio() const {
@@ -149,8 +145,10 @@ class FrameFieldCodec {
   explicit FrameFieldCodec(CodecOptions options);
 
   /// Encodes one frame's fields against the retained history, then makes
-  /// `fields` the new history. Throws std::logic_error if verify_roundtrip
-  /// is set and any field fails to reconstruct bit-for-bit.
+  /// `fields` the new history. Every field is decoded again and compared
+  /// bit-for-bit against what was encoded, which proves losslessness on
+  /// every frame and gives the decode-time measurement; throws
+  /// std::logic_error if any field fails to reconstruct.
   CodecFrameReport encode_frame_fields(const std::vector<FieldView>& fields);
 
   [[nodiscard]] const CodecOptions& options() const { return options_; }

@@ -1,16 +1,13 @@
 #include "explore/explorer.hpp"
 
-#include <cmath>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/logging.hpp"
 #include "util/string_util.hpp"
-#include "util/wire.hpp"
 
 namespace adaptviz {
 
@@ -26,22 +23,6 @@ void validate_magnitudes(const std::vector<double>& values, double lo,
                                   (lo_open ? "(0, 1]" : "[0, 1]"));
     }
   }
-}
-
-std::vector<double> parse_double_list(const std::string& text,
-                                      const char* key) {
-  std::vector<double> out;
-  std::istringstream in(text);
-  std::string token;
-  while (in >> token) {
-    const auto v = wire::parse_double(token);
-    if (!v || !std::isfinite(*v)) {
-      throw std::runtime_error(std::string("scenario: explore.") + key +
-                               ": bad number '" + token + "'");
-    }
-    out.push_back(*v);
-  }
-  return out;
 }
 
 }  // namespace
@@ -90,29 +71,16 @@ std::string to_string(const ExploreReport& report) {
 
 ExploreSpec explore_spec_from_ini(const IniDocument& doc) {
   ExploreSpec spec;
-  if (!doc.has_section("explore")) return spec;
-  if (auto v = doc.get_int("explore", "max_depth")) {
-    spec.max_depth = static_cast<int>(*v);
-  }
-  if (auto v = doc.get_int("explore", "max_branches")) {
-    spec.max_branches = static_cast<int>(*v);
-  }
-  if (auto v = doc.get("explore", "bandwidth_drop_tiers")) {
-    spec.bandwidth_drop_tiers = parse_double_list(*v, "bandwidth_drop_tiers");
-  }
-  if (auto v = doc.get("explore", "failure_burst_levels")) {
-    spec.failure_burst_levels = parse_double_list(*v, "failure_burst_levels");
-  }
-  if (auto v = doc.get("explore", "disk_shock_fractions")) {
-    spec.disk_shock_fractions = parse_double_list(*v, "disk_shock_fractions");
-  }
-  if (auto v = doc.get_bool("explore", "include_none")) {
-    spec.include_none = *v;
-  }
-  if (auto v = doc.get_bool("explore", "prune")) spec.prune = *v;
-  if (auto v = doc.get_bool("explore", "use_snapshots")) {
-    spec.use_snapshots = *v;
-  }
+  read_section(doc, "explore", [&spec](IniSection& s) {
+    s.field("max_depth", spec.max_depth);
+    s.field("max_branches", spec.max_branches);
+    s.field("bandwidth_drop_tiers", spec.bandwidth_drop_tiers);
+    s.field("failure_burst_levels", spec.failure_burst_levels);
+    s.field("disk_shock_fractions", spec.disk_shock_fractions);
+    s.field("include_none", spec.include_none);
+    s.field("prune", spec.prune);
+    s.field("use_snapshots", spec.use_snapshots);
+  });
   validate(spec);
   return spec;
 }

@@ -117,15 +117,17 @@ class ScenarioExplorer {
 ///   [explore]
 ///   max_depth = 3
 ///   max_branches = 64
-///   bandwidth_drop_tiers = 0.25 0.5    ; whitespace-separated magnitudes
+///   bandwidth_drop_tiers = 0.25 0.5    ; magnitudes, commas or spaces
 ///   failure_burst_levels = 0.3
 ///   disk_shock_fractions = 0.9
 ///   include_none = true
 ///   prune = true
 ///
 /// Absent keys keep ExploreSpec defaults; an absent section returns the
-/// default spec. Lives here (not scenario.cpp) so core does not depend on
-/// the explorer.
+/// default spec. An unknown key or a malformed value throws
+/// std::runtime_error naming `[explore] key`; validate() then throws
+/// std::invalid_argument. Lives here (not scenario.cpp) so core does not
+/// depend on the explorer.
 ExploreSpec explore_spec_from_ini(const IniDocument& doc);
 
 }  // namespace adaptviz

@@ -1,14 +1,11 @@
 #include "serve/edge_tree.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/obs.hpp"
-#include "util/string_util.hpp"
-#include "util/wire.hpp"
 
 namespace adaptviz {
 
@@ -401,129 +398,60 @@ void EdgeTree::record_staleness(int tier, double seconds) {
 
 // ------------------------------------------------------------- [tree] INI
 
-namespace {
-
-/// Comma-separated list of finite numbers; blank items are skipped.
-std::vector<double> parse_list(const std::string& key,
-                               const std::string& value) {
-  std::vector<double> out;
-  for (const std::string& part : split(value, ',')) {
-    const std::string item = trim(part);
-    if (item.empty()) continue;
-    const auto v = wire::parse_double(item);
-    if (!v || !std::isfinite(*v)) {
-      throw std::runtime_error("[tree] " + key + ": malformed number '" +
-                               item + "'");
-    }
-    out.push_back(*v);
-  }
-  return out;
-}
-
-/// Per-tier list: a single value broadcasts to every tier; otherwise the
-/// list length must equal the tier count.
-std::vector<double> tier_list(const IniDocument& doc, const std::string& key,
-                              std::size_t tiers, double fallback) {
-  const auto raw = doc.get("tree", key);
-  if (!raw.has_value()) return std::vector<double>(tiers, fallback);
-  const std::vector<double> out = parse_list(key, *raw);
-  if (out.empty()) {
-    throw std::runtime_error("[tree] " + key + ": empty value");
-  }
-  if (out.size() == 1) return std::vector<double>(tiers, out.front());
-  if (out.size() != tiers) {
-    throw std::runtime_error(
-        "[tree] " + key + ": expected 1 or " + std::to_string(tiers) +
-        " values (one per tier), got " + std::to_string(out.size()));
-  }
-  return out;
-}
-
-}  // namespace
-
 TreeSpec tree_spec_from_ini(const IniDocument& doc) {
   TreeSpec spec;
-  if (!doc.has_section("tree")) {
-    spec.tiers.clear();
-    return spec;
-  }
-  const auto fan_raw = doc.get("tree", "fan_out");
-  if (!fan_raw.has_value()) {
-    throw std::runtime_error("[tree] fan_out is required");
-  }
-  std::vector<int> fan_out;
-  for (const double v : parse_list("fan_out", *fan_raw)) {
-    if (v < 1.0 || v != std::floor(v)) {
-      throw std::runtime_error(
-          format("[tree] fan_out: '%g' is not a positive integer", v));
+  if (!doc.has_section("tree")) return spec;
+  read_section(doc, "tree", [&spec](IniSection& s) {
+    std::vector<int> fan_out;
+    if (!s.field("fan_out", fan_out, at_least(1))) {
+      s.fail("fan_out", "required");
     }
-    fan_out.push_back(static_cast<int>(v));
-  }
-  if (fan_out.empty()) {
-    throw std::runtime_error("[tree] fan_out: empty list");
-  }
-  const std::size_t tiers = fan_out.size();
+    if (fan_out.empty()) s.fail("fan_out", "empty list");
+    const std::size_t tiers = fan_out.size();
 
-  const auto mbps = tier_list(doc, "uplink_mbps", tiers, 1000.0);
-  const auto latency_ms = tier_list(doc, "uplink_latency_ms", tiers, 50.0);
-  const auto efficiency = tier_list(doc, "uplink_efficiency", tiers, 1.0);
-  const auto cache_gb = tier_list(doc, "cache_gb", tiers, 4.0);
-  const auto cache_frames = tier_list(doc, "cache_frames", tiers, 0.0);
-  const auto codec_ratio = tier_list(doc, "codec_ratio", tiers, 1.0);
-  const auto failure_rate = tier_list(doc, "failure_rate", tiers, 0.0);
-  const EvictionPolicy policy =
-      eviction_policy_from(doc.get_or("tree", "cache_policy", "lru"));
+    // A per-tier list: one value applies to every tier; otherwise the list
+    // holds one value per tier.
+    const auto per_tier = [&s, tiers](const char* key, auto fallback,
+                                      IniRange range) {
+      std::vector<decltype(fallback)> v{fallback};
+      if (s.field(key, v, range) && v.size() != 1 && v.size() != tiers) {
+        s.fail(key, "expected 1 or " + std::to_string(tiers) +
+                        " values (one per tier), got " +
+                        std::to_string(v.size()));
+      }
+      if (v.size() == 1) v.assign(tiers, v.front());
+      return v;
+    };
+    const auto mbps = per_tier("uplink_mbps", 1000.0, above(0));
+    const auto latency_ms = per_tier("uplink_latency_ms", 50.0, at_least(0));
+    const auto efficiency =
+        per_tier("uplink_efficiency", 1.0, IniRange{0.0, true, 1.0});
+    const auto cache_gb = per_tier("cache_gb", 4.0, above(0));
+    const auto cache_frames =
+        per_tier("cache_frames", std::size_t{0}, at_least(0));
+    const auto codec_ratio = per_tier("codec_ratio", 1.0, at_least(1));
+    const auto failure_rate = per_tier("failure_rate", 0.0, between(0, 1));
+    EvictionPolicy policy = EvictionPolicy::kLru;
+    s.field("cache_policy", policy, eviction_policy_from);
 
-  for (std::size_t t = 0; t < tiers; ++t) {
-    if (mbps[t] <= 0.0) {
-      throw std::runtime_error("[tree] uplink_mbps must be > 0");
+    for (std::size_t t = 0; t < tiers; ++t) {
+      EdgeTierSpec tier;
+      tier.fan_out = fan_out[t];
+      tier.uplink.nominal = Bandwidth::mbps(mbps[t]);
+      tier.uplink.latency = WallSeconds(latency_ms[t] / 1000.0);
+      tier.uplink.efficiency = efficiency[t];
+      tier.uplink.failure_probability = failure_rate[t];
+      tier.cache.capacity = Bytes::gigabytes(cache_gb[t]);
+      tier.cache.max_frames = cache_frames[t];
+      tier.cache.policy = policy;
+      tier.codec_ratio = codec_ratio[t];
+      spec.tiers.push_back(std::move(tier));
     }
-    if (latency_ms[t] < 0.0) {
-      throw std::runtime_error("[tree] uplink_latency_ms must be >= 0");
-    }
-    if (efficiency[t] <= 0.0 || efficiency[t] > 1.0) {
-      throw std::runtime_error("[tree] uplink_efficiency must be in (0, 1]");
-    }
-    if (cache_gb[t] <= 0.0) {
-      throw std::runtime_error("[tree] cache_gb must be > 0");
-    }
-    if (cache_frames[t] < 0.0 ||
-        cache_frames[t] != std::floor(cache_frames[t])) {
-      throw std::runtime_error(
-          "[tree] cache_frames must be a non-negative integer");
-    }
-    if (codec_ratio[t] < 1.0) {
-      throw std::runtime_error("[tree] codec_ratio must be >= 1");
-    }
-    if (failure_rate[t] < 0.0 || failure_rate[t] > 1.0) {
-      throw std::runtime_error("[tree] failure_rate must be in [0, 1]");
-    }
-    EdgeTierSpec tier;
-    tier.fan_out = fan_out[t];
-    tier.uplink.nominal = Bandwidth::mbps(mbps[t]);
-    tier.uplink.latency = WallSeconds(latency_ms[t] / 1000.0);
-    tier.uplink.efficiency = efficiency[t];
-    tier.uplink.failure_probability = failure_rate[t];
-    tier.cache.capacity = Bytes::gigabytes(cache_gb[t]);
-    tier.cache.max_frames = static_cast<std::size_t>(cache_frames[t]);
-    tier.cache.policy = policy;
-    tier.codec_ratio = codec_ratio[t];
-    spec.tiers.push_back(std::move(tier));
-  }
 
-  if (const auto v = doc.get_int("tree", "viewers_per_leaf")) {
-    if (*v < 1) {
-      throw std::runtime_error("[tree] viewers_per_leaf must be >= 1");
-    }
-    spec.viewers_per_leaf = *v;
-  }
-  spec.retry = retry_policy_from_ini(doc, "tree", spec.retry);
-  if (const auto v = doc.get_double("tree", "join_stagger_seconds")) {
-    if (*v < 0.0) {
-      throw std::runtime_error("[tree] join_stagger_seconds must be >= 0");
-    }
-    spec.leaf_join_stagger = WallSeconds(*v);
-  }
+    s.field("viewers_per_leaf", spec.viewers_per_leaf, at_least(1));
+    retry_fields(s, spec.retry);
+    s.field("join_stagger_seconds", spec.leaf_join_stagger, at_least(0));
+  });
   return spec;
 }
 

@@ -349,10 +349,11 @@ class EdgeTree {
 //   degrade_after = 5
 //   join_stagger_seconds = 5
 
-/// Builds a TreeSpec from the [tree] section. Nonsensical values (zero
-/// fan-out, per-tier list whose length matches neither 1 nor the tier
-/// count, ratio < 1, negative rates) raise std::runtime_error naming the
-/// offending key. Returns a disabled spec when the section is absent.
+/// Builds a TreeSpec from the [tree] section. Unknown keys and nonsensical
+/// values (zero fan-out, per-tier list whose length matches neither 1 nor
+/// the tier count, ratio < 1, negative rates) raise std::runtime_error
+/// naming the offending key. Returns a disabled spec when the section is
+/// absent.
 TreeSpec tree_spec_from_ini(const IniDocument& doc);
 
 }  // namespace adaptviz

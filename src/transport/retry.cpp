@@ -48,28 +48,17 @@ bool RetryLadder::succeed() {
   return cleared;
 }
 
-RetryPolicy retry_policy_from_ini(const IniDocument& doc,
-                                  const std::string& section,
-                                  RetryPolicy base) {
-  if (auto v = doc.get_double(section, "retry_initial_seconds")) {
-    base.initial_backoff = WallSeconds(*v);
-  }
-  if (auto v = doc.get_double(section, "retry_multiplier")) {
-    base.multiplier = *v;
-  }
-  if (auto v = doc.get_double(section, "retry_cap_seconds")) {
-    base.max_backoff = WallSeconds(*v);
-  }
-  if (auto v = doc.get_double(section, "retry_jitter")) base.jitter = *v;
-  if (auto v = doc.get_int(section, "degrade_after")) {
-    base.degrade_after = static_cast<int>(*v);
-  }
+void retry_fields(IniSection& s, RetryPolicy& policy) {
+  s.field("retry_initial_seconds", policy.initial_backoff);
+  s.field("retry_multiplier", policy.multiplier);
+  s.field("retry_cap_seconds", policy.max_backoff);
+  s.field("retry_jitter", policy.jitter);
+  s.field("degrade_after", policy.degrade_after);
   try {
-    validate(base);
+    validate(policy);
   } catch (const std::invalid_argument& e) {
-    throw std::runtime_error("[" + section + "] " + e.what());
+    throw std::runtime_error("[" + s.name() + "] " + e.what());
   }
-  return base;
 }
 
 }  // namespace adaptviz

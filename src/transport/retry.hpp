@@ -66,11 +66,10 @@ struct RetryLadder {
   bool degraded = false;
 };
 
-/// `base` with the five retry keys of INI `section` (retry_initial_seconds,
-/// retry_multiplier, retry_cap_seconds, retry_jitter, degrade_after)
-/// applied, validated. Throws std::runtime_error naming the section.
-RetryPolicy retry_policy_from_ini(const IniDocument& doc,
-                                  const std::string& section,
-                                  RetryPolicy base = {});
+/// The retry table that [faults] and [tree] share: the five keys
+/// retry_initial_seconds, retry_multiplier, retry_cap_seconds, retry_jitter
+/// and degrade_after, applied onto `policy`, which is then validated.
+/// Throws std::runtime_error naming the section.
+void retry_fields(IniSection& s, RetryPolicy& policy);
 
 }  // namespace adaptviz

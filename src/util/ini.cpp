@@ -1,5 +1,6 @@
 #include "util/ini.hpp"
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -41,7 +42,11 @@ IniDocument IniDocument::parse(const std::string& text) {
       throw std::runtime_error("ini: empty key at line " +
                                std::to_string(lineno));
     }
-    doc.sections_[section][key] = value;
+    if (!doc.sections_[section].emplace(key, value).second) {
+      throw std::runtime_error("ini: duplicate key '" + key + "' in [" +
+                               section + "] at line " +
+                               std::to_string(lineno));
+    }
   }
   return doc;
 }
@@ -109,49 +114,104 @@ std::optional<std::string> IniDocument::get(const std::string& section,
   return kit->second;
 }
 
-std::string IniDocument::get_or(const std::string& section,
-                                const std::string& key,
-                                const std::string& fallback) const {
-  auto v = get(section, key);
-  return v ? *v : fallback;
-}
-
 std::optional<double> IniDocument::get_double(const std::string& section,
                                               const std::string& key) const {
-  auto v = get(section, key);
-  if (!v) return std::nullopt;
-  const auto d = wire::parse_double(*v);
-  if (!d || !std::isfinite(*d)) {
-    throw std::runtime_error("ini: [" + section + "] " + key +
-                             " is not a finite number: '" + *v + "'");
-  }
-  return d;
+  double v = 0.0;
+  if (!IniSection(*this, section).field(key.c_str(), v)) return std::nullopt;
+  return v;
 }
 
 std::optional<long> IniDocument::get_int(const std::string& section,
                                          const std::string& key) const {
-  auto v = get(section, key);
-  if (!v) return std::nullopt;
-  const auto n = wire::parse_int(*v);
-  if (!n) {
-    throw std::runtime_error("ini: [" + section + "] " + key +
-                             " is not an integer: '" + *v + "'");
-  }
-  return static_cast<long>(*n);
+  long v = 0;
+  if (!IniSection(*this, section).field(key.c_str(), v)) return std::nullopt;
+  return v;
 }
 
 std::optional<bool> IniDocument::get_bool(const std::string& section,
                                           const std::string& key) const {
-  auto v = get(section, key);
-  if (!v) return std::nullopt;
-  if (*v == "true" || *v == "1" || *v == "yes") return true;
-  if (*v == "false" || *v == "0" || *v == "no") return false;
-  throw std::runtime_error("ini: [" + section + "] " + key +
-                           " is not a boolean: '" + *v + "'");
+  bool v = false;
+  if (!IniSection(*this, section).field(key.c_str(), v)) return std::nullopt;
+  return v;
 }
 
 bool IniDocument::has_section(const std::string& section) const {
   return sections_.contains(section);
+}
+
+// ---- field tables ----
+
+namespace ini {
+
+std::vector<std::string> split_list(const std::string& text) {
+  std::vector<std::string> out;
+  std::string item;
+  for (const char c : text + ',') {
+    if (c == ',' || std::isspace(static_cast<unsigned char>(c)) != 0) {
+      if (!item.empty()) out.push_back(std::move(item));
+      item.clear();
+    } else {
+      item += c;
+    }
+  }
+  return out;
+}
+
+double to_number(const std::string& text) {
+  const auto v = wire::parse_double(text);
+  if (!v || !std::isfinite(*v)) {
+    throw std::runtime_error("not a finite number: '" + text + "'");
+  }
+  return *v;
+}
+
+std::int64_t to_integer(const std::string& text) {
+  const auto n = wire::parse_int(text);
+  if (!n) throw std::runtime_error("not an integer: '" + text + "'");
+  return *n;
+}
+
+bool to_bool(const std::string& text) {
+  if (text == "true" || text == "1" || text == "yes") return true;
+  if (text == "false" || text == "0" || text == "no") return false;
+  throw std::runtime_error("not a boolean: '" + text + "'");
+}
+
+void check(double v, const IniRange& range) {
+  const bool low_ok = range.lo_open ? v > range.lo : v >= range.lo;
+  if (low_ok && v <= range.hi) return;
+  if (std::isinf(range.hi)) {
+    throw std::runtime_error(format("must be %s %g, got %g",
+                                    range.lo_open ? ">" : ">=", range.lo, v));
+  }
+  throw std::runtime_error(format("must be in %c%g, %g], got %g",
+                                  range.lo_open ? '(' : '[', range.lo,
+                                  range.hi, v));
+}
+
+void check_whole(double v, double lo, double hi) {
+  if (v != std::floor(v) || v < lo || v >= hi) {
+    throw std::runtime_error(format("'%g' is not a whole number in range", v));
+  }
+}
+
+}  // namespace ini
+
+IniSection::IniSection(const IniDocument& doc, std::string name)
+    : keys_(nullptr), name_(std::move(name)) {
+  const auto it = doc.sections().find(name_);
+  if (it != doc.sections().end()) keys_ = &it->second;
+}
+
+void IniSection::finish() const {
+  if (keys_ == nullptr) return;
+  for (const auto& entry : *keys_) {
+    if (!named_.contains(entry.first)) fail(entry.first, "unknown key");
+  }
+}
+
+void IniSection::fail(const std::string& key, const std::string& what) const {
+  throw std::runtime_error("[" + name_ + "] " + key + ": " + what);
 }
 
 }  // namespace adaptviz

@@ -243,8 +243,8 @@ TEST(FrameworkCodec, OffByDefaultReportsIdentityRatios) {
 
 TEST(FrameworkCodec, EncodedBytesFlowThroughTheWholePipeline) {
   ExperimentConfig cfg = mini_config(AlgorithmKind::kOptimization);
-  cfg.codec.enabled = true;  // verify_roundtrip defaults on: every frame of
-                             // this run is proven lossless as it encodes
+  cfg.codec.enabled = true;  // every frame of this run is proven lossless
+                             // as it encodes
   cfg.observability = true;
   const ExperimentResult r = run_experiment(cfg);
   EXPECT_TRUE(r.summary.completed);

@@ -28,7 +28,6 @@ TEST(Ini, MissingKeysReturnNullopt) {
   const auto doc = IniDocument::parse("[a]\nk = 1\n");
   EXPECT_FALSE(doc.get("a", "missing").has_value());
   EXPECT_FALSE(doc.get("nosection", "k").has_value());
-  EXPECT_EQ(doc.get_or("a", "missing", "fallback"), "fallback");
 }
 
 TEST(Ini, TypedGettersThrowOnMalformed) {
@@ -47,6 +46,28 @@ TEST(Ini, ParseErrorsCarryLineNumbers) {
   }
   EXPECT_THROW((void)IniDocument::parse("[unclosed\n"), std::runtime_error);
   EXPECT_THROW((void)IniDocument::parse("= value\n"), std::runtime_error);
+}
+
+TEST(Ini, RejectsDuplicateKeys) {
+  const char* duplicated[] = {
+      "[a]\nk = 1\nk = 2\n",
+      "[a]\nk = 1\n[b]\nx = 1\n[a]\nk = 2\n",  // across a repeated header
+  };
+  for (const char* text : duplicated) {
+    try {
+      (void)IniDocument::parse(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'k'"), std::string::npos) << what;
+      EXPECT_NE(what.find("line"), std::string::npos) << what;
+    }
+  }
+  // One key in two sections, and a repeated header with new keys, are fine.
+  const auto doc = IniDocument::parse("[a]\nk = 1\n[b]\nk = 2\n[a]\nj = 3\n");
+  EXPECT_EQ(doc.get("a", "k"), "1");
+  EXPECT_EQ(doc.get("b", "k"), "2");
+  EXPECT_EQ(doc.get("a", "j"), "3");
 }
 
 TEST(Ini, RoundTripsThroughStr) {

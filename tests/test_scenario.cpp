@@ -7,6 +7,9 @@
 #include <set>
 #include <string>
 
+#include "campaign/campaign.hpp"
+#include "explore/explorer.hpp"
+
 namespace adaptviz {
 namespace {
 
@@ -125,18 +128,15 @@ TEST(Scenario, CodecSectionParsesAndDefaultsOff) {
   const ExperimentConfig cfg = scenario_from_ini(IniDocument::parse(
       "[codec]\n"
       "enabled = true\n"
-      "precision = float64\n"
-      "verify_roundtrip = false\n"));
+      "precision = float64\n"));
   EXPECT_TRUE(cfg.codec.enabled);
   EXPECT_EQ(cfg.codec.precision, CodecPrecision::kFloat64);
-  EXPECT_FALSE(cfg.codec.verify_roundtrip);
 
   // A bare [codec] section turns the codec on with the safe defaults.
   const ExperimentConfig bare =
       scenario_from_ini(IniDocument::parse("[codec]\nenabled = true\n"));
   EXPECT_TRUE(bare.codec.enabled);
   EXPECT_EQ(bare.codec.precision, CodecPrecision::kFloat32);
-  EXPECT_TRUE(bare.codec.verify_roundtrip);
 
   EXPECT_THROW(scenario_from_ini(IniDocument::parse(
                    "[codec]\nprecision = float16\n")),
@@ -352,7 +352,7 @@ TEST(ScenarioTree, RejectsNonsensicalValues) {
 }
 
 TEST(Scenario, ShippedScenarioFilesParse) {
-  // The scenarios/ directory must stay loadable.
+  // The scenarios/ directory must stay loadable by every reader.
   namespace fs = std::filesystem;
   const fs::path dir = fs::path(__FILE__).parent_path().parent_path() /
                        "scenarios";
@@ -360,8 +360,13 @@ TEST(Scenario, ShippedScenarioFilesParse) {
   int count = 0;
   for (const auto& entry : fs::directory_iterator(dir)) {
     if (entry.path().extension() != ".ini") continue;
-    EXPECT_NO_THROW((void)load_scenario(entry.path().string()))
-        << entry.path();
+    const std::string path = entry.path().string();
+    EXPECT_NO_THROW((void)load_scenario(path)) << path;
+    EXPECT_NO_THROW((void)explore_spec_from_ini(IniDocument::load(path)))
+        << path;
+    if (is_campaign_ini(IniDocument::load(path))) {
+      EXPECT_NO_THROW((void)load_campaign(path)) << path;
+    }
     ++count;
   }
   EXPECT_GE(count, 3);

@@ -45,8 +45,9 @@ int main(int argc, char** argv) {
   set_log_level(args->verbose ? LogLevel::kInfo : LogLevel::kWarn);
 
   try {
-    ExperimentConfig cfg = load_scenario(args->input);
-    ExploreSpec spec = explore_spec_from_ini(IniDocument::load(args->input));
+    const IniDocument doc = IniDocument::load(args->input);
+    ExperimentConfig cfg = scenario_from_ini(doc);
+    ExploreSpec spec = explore_spec_from_ini(doc);
     if (args->has("--naive")) spec.use_snapshots = false;
     if (args->has("--no-prune")) spec.prune = false;
 
