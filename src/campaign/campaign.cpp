@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <mutex>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 
@@ -267,101 +269,135 @@ CampaignRunRecord execute_campaign_run(
   return rec;
 }
 
-CampaignRunner::CampaignRunner(CampaignOptions options)
-    : options_(std::move(options)) {}
-
-std::vector<CampaignRunRecord> CampaignRunner::run(
-    const std::vector<CampaignRun>& runs, const ResultSink& sink) {
+std::vector<CampaignRunRecord> run_campaign_cells(
+    std::vector<CampaignRunRecord> records,
+    const std::vector<std::size_t>& todo, int concurrency,
+    const CampaignOutputOptions& options, const CampaignCellFn& cell) {
   const int k =
-      std::min<int>(std::max(1, options_.concurrency),
-                    std::max<std::size_t>(std::size_t{1}, runs.size()));
-  std::vector<CampaignRunRecord> records(runs.size());
-  if (options_.write_per_run_csvs || options_.write_summary_csv) {
-    std::filesystem::create_directories(options_.output_dir);
+      std::min<int>(std::max(1, concurrency),
+                    std::max<std::size_t>(std::size_t{1}, todo.size()));
+  if (options.write_per_run_csvs || options.write_summary_csv) {
+    std::filesystem::create_directories(options.output_dir);
   }
 
-  // One lock serializes everything that leaves a run: CSV writes, the
-  // result sink, progress callbacks. Runs themselves never take it.
+  // One lock serializes everything that leaves a cell: CSV writes, the
+  // result sink, manifest saves, progress callbacks. A cell takes it only
+  // around what it emits, never while its run executes.
   std::mutex emit_mutex;
-  std::size_t finished = 0;
-
-  if (options_.registration != nullptr) {
-    CampaignView view;
-    view.name = campaign_label_;
-    view.total = runs.size();
-    options_.registration->publish_campaign(view);
-  }
+  std::size_t finished = records.size() - todo.size();
+  std::exception_ptr first_error;  // the first exception a cell threw
 
   auto execute = [&](std::size_t i) {
-    // The registration hook mutates this run's config copy only; the
-    // caller's grid stays untouched.
-    CampaignRun cell = runs[i];
-    if (options_.registration != nullptr &&
-        cell.config.steering.control_plane == nullptr) {
-      // Every run of the sweep registers with the shared serve process:
-      // one RegistrationServer fronts all K concurrent simulations.
-      cell.config.steering.control_plane = options_.registration;
+    {
+      std::lock_guard<std::mutex> lock(emit_mutex);
+      if (first_error) return;
     }
-    CampaignRunRecord rec = execute_campaign_run(
-        cell, options_.run_log_level, [&](const ExperimentResult& result) {
-          std::lock_guard<std::mutex> lock(emit_mutex);
-          if (options_.write_per_run_csvs) {
-            write_result(result, options_.output_dir);
-          }
-          if (sink) sink(i, cell, result);
-        });
+    CampaignRunRecord rec;
+    try {
+      rec = cell(i, emit_mutex);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(emit_mutex);
+      if (!first_error) first_error = std::current_exception();
+      return;
+    }
     std::lock_guard<std::mutex> lock(emit_mutex);
     records[i] = std::move(rec);
     ++finished;
-    if (options_.registration != nullptr) {
-      CampaignView view;
-      view.name = campaign_label_;
-      view.finished = finished;
-      view.total = runs.size();
-      view.last_label = records[i].label;
-      view.last_failed = records[i].failed;
-      options_.registration->publish_campaign(view);
-    }
-    if (options_.on_progress) {
-      options_.on_progress(
-          CampaignProgress{finished, runs.size(), &records[i]});
+    if (options.on_progress) {
+      options.on_progress(
+          CampaignProgress{finished, records.size(), &records[i]});
     }
   };
 
   if (k <= 1) {
     // Strictly sequential on the calling thread — the baseline the
     // bitwise-identity guarantee is stated against.
-    for (std::size_t i = 0; i < runs.size(); ++i) execute(i);
+    for (const std::size_t i : todo) execute(i);
   } else {
-    // Whole experiments run as pool tasks; per-run contexts keep their
-    // metrics, logs and results disjoint while they interleave.
+    // Whole cells run as pool tasks, taken FIFO in grid order; per-run
+    // contexts keep their metrics, logs and results disjoint while they
+    // interleave.
     ThreadPool pool(k);
     std::vector<ThreadPool::TaskHandle> handles;
-    handles.reserve(runs.size());
-    for (std::size_t i = 0; i < runs.size(); ++i) {
+    handles.reserve(todo.size());
+    for (const std::size_t i : todo) {
       handles.push_back(pool.submit([&execute, i] { execute(i); }));
     }
     for (ThreadPool::TaskHandle& h : handles) h.wait();
   }
 
-  if (options_.write_summary_csv) {
-    write_campaign_summary(records, options_.output_dir);
+  if (first_error) std::rethrow_exception(first_error);
+  if (options.write_summary_csv) {
+    write_campaign_summary(records, options.output_dir);
   }
   return records;
 }
 
+CampaignRunner::CampaignRunner(CampaignOptions options)
+    : options_(std::move(options)) {}
+
+std::vector<CampaignRunRecord> CampaignRunner::run(
+    const std::vector<CampaignRun>& runs, const ResultSink& sink) {
+  return run_grid(runs, options_.concurrency, "campaign", sink);
+}
+
 std::vector<CampaignRunRecord> CampaignRunner::run(const CampaignSpec& spec,
                                                    const ResultSink& sink) {
-  // An unset concurrency defers to the spec for THIS call only; a runner
-  // reused across specs must not inherit the previous spec's K.
-  const int saved = options_.concurrency;
-  if (options_.concurrency <= 0) {
-    options_.concurrency = std::max(1, spec.concurrency);
+  // An unset concurrency defers to the spec for this call only.
+  const int k = options_.concurrency > 0 ? options_.concurrency
+                                         : std::max(1, spec.concurrency);
+  return run_grid(spec.expand(), k, spec.name, sink);
+}
+
+std::vector<CampaignRunRecord> CampaignRunner::run_grid(
+    const std::vector<CampaignRun>& runs, int concurrency,
+    const std::string& name, const ResultSink& sink) {
+  RegistrationServer* const registration = options_.registration;
+  CampaignOutputOptions output = options_;
+  if (registration != nullptr) {
+    CampaignView view;
+    view.name = name;
+    view.total = runs.size();
+    registration->publish_campaign(view);
+    // Sweep progress reaches the serve process ahead of the caller's
+    // callback.
+    output.on_progress = [&](const CampaignProgress& p) {
+      CampaignView done;
+      done.name = name;
+      done.finished = p.finished;
+      done.total = p.total;
+      done.last_label = p.record->label;
+      done.last_failed = p.record->failed;
+      registration->publish_campaign(done);
+      if (options_.on_progress) options_.on_progress(p);
+    };
   }
-  campaign_label_ = spec.name;
-  std::vector<CampaignRunRecord> records = run(spec.expand(), sink);
-  options_.concurrency = saved;
-  return records;
+
+  std::vector<std::size_t> todo(runs.size());
+  std::iota(todo.begin(), todo.end(), std::size_t{0});
+  return run_campaign_cells(
+      std::vector<CampaignRunRecord>(runs.size()), todo, concurrency, output,
+      [&](std::size_t i, std::mutex& emit_mutex) {
+        // The registration hook mutates this run's config copy only; the
+        // caller's grid stays untouched.
+        CampaignRun cell = runs[i];
+        if (registration != nullptr &&
+            cell.config.steering.control_plane == nullptr) {
+          // Every run of the sweep registers with the shared serve
+          // process: one RegistrationServer fronts all K concurrent
+          // simulations.
+          cell.config.steering.control_plane = registration;
+        }
+        return execute_campaign_run(
+            cell, options_.run_log_level,
+            [&](const ExperimentResult& result) {
+              std::lock_guard<std::mutex> lock(emit_mutex);
+              if (options_.write_per_run_csvs) {
+                write_result(result, options_.output_dir);
+              }
+              if (sink) sink(i, cell, result);
+            });
+      });
 }
 
 // ---- [campaign] INI schema ----

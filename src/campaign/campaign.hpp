@@ -9,13 +9,18 @@
 //    seed, disk cap, transfer-failure rate). expand() takes the cross
 //    product and yields one fully-resolved, uniquely-labelled
 //    ExperimentConfig per grid cell.
-//  * CampaignRunner — executes K runs concurrently as thread-pool tasks
-//    with bounded memory: each run's CSVs stream to disk as it finishes
-//    and the full ExperimentResult is dropped; only the one-row summary
-//    is retained. Per-run contexts (runtime/run_context.hpp) guarantee
-//    every run in a concurrent campaign is bitwise identical to the same
-//    config run alone (asserted by tests/test_campaign.cpp and
-//    bench_campaign_throughput).
+//  * run_campaign_cells() — the one campaign loop: K lanes take the cells
+//    FIFO in grid order, one emit lock serializes what leaves a cell, and
+//    one campaign_summary.csv is written at the end. Both executors run on
+//    it; they differ only in the cell function.
+//  * CampaignRunner — the in-process executor: each cell is a thread-pool
+//    task with bounded memory: each run's CSVs stream to disk as it
+//    finishes and the full ExperimentResult is dropped; only the one-row
+//    summary is retained. Per-run contexts (runtime/run_context.hpp)
+//    guarantee every run in a concurrent campaign is bitwise identical to
+//    the same config run alone (asserted by tests/test_campaign.cpp and
+//    bench_campaign_throughput). The worker-process executor is
+//    CampaignDispatcher (campaign/dispatch.hpp).
 //  * campaign_summary_schema() — the declarative column table behind
 //    campaign_summary.csv (one row per run), following the
 //    telemetry_schema() pattern: header order, serialization and docs all
@@ -24,6 +29,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -135,10 +141,10 @@ struct CampaignProgress {
   const CampaignRunRecord* record = nullptr;  // the run that just finished
 };
 
-struct CampaignOptions {
-  /// Experiments in flight at once (K). 1 executes strictly sequentially
-  /// on the calling thread, no worker threads involved.
-  int concurrency = 1;
+/// Where and how a campaign reports: the fields both executors (the
+/// in-process CampaignRunner and the worker-process CampaignDispatcher)
+/// share.
+struct CampaignOutputOptions {
   /// Directory receiving per-run CSVs and campaign_summary.csv.
   std::string output_dir = "results";
   /// Stream write_result() CSVs for each run as it finishes.
@@ -150,6 +156,32 @@ struct CampaignOptions {
   LogLevel run_log_level = LogLevel::kError;
   /// Invoked after each run finishes (serialized, completion order).
   std::function<void(const CampaignProgress&)> on_progress;
+};
+
+/// Executes grid cell `index` on a campaign lane and returns its record.
+/// A per-run failure is a failed record; an exception aborts the whole
+/// campaign. `emit_mutex` is the loop's one emit lock: the cell holds it
+/// for whatever leaves the cell while it runs (CSV writes, manifest saves).
+using CampaignCellFn = std::function<CampaignRunRecord(
+    std::size_t index, std::mutex& emit_mutex)>;
+
+/// The campaign loop both executors share. `records` has one entry per
+/// grid cell. The cells listed in `todo` (grid order) are submitted FIFO
+/// to at most `concurrency` lanes — 1 runs them strictly sequentially on
+/// the calling thread — and each cell's record replaces its entry under
+/// the emit lock, followed by `options.on_progress` (cells outside `todo`
+/// count as already finished). Ends with one campaign_summary.csv write.
+/// An exception from `cell` stops further cells from starting and is
+/// rethrown once the running ones finish; no summary is written then.
+std::vector<CampaignRunRecord> run_campaign_cells(
+    std::vector<CampaignRunRecord> records,
+    const std::vector<std::size_t>& todo, int concurrency,
+    const CampaignOutputOptions& options, const CampaignCellFn& cell);
+
+struct CampaignOptions : CampaignOutputOptions {
+  /// Experiments in flight at once (K). 1 executes strictly sequentially
+  /// on the calling thread, no worker threads involved.
+  int concurrency = 1;
   /// Live control plane fronting the campaign (non-owning; must outlive
   /// the call). Every run whose config leaves steering.control_plane
   /// unset registers here — one serve process fronts all K concurrent
@@ -181,8 +213,13 @@ class CampaignRunner {
                                      const ResultSink& sink = {});
 
  private:
+  /// `name` labels the published CampaignView.
+  std::vector<CampaignRunRecord> run_grid(const std::vector<CampaignRun>& runs,
+                                          int concurrency,
+                                          const std::string& name,
+                                          const ResultSink& sink);
+
   CampaignOptions options_;
-  std::string campaign_label_ = "campaign";  // CampaignView name
 };
 
 // ---- [campaign] INI schema ----

@@ -20,22 +20,25 @@
 //   TASK <index> ...             -->
 //   EXIT                         -->  (worker exits 0)
 //
-// Workers inherit the coordinator's stderr — per-run log lines carry the
-// run label (runtime/run_context.hpp), so N interleaved workers stay
-// attributable. Workers write per-run CSVs themselves (shared
+// Execution: the coordinator runs the campaign on CampaignRunner's loop
+// (run_campaign_cells, campaign.hpp) with one lane per worker process. A
+// lane borrows an idle worker (or spawns one), writes TASK and blocks on
+// the ROW. Workers inherit the coordinator's stderr — per-run log lines
+// carry the run label (runtime/run_context.hpp), so N interleaved workers
+// stay attributable. Workers write per-run CSVs themselves (shared
 // filesystem), into a temp dir renamed into place file by file, so a
 // worker killed mid-write can never leave a truncated CSV under a real
 // result name.
 //
-// Crash tolerance: a worker that dies (or emits a protocol error) has its
-// in-flight task re-queued behind an exponential backoff with jitter —
-// the transport retry ladder (transport/retry.hpp) — and a
-// replacement worker is spawned from a bounded budget. A task that keeps
+// Crash tolerance, in sequence on the lane: a worker that dies (or emits
+// a protocol error) is reaped; the lane takes a replacement worker from a
+// bounded respawn budget, sleeps the transport retry ladder's backoff
+// (transport/retry.hpp) and sends the task again. A task that keeps
 // killing workers becomes a terminal failed row after
-// `max_task_attempts`, so the summary always has exactly grid-size rows.
-// Row accounting is exactly-once: a duplicate ROW for an index that
-// already completed (straggler re-dispatch, or a re-run racing a slow
-// original) is counted and dropped, never merged twice.
+// `max_task_attempts`, and a lane that may not spawn a replacement fails
+// its cell, so the summary always has exactly grid-size rows. Each cell
+// belongs to one lane and each TASK gets one ROW, so every row is
+// counted exactly once.
 //
 // Resume: every completed row is upserted into
 // <output_dir>/campaign_manifest.json (atomic temp+rename). A restarted
@@ -46,7 +49,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -58,47 +60,34 @@
 
 namespace adaptviz {
 
-struct DispatchOptions {
+/// The inherited CampaignOutputOptions say where the campaign reports:
+/// `output_dir` also receives campaign_manifest.json and
+/// dispatch_metrics.json, workers run their cells at kWarn (`--verbose`)
+/// when `run_log_level` is below kError and at kError otherwise, and
+/// `on_progress` skips resumed runs.
+struct DispatchOptions : CampaignOutputOptions {
   /// Worker processes to run. <= 0 falls back to the campaign's
   /// `[campaign] workers` value, then to 1.
   int workers = 0;
-  /// Directory receiving per-run CSVs, campaign_summary.csv,
-  /// campaign_manifest.json and dispatch_metrics.json.
-  std::string output_dir = "results";
-  bool write_per_run_csvs = true;
-  bool write_summary_csv = true;
   /// Load campaign_manifest.json and skip intact completed runs.
   bool resume = true;
-  /// Write <output_dir>/dispatch_metrics.json at campaign end.
-  bool write_metrics_json = true;
-  /// Spawn workers with --verbose (per-run log level kWarn instead of
-  /// kError), mirroring the in-process runner's --verbose behaviour.
-  bool verbose_workers = false;
 
-  /// Re-dispatch attempts per task before it becomes a terminal failed
-  /// row ("worker crashed ...").
+  /// Dispatch attempts per task before it becomes a terminal failed row
+  /// ("worker crashed ...").
   int max_task_attempts = 3;
   /// Replacement workers the coordinator may spawn after crashes, total.
   int worker_respawn_budget = 8;
-  /// Backoff ladder for re-dispatching a crashed worker's task: the
+  /// Backoff ladder before re-dispatching a crashed worker's task: the
   /// transport retry policy (initial * multiplier^n, capped, jittered).
   RetryPolicy retry{WallSeconds(0.5), 2.0, WallSeconds(30.0), 0.2, 5};
-  /// Seed for the backoff-jitter RNG.
+  /// Seed for the backoff jitter; cell i draws from its own stream
+  /// seeded `seed + i`.
   std::uint64_t seed = 0xd15a;
-
-  /// When > 0: a task in flight longer than this is also dispatched to an
-  /// idle worker (straggler mitigation); first ROW wins, the duplicate is
-  /// dropped by the exactly-once accounting.
-  double straggler_timeout_s = 0.0;
 
   /// Test hook: the Nth initially-spawned worker (0-based) is started
   /// with --crash-next-task and exits hard on its first TASK.
   /// Replacements never inherit the flag. -1 disables.
   int crash_inject_worker = -1;
-
-  /// Invoked after each run completes (resumed runs excluded), in
-  /// completion order, on the coordinator thread.
-  std::function<void(const CampaignProgress&)> on_progress;
 };
 
 struct DispatchResult {
@@ -123,7 +112,7 @@ class CampaignDispatcher {
 
   /// Coordinates the full campaign in `campaign_path` across worker
   /// processes. Throws std::runtime_error on coordinator-level failures
-  /// (no worker could be spawned, a worker expanded a different grid);
+  /// (a worker could not be spawned, a worker expanded a different grid);
   /// per-run failures land in the records, never throw.
   DispatchResult run(const std::string& campaign_path);
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -392,6 +393,79 @@ TEST(DispatchIntegration, ResumeReexecutesTruncatedPerRunCsv) {
   EXPECT_EQ(slurp(dist / "campaign_summary.csv"), summary);
 }
 
+// ---- coordinator protocol failures (scripted fake workers) ----
+
+/// A worker command running `script` under /bin/sh; the coordinator's
+/// --worker arguments land in $1.. and are ignored.
+std::vector<std::string> fake_worker(const std::string& script) {
+  return {"/bin/sh", "-c", script, "fake-worker"};
+}
+
+TEST(DispatchCoordinator, HelloWithADifferentGridAbortsTheRun) {
+  DispatchOptions options;
+  options.workers = 1;
+  options.output_dir = scratch_dir("coord_drift").string();
+  CampaignDispatcher dispatcher(
+      fake_worker("echo 'HELLO v1 grid=99'; read line"), options);
+  try {
+    (void)dispatcher.run(smoke_ini());
+    ADD_FAILURE() << "grid drift did not abort the run";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("different grid"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(DispatchCoordinator, ErrOrUnknownReplyIsAWorkerFailure) {
+  for (const std::string reply : {"ERR cannot run", "BOGUS reply"}) {
+    DispatchOptions options;
+    options.workers = 1;
+    options.output_dir = scratch_dir("coord_bad_reply").string();
+    options.max_task_attempts = 1;
+    CampaignDispatcher dispatcher(
+        fake_worker("echo 'HELLO v1 grid=4'; read line; echo '" + reply +
+                    "'; read line"),
+        options);
+    const DispatchResult result = dispatcher.run(smoke_ini());
+
+    ASSERT_EQ(result.records.size(), 4u) << reply;
+    for (const CampaignRunRecord& r : result.records) {
+      EXPECT_TRUE(r.failed) << reply;
+      EXPECT_NE(r.error.find("worker crashed (1 attempts)"),
+                std::string::npos)
+          << reply << ": " << r.error;
+    }
+    EXPECT_EQ(result.metrics.counter_or("dispatch.worker_failures", 0), 4)
+        << reply;
+    EXPECT_EQ(result.metrics.counter_or("dispatch.tasks_failed", 0), 4)
+        << reply;
+  }
+}
+
+TEST(DispatchCoordinator, ExhaustedRespawnBudgetFailsEveryOpenCell) {
+  DispatchOptions options;
+  options.workers = 2;
+  options.output_dir = scratch_dir("coord_budget").string();
+  options.worker_respawn_budget = 0;
+  options.retry.initial_backoff = WallSeconds(0.05);
+  CampaignDispatcher dispatcher(
+      fake_worker("echo 'HELLO v1 grid=4'; read line; exit 3"), options);
+  const DispatchResult result = dispatcher.run(smoke_ini());
+
+  ASSERT_EQ(result.records.size(), 4u);  // rows == grid, all failures
+  for (const CampaignRunRecord& r : result.records) {
+    EXPECT_TRUE(r.failed) << r.label;
+    EXPECT_NE(r.error.find("worker respawn budget exhausted"),
+              std::string::npos)
+        << r.label << ": " << r.error;
+  }
+  EXPECT_EQ(result.metrics.counter_or("dispatch.tasks_failed", 0), 4);
+  const std::string summary =
+      slurp(fs::path(options.output_dir) / "campaign_summary.csv");
+  EXPECT_EQ(std::count(summary.begin(), summary.end(), '\n'), 5);
+}
+
 // ---- sweep CLI exit codes ----
 
 int run_cli(const std::string& args, const fs::path& log) {
@@ -421,6 +495,29 @@ TEST(SweepCli, ExitCodeReflectsFailedRunsNotJustIncompleteOnes) {
   EXPECT_NE(output.find("worker crashed"), std::string::npos);
 
   EXPECT_EQ(run_cli("/nonexistent.ini", log), 2);  // fatal, not per-run
+}
+
+// A count that is not a whole number in range is a usage error naming the
+// option, never a silent fallback (in-process mode, one job, ...).
+TEST(SweepCli, MalformedCountsExitTwoNamingTheOption) {
+  const fs::path dir = scratch_dir("cli_bad_counts");
+  const fs::path log = dir / "cli.log";
+  const std::pair<std::string, std::string> cases[] = {
+      {"--workers abc", "--workers needs a non-negative count"},
+      {"--jobs 1x", "--jobs needs a positive count"},
+      {"--jobs 0", "--jobs needs a positive count"},
+      {"--max-task-attempts 0", "--max-task-attempts needs a positive count"},
+      {"--crash-inject-worker first", "--crash-inject-worker needs a"},
+  };
+  for (const auto& [args, message] : cases) {
+    EXPECT_EQ(run_cli(smoke_ini() + " " + (dir / "out").string() + " " + args,
+                      log),
+              2)
+        << args;
+    EXPECT_NE(slurp(log).find(message), std::string::npos)
+        << args << ": " << slurp(log);
+  }
+  EXPECT_FALSE(fs::exists(dir / "out" / "campaign_summary.csv"));
 }
 
 }  // namespace

@@ -5,14 +5,17 @@
 //
 // Loads a campaign file — a normal INI scenario plus a [campaign] section
 // declaring override axes (see src/campaign/campaign.hpp for the schema) —
-// expands the cross-product grid, and executes the runs. Two execution
-// modes produce bitwise-identical results:
+// expands the cross-product grid, and executes the runs on one campaign
+// loop in either of two modes, with bitwise-identical results:
 //
-//  * in-process (default, or --jobs N): CampaignRunner thread pool.
-//  * distributed (--workers N, or `[campaign] workers`): a coordinator
-//    shards the grid across N `adaptviz_sweep --worker` child processes
-//    (campaign/dispatch.hpp) with crash re-dispatch and
+//  * in-process (default, or --jobs N): N pool lanes run the cells.
+//  * distributed (--workers N, or `[campaign] workers`): N lanes each
+//    hand their cell to one of N `adaptviz_sweep --worker` child
+//    processes (campaign/dispatch.hpp), with crash re-dispatch and
 //    resume-from-manifest; --no-resume forces a fresh start.
+//
+// --jobs and --workers take whole numbers (a positive and a non-negative
+// count); anything else exits 2 naming the option.
 //
 // Each run streams its usual result CSVs into the output directory as it
 // finishes (default: results/), and the campaign ends by writing an
@@ -23,8 +26,8 @@
 // least one run is recorded as failed (a failed-run summary is printed);
 // 2 — the sweep itself could not run (bad usage, unreadable campaign,
 // coordinator-level dispatch failure).
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "campaign/campaign.hpp"
@@ -87,32 +90,21 @@ int report_and_exit_code(const std::string& name,
 }
 
 int worker_main(int argc, char** argv) {
-  // argv layout (appended by the coordinator):
-  //   --worker <campaign.ini> [output_dir] [--no-per-run-csvs]
-  //            [--verbose] [--crash-next-task]
+  // The coordinator appends these after --worker.
+  const auto args = tools::ArgSpec("<campaign.ini> [output_dir] "
+                                   "[--no-per-run-csvs] [--verbose] "
+                                   "[--crash-next-task]")
+                        .flag("--no-per-run-csvs")
+                        .flag("--crash-next-task")
+                        .parse(argc - 1, argv + 1);
+  if (!args) return 2;
   WorkerOptions options;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--no-per-run-csvs") {
-      options.write_per_run_csvs = false;
-    } else if (arg == "--verbose") {
-      // Same mapping as the in-process runner's --verbose.
-      options.run_log_level = LogLevel::kWarn;
-    } else if (arg == "--crash-next-task") {
-      options.crash_next_task = true;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "error: unknown worker option '%s'\n", arg.c_str());
-      return 2;
-    } else if (options.campaign_path.empty()) {
-      options.campaign_path = arg;
-    } else {
-      options.output_dir = arg;
-    }
-  }
-  if (options.campaign_path.empty()) {
-    std::fprintf(stderr, "error: --worker needs a campaign file\n");
-    return 2;
-  }
+  options.campaign_path = args->input;
+  options.output_dir = args->out_dir;
+  options.write_per_run_csvs = !args->has("--no-per-run-csvs");
+  // Same mapping as the in-process runner's --verbose.
+  options.run_log_level = args->verbose ? LogLevel::kWarn : LogLevel::kError;
+  options.crash_next_task = args->has("--crash-next-task");
   return run_dispatch_worker(options, std::cin, std::cout);
 }
 
@@ -139,28 +131,27 @@ int main(int argc, char** argv) {
   const std::string& out_dir = args->out_dir;
   const bool resume = !args->has("--no-resume");
   const bool verbose = args->verbose;
-  const int crash_inject_worker =
-      std::atoi(args->value_or("--crash-inject-worker", "-1").c_str());
-  const int max_task_attempts =
-      std::atoi(args->value_or("--max-task-attempts", "0").c_str());
   // 0 = defer to the campaign file's `concurrency`; -1 = defer to its
   // `workers`.
-  const int jobs = std::atoi(args->value_or("--jobs", "0").c_str());
-  const int workers = std::atoi(args->value_or("--workers", "-1").c_str());
-  if (args->values.count("--jobs") != 0 && jobs < 1) {
-    std::fprintf(stderr, "error: --jobs needs a non-negative count\n");
-    return 2;
-  }
-  if (args->values.count("--workers") != 0 && workers < 0) {
-    std::fprintf(stderr, "error: --workers needs a non-negative count\n");
+  const auto jobs = args->int_value("--jobs", 0, 1, "positive count");
+  const auto workers =
+      args->int_value("--workers", -1, 0, "non-negative count");
+  const auto max_task_attempts =
+      args->int_value("--max-task-attempts",
+                      DispatchOptions{}.max_task_attempts, 1,
+                      "positive count");
+  const auto crash_inject_worker = args->int_value(
+      "--crash-inject-worker", -1, 0, "non-negative worker index");
+  if (!jobs || !workers || !max_task_attempts || !crash_inject_worker) {
     return 2;
   }
   set_log_level(verbose ? LogLevel::kInfo : LogLevel::kWarn);
+  const LogLevel run_log_level = verbose ? LogLevel::kWarn : LogLevel::kError;
 
   try {
     const CampaignSpec spec = load_campaign(campaign_path);
     const std::vector<CampaignRun> runs = spec.expand();
-    const int worker_count = workers >= 0 ? workers : spec.workers;
+    const int worker_count = *workers >= 0 ? *workers : spec.workers;
 
     if (worker_count > 0) {
       std::printf("campaign '%s': %zu runs across %d workers -> %s/\n",
@@ -170,9 +161,9 @@ int main(int argc, char** argv) {
       options.workers = worker_count;
       options.output_dir = out_dir;
       options.resume = resume;
-      options.verbose_workers = verbose;
-      options.crash_inject_worker = crash_inject_worker;
-      if (max_task_attempts > 0) options.max_task_attempts = max_task_attempts;
+      options.run_log_level = run_log_level;
+      options.crash_inject_worker = *crash_inject_worker;
+      options.max_task_attempts = *max_task_attempts;
       options.on_progress = print_progress;
       CampaignDispatcher dispatcher({argv[0]}, std::move(options));
       const DispatchResult result = dispatcher.run(campaign_path);
@@ -183,14 +174,14 @@ int main(int argc, char** argv) {
       return report_and_exit_code(spec.name, result.records, out_dir);
     }
 
-    const int k = jobs > 0 ? jobs : std::max(1, spec.concurrency);
+    const int k = *jobs > 0 ? *jobs : std::max(1, spec.concurrency);
     std::printf("campaign '%s': %zu runs, %d in flight -> %s/\n",
                 spec.name.c_str(), runs.size(), k, out_dir.c_str());
 
     CampaignOptions options;
     options.concurrency = k;
     options.output_dir = out_dir;
-    options.run_log_level = verbose ? LogLevel::kWarn : LogLevel::kError;
+    options.run_log_level = run_log_level;
     options.on_progress = print_progress;
 
     CampaignRunner runner(std::move(options));

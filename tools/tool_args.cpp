@@ -1,8 +1,24 @@
 #include "tool_args.hpp"
 
+#include <climits>
 #include <cstdio>
 
+#include "util/wire.hpp"
+
 namespace adaptviz::tools {
+
+std::optional<int> ParsedArgs::int_value(const std::string& opt, int def,
+                                         int min, const char* what) const {
+  const auto it = values.find(opt);
+  if (it == values.end()) return def;
+  const std::optional<std::int64_t> v = wire::parse_int(it->second);
+  if (!v || *v < min || *v > INT_MAX) {
+    std::fprintf(stderr, "error: %s needs a %s, got '%s'\n", opt.c_str(),
+                 what, it->second.c_str());
+    return std::nullopt;
+  }
+  return static_cast<int>(*v);
+}
 
 ArgSpec::ArgSpec(std::string usage) : usage_(std::move(usage)) {
   flags_.insert("--verbose");

@@ -32,6 +32,13 @@ struct ParsedArgs {
     auto it = values.find(opt);
     return it == values.end() ? std::move(def) : it->second;
   }
+  /// Whole-number value of `--opt <value>`, or `def` when the option was
+  /// not given. A value that is not a whole number >= `min` prints
+  /// "error: <opt> needs a <what>" and returns nullopt — the tool should
+  /// exit 2.
+  [[nodiscard]] std::optional<int> int_value(const std::string& opt, int def,
+                                             int min,
+                                             const char* what) const;
 
   std::set<std::string> flags;
   std::map<std::string, std::string> values;
