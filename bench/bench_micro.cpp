@@ -2,18 +2,21 @@
 // framework — LP solve, shallow-water step at several compute resolutions,
 // nest substep cycle, frame encode/decode, render, and decision latency.
 //
-// Before the google-benchmark suite runs, a self-checking kernel case
-// measures the restructured row kernels against the scalar reference,
-// verifies bitwise-identical digests across kernels and worker counts, and
-// writes the measurements to BENCH_kernels.json (--json=PATH overrides;
-// --quick runs only this case at smoke size).
+// Before the google-benchmark suite runs, two self-checking kernel cases
+// run: the shallow-water row kernels against the scalar reference (bitwise
+// digests across kernels and worker counts), and the physics forcing built
+// whole per substep against one storm geometry applied to every substep
+// (bitwise outputs). Both write their measurements to BENCH_kernels.json
+// (--json=PATH overrides; --quick runs only these cases at smoke size).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
+#include <vector>
 
 #include "bench_report.hpp"
 #include "core/greedy_threshold.hpp"
@@ -347,6 +350,98 @@ int run_kernel_report(benchio::BenchReport& report, bool quick) {
   return failures;
 }
 
+// --- Physics forcing: whole vs geometry + applies (BENCH_kernels.json) ---
+
+bool same_bits(const Field2D& a, const Field2D& b) {
+  return a.nx() == b.nx() && a.ny() == b.ny() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(double)) == 0;
+}
+
+template <typename Fn>
+double best_seconds(int reps, Fn&& fn) {
+  double best = 1e300;
+  for (int rep = 0; rep < reps; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    const auto t1 = std::chrono::steady_clock::now();
+    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+  }
+  return best;
+}
+
+/// On the 10 km rung's parent and nest compute grids at compute_scale 8,
+/// forces kNestRatio substep states two ways: build_forcing() per state,
+/// and one forcing_geometry() followed by an apply_forcing() per state.
+/// Reports ns per forced cell for each and returns the number of grids
+/// whose two outputs differ in any bit.
+int run_forcing_report(benchio::BenchReport& report, bool quick) {
+  const int reps = quick ? 5 : 20;
+  const LatLon storm{16.0, 88.0};
+  const CyclonePhysics physics(PhysicsConfig{}, 25.0, storm);
+  const DomainState parent =
+      kernel_initial_state(GridSpec(60.0, -10.0, 60.0, 50.0, 10.0 * 8.0));
+  const NestDomain nest(parent, storm, ModelConfig{}.nest_extent_deg);
+
+  int failures = 0;
+  for (const auto& [name, domain] :
+       {std::pair{"10km-parent", &parent}, {"10km-nest", &nest.state()}}) {
+    const Field2D land = land_mask(domain->grid);
+    // Substep states: the domain, then two distinct evolutions of it.
+    std::vector<DomainState> states(kNestRatio, *domain);
+    for (std::size_t k = 0; k < states.size(); ++k) {
+      for (double& h : states[k].h.data()) h *= 1.0 - 0.05 * k;
+      for (double& u : states[k].u.data()) u += 0.5 * k;
+    }
+    struct Outputs {
+      Field2D q, fu, fv, relax;
+    };
+    std::vector<Outputs> whole(states.size()), split(states.size());
+
+    const double whole_s = best_seconds(reps, [&] {
+      for (std::size_t k = 0; k < states.size(); ++k) {
+        Outputs& o = whole[k];
+        physics.build_forcing(states[k], land, o.q, o.fu, o.fv, o.relax);
+      }
+    });
+    ForcingGeometry geometry;
+    const double split_s = best_seconds(reps, [&] {
+      physics.forcing_geometry(domain->grid, land, geometry);
+      for (std::size_t k = 0; k < states.size(); ++k) {
+        Outputs& o = split[k];
+        CyclonePhysics::apply_forcing(geometry, states[k], o.q, o.fu, o.fv);
+      }
+    });
+
+    bool match = true;
+    for (std::size_t k = 0; k < states.size(); ++k) {
+      match &= same_bits(whole[k].q, split[k].q) &&
+               same_bits(whole[k].fu, split[k].fu) &&
+               same_bits(whole[k].fv, split[k].fv) &&
+               same_bits(whole[k].relax, geometry.relaxation);
+    }
+    const double cells =
+        static_cast<double>(states.size() * domain->h.size());
+    const double whole_ns = whole_s / cells * 1e9;
+    const double split_ns = split_s / cells * 1e9;
+    report.add("forcing", name, "build_forcing_ns_per_cell", whole_ns, "ns");
+    report.add("forcing", name, "geometry_apply_ns_per_cell", split_ns, "ns");
+    report.add("forcing", name, "bitwise_match", match ? 1.0 : 0.0, "flag");
+    std::printf("forcing %s (%zux%zu): build_forcing %.1f ns/cell, geometry "
+                "+ %d applies %.1f ns/cell, outputs %s\n",
+                name, domain->grid.nx(), domain->grid.ny(), whole_ns,
+                kNestRatio, split_ns, match ? "match" : "DIVERGE");
+    if (!match) {
+      std::fprintf(stderr,
+                   "FAIL: forcing geometry + applies diverge from "
+                   "build_forcing on %s\n",
+                   name);
+      ++failures;
+    }
+  }
+  return failures;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -355,7 +450,8 @@ int main(int argc, char** argv) {
       args.json_path.empty() ? "BENCH_kernels.json" : args.json_path;
 
   benchio::BenchReport report;
-  const int failures = run_kernel_report(report, args.quick);
+  const int failures = run_kernel_report(report, args.quick) +
+                       run_forcing_report(report, args.quick);
   report.save(json_path);
   std::printf("wrote %s (%zu rows)\n", json_path.c_str(),
               report.rows().size());

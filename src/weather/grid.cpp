@@ -26,9 +26,17 @@ GridSpec::GridSpec(double lon0, double lat0, double extent_lon_deg,
 }
 
 LatLon GridSpec::at(std::size_t i, std::size_t j) const {
-  const double fx = static_cast<double>(i) / static_cast<double>(nx_ - 1);
+  return LatLon{lat_at(j), lon_at(i)};
+}
+
+double GridSpec::lat_at(std::size_t j) const {
   const double fy = static_cast<double>(j) / static_cast<double>(ny_ - 1);
-  return LatLon{lat0_ + fy * ext_lat_, lon0_ + fx * ext_lon_};
+  return lat0_ + fy * ext_lat_;
+}
+
+double GridSpec::lon_at(std::size_t i) const {
+  const double fx = static_cast<double>(i) / static_cast<double>(nx_ - 1);
+  return lon0_ + fx * ext_lon_;
 }
 
 double GridSpec::x_of_lon(double lon) const {

@@ -50,8 +50,11 @@ class GridSpec {
   [[nodiscard]] double extent_lon() const { return ext_lon_; }
   [[nodiscard]] double extent_lat() const { return ext_lat_; }
 
-  /// Geographic coordinates of grid point (i, j).
+  /// Geographic coordinates of grid point (i, j): {lat_at(j), lon_at(i)},
+  /// so a row kernel can hoist the latitude out of its cell loop.
   [[nodiscard]] LatLon at(std::size_t i, std::size_t j) const;
+  [[nodiscard]] double lat_at(std::size_t j) const;
+  [[nodiscard]] double lon_at(std::size_t i) const;
   /// Fractional grid coordinates of a geographic point (may be outside).
   [[nodiscard]] double x_of_lon(double lon) const;
   [[nodiscard]] double y_of_lat(double lat) const;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "obs/obs.hpp"
 #include "weather/domain_io.hpp"
 
 namespace adaptviz {
@@ -127,6 +128,27 @@ void WeatherModel::maybe_spawn_or_move_nest() {
 }
 
 SimSeconds WeatherModel::step() {
+  static thread_local obs::HotHistogram geometry_hist("sim.forcing.geometry");
+  static thread_local obs::HotHistogram apply_hist("sim.forcing.apply");
+  static thread_local obs::HotHistogram boundary_hist("sim.nest.boundary");
+  static thread_local obs::HotHistogram feedback_hist("sim.nest.feedback");
+  const auto build_geometry = [&](const GridSpec& grid, const Field2D& land,
+                                  DomainForcing& df) {
+    obs::ScopedTimer span(geometry_hist);
+    physics_.forcing_geometry(grid, land, df.geometry);
+  };
+  const auto apply = [&](const DomainState& state, DomainForcing& df,
+                         SwForcing& f) {
+    {
+      obs::ScopedTimer span(apply_hist);
+      CyclonePhysics::apply_forcing(df.geometry, state, df.q, df.fu, df.fv);
+    }
+    f.mass_tendency = &df.q;
+    f.u_tendency = &df.fu;
+    f.v_tendency = &df.fv;
+    f.relaxation = &df.geometry.relaxation;
+  };
+
   const double dt = dt_seconds();
   const bool storm_active = physics_.deficit_hpa() > 2.0;
 
@@ -134,12 +156,8 @@ SimSeconds WeatherModel::step() {
   forcing.steering_u = analysis_.config().steering.u(sim_time_);
   forcing.steering_v = analysis_.config().steering.v(sim_time_);
   if (storm_active) {
-    physics_.build_forcing(parent_, parent_land_, parent_q_, parent_fu_,
-                           parent_fv_, parent_relax_);
-    forcing.mass_tendency = &parent_q_;
-    forcing.u_tendency = &parent_fu_;
-    forcing.v_tendency = &parent_fv_;
-    forcing.relaxation = &parent_relax_;
+    build_geometry(parent_.grid, parent_land_, parent_forcing_);
+    apply(parent_, parent_forcing_, forcing);
   }
   solver_.step(parent_, dt, forcing);
 
@@ -148,18 +166,19 @@ SimSeconds WeatherModel::step() {
     nf.steering_u = forcing.steering_u;
     nf.steering_v = forcing.steering_v;
     const double ndt = dt / kNestRatio;
+    // The storm centre and deficit, the nest grid and its land mask change
+    // only in physics_.advance() and the recenter after this loop, so one
+    // geometry serves every substep.
+    if (storm_active) build_geometry(nest_->grid(), nest_land_, nest_forcing_);
     for (int k = 0; k < kNestRatio; ++k) {
-      nest_->apply_boundary(parent_);
-      if (storm_active) {
-        physics_.build_forcing(nest_->state(), nest_land_, nest_q_, nest_fu_,
-                               nest_fv_, nest_relax_);
-        nf.mass_tendency = &nest_q_;
-        nf.u_tendency = &nest_fu_;
-        nf.v_tendency = &nest_fv_;
-        nf.relaxation = &nest_relax_;
+      {
+        obs::ScopedTimer span(boundary_hist);
+        nest_->apply_boundary(parent_);
       }
+      if (storm_active) apply(nest_->state(), nest_forcing_, nf);
       solver_.step(nest_->state(), ndt, nf);
     }
+    obs::ScopedTimer span(feedback_hist);
     nest_->feedback(parent_);
   }
 

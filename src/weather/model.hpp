@@ -149,9 +149,13 @@ class WeatherModel {
   CycloneTracker tracker_;
   CyclonePhysics physics_;
 
-  // Scratch forcing fields reused across steps.
-  Field2D parent_q_, parent_fu_, parent_fv_, parent_relax_;
-  Field2D nest_q_, nest_fu_, nest_fv_, nest_relax_;
+  // One domain's forcing, reused across steps: the storm geometry and the
+  // tendencies applied from it.
+  struct DomainForcing {
+    ForcingGeometry geometry;
+    Field2D q, fu, fv;
+  };
+  DomainForcing parent_forcing_, nest_forcing_;
 };
 
 }  // namespace adaptviz

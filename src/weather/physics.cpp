@@ -3,8 +3,22 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace adaptviz {
+
+namespace {
+
+/// The storm's forcing acts only where the Holland-zone weight exceeds this.
+constexpr double kHollandZoneWeight = 1e-4;
+
+/// Reshapes `f` to (nx, ny) unless it already has that shape.
+void fit(Field2D& f, std::size_t nx, std::size_t ny) {
+  if (f.nx() != nx || f.ny() != ny) f.resize(nx, ny);
+}
+
+}  // namespace
 
 CyclonePhysics::CyclonePhysics(PhysicsConfig config, double initial_deficit_hpa,
                                LatLon initial_center)
@@ -63,62 +77,118 @@ void CyclonePhysics::build_forcing(const DomainState& state,
                                    Field2D& mass_tendency,
                                    Field2D& u_tendency, Field2D& v_tendency,
                                    Field2D& relaxation) const {
-  const GridSpec& g = state.grid;
-  if (land.nx() != g.nx() || land.ny() != g.ny()) {
-    throw std::invalid_argument("build_forcing: land mask shape mismatch");
+  ForcingGeometry geometry;
+  forcing_geometry(state.grid, land, geometry);
+  apply_forcing(geometry, state, mass_tendency, u_tendency, v_tendency);
+  relaxation = std::move(geometry.relaxation);
+}
+
+void CyclonePhysics::forcing_geometry(const GridSpec& g, const Field2D& land,
+                                      ForcingGeometry& geo) const {
+  const std::size_t nx = g.nx();
+  const std::size_t ny = g.ny();
+  if (land.nx() != nx || land.ny() != ny) {
+    throw std::invalid_argument(
+        "forcing_geometry: land mask shape mismatch");
   }
-  if (mass_tendency.nx() != g.nx() || mass_tendency.ny() != g.ny()) {
-    mass_tendency = Field2D(g.nx(), g.ny());
-    u_tendency = Field2D(g.nx(), g.ny());
-    v_tendency = Field2D(g.nx(), g.ny());
-    relaxation = Field2D(g.nx(), g.ny());
+  for (Field2D* f : {&geo.weight, &geo.h_target, &geo.u_target, &geo.v_target,
+                     &geo.relaxation}) {
+    fit(*f, nx, ny);
   }
 
   const HollandVortex target = target_vortex(g.resolution_km());
-  const double inv_tau = 1.0 / (config_.mass_relax_tau_hours * 3600.0);
+  geo.inv_tau = 1.0 / (config_.mass_relax_tau_hours * 3600.0);
   const double inv_tau_fric = 1.0 / (config_.land_friction_tau_hours * 3600.0);
   const double inv_tau_nudge = 1.0 / (config_.nudge_tau_hours * 3600.0);
   const double storm_radius = 5.0 * target.r_max_km;  // nudge-free zone
+  const double storm_sigma2 = 2.0 * storm_radius * storm_radius;
   const double sigma2 = 2.0 * 9.0 * target.r_max_km * target.r_max_km;
   const double fcor = coriolis(center_.lat);
   const double deg2rad = 3.14159265358979 / 180.0;
 
-  for (std::size_t j = 0; j < g.ny(); ++j) {
-    for (std::size_t i = 0; i < g.nx(); ++i) {
-      const LatLon p = g.at(i, j);
-      const double r = distance_km(p, center_);
+  // East-west offset from the centre (km, before the cos(lat) scaling) of
+  // each column; distance_km() and the tangent basis both start from it.
+  std::vector<double> dlon_km(nx);
+  for (std::size_t i = 0; i < nx; ++i) {
+    dlon_km[i] = (g.lon_at(i) - center_.lon) * kKmPerDegree;
+  }
+
+  for (std::size_t j = 0; j < ny; ++j) {
+    // Constant along the row. distance_km() and the tangent basis write
+    // cos(mean lat) differently (*pi/180 vs *deg2rad), and the two can
+    // round apart, so each keeps its own.
+    const double lat = g.lat_at(j);
+    const double dy = (lat - center_.lat) * kKmPerDegree;
+    const double cos_dist =
+        std::cos(0.5 * (lat + center_.lat) * 3.14159265358979 / 180.0);
+    const double cos_tan = std::cos(0.5 * (lat + center_.lat) * deg2rad);
+    const double* ADAPTVIZ_RESTRICT land_row = land.row(j);
+    double* ADAPTVIZ_RESTRICT w_row = geo.weight.row(j);
+    double* ADAPTVIZ_RESTRICT h_row = geo.h_target.row(j);
+    double* ADAPTVIZ_RESTRICT u_row = geo.u_target.row(j);
+    double* ADAPTVIZ_RESTRICT v_row = geo.v_target.row(j);
+    double* ADAPTVIZ_RESTRICT relax_row = geo.relaxation.row(j);
+    for (std::size_t i = 0; i < nx; ++i) {
+      const double r = std::hypot(dlon_km[i] * cos_dist, dy);  // distance_km
 
       // Relaxation toward the balanced Holland target (height and winds
       // together), confined near the storm.
       const double w = std::exp(-(r * r) / sigma2);
-      double q = 0.0;
-      double fu = 0.0;
-      double fv = 0.0;
-      if (w > 1e-4) {
-        const double h_target = target.height_anomaly_m(r);
-        q = w * (h_target - state.h(i, j)) * inv_tau;
-        double ut = 0.0;
-        double vt = 0.0;
+      double h_target = 0.0;
+      double ut = 0.0;
+      double vt = 0.0;
+      if (w > kHollandZoneWeight) {
+        const HollandVortex::Profile prof = target.profile(r, fcor);
+        h_target = prof.height_m;
         if (r > 1.0) {
-          const double vt_mag = target.balanced_tangential_wind(r, fcor);
-          const double coslat = std::cos(0.5 * (p.lat + center_.lat) * deg2rad);
-          const double dx = (p.lon - center_.lon) * kKmPerDegree * coslat;
-          const double dy = (p.lat - center_.lat) * kKmPerDegree;
-          ut = vt_mag * (-dy / r);
-          vt = vt_mag * (dx / r);
+          const double dx = dlon_km[i] * cos_tan;
+          ut = prof.wind_ms * (-dy / r);
+          vt = prof.wind_ms * (dx / r);
         }
-        fu = w * (ut - state.u(i, j)) * inv_tau;
-        fv = w * (vt - state.v(i, j)) * inv_tau;
       }
-      mass_tendency(i, j) = q;
-      u_tendency(i, j) = fu;
-      v_tendency(i, j) = fv;
+      w_row[i] = w;
+      h_row[i] = h_target;
+      u_row[i] = ut;
+      v_row[i] = vt;
 
       // Land friction plus far-field analysis nudging.
-      const double w_storm =
-          std::exp(-(r * r) / (2.0 * storm_radius * storm_radius));
-      relaxation(i, j) =
-          land(i, j) * inv_tau_fric + (1.0 - w_storm) * inv_tau_nudge;
+      const double w_storm = std::exp(-(r * r) / storm_sigma2);
+      relax_row[i] =
+          land_row[i] * inv_tau_fric + (1.0 - w_storm) * inv_tau_nudge;
+    }
+  }
+}
+
+void CyclonePhysics::apply_forcing(const ForcingGeometry& geo,
+                                   const DomainState& state, Field2D& q,
+                                   Field2D& fu, Field2D& fv) {
+  const std::size_t nx = state.grid.nx();
+  const std::size_t ny = state.grid.ny();
+  if (geo.weight.nx() != nx || geo.weight.ny() != ny) {
+    throw std::invalid_argument("apply_forcing: geometry shape mismatch");
+  }
+  fit(q, nx, ny);
+  fit(fu, nx, ny);
+  fit(fv, nx, ny);
+
+  const double inv_tau = geo.inv_tau;
+  for (std::size_t j = 0; j < ny; ++j) {
+    const double* ADAPTVIZ_RESTRICT w_row = geo.weight.row(j);
+    const double* ADAPTVIZ_RESTRICT ht = geo.h_target.row(j);
+    const double* ADAPTVIZ_RESTRICT ut = geo.u_target.row(j);
+    const double* ADAPTVIZ_RESTRICT vt = geo.v_target.row(j);
+    const double* ADAPTVIZ_RESTRICT h = state.h.row(j);
+    const double* ADAPTVIZ_RESTRICT u = state.u.row(j);
+    const double* ADAPTVIZ_RESTRICT v = state.v.row(j);
+    double* ADAPTVIZ_RESTRICT q_row = q.row(j);
+    double* ADAPTVIZ_RESTRICT fu_row = fu.row(j);
+    double* ADAPTVIZ_RESTRICT fv_row = fv.row(j);
+    for (std::size_t i = 0; i < nx; ++i) {
+      const double w = w_row[i];
+      const bool in_zone = w > kHollandZoneWeight;
+      q_row[i] = in_zone ? w * (ht[i] - h[i]) * inv_tau : 0.0;
+      fu_row[i] = in_zone ? w * (ut[i] - u[i]) * inv_tau : 0.0;
+      fv_row[i] = in_zone ? w * (vt[i] - v[i]) * inv_tau : 0.0;
     }
   }
 }

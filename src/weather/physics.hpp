@@ -44,6 +44,18 @@ struct PhysicsConfig {
   double holland_b = 1.5;
 };
 
+/// Per-point forcing terms that do not depend on the prognostic state.
+struct ForcingGeometry {
+  /// Holland-zone weight w; apply_forcing() forces only where w > 1e-4.
+  Field2D weight;
+  /// Balanced Holland target: height anomaly (m) and winds (m/s).
+  Field2D h_target, u_target, v_target;
+  /// Land friction plus far-field nudging (1/s), SwForcing::relaxation.
+  Field2D relaxation;
+  /// Rate (1/s) of the relaxation toward the target.
+  double inv_tau = 0.0;
+};
+
 class CyclonePhysics {
  public:
   CyclonePhysics(PhysicsConfig config, double initial_deficit_hpa,
@@ -79,9 +91,22 @@ class CyclonePhysics {
   /// away as gravity waves, so the momentum field must be forced in balance
   /// with it — plus `relaxation` (1/s) combining land friction with
   /// far-field analysis nudging. `land` must be the domain's land_mask().
+  /// Equivalent to forcing_geometry() followed by apply_forcing().
   void build_forcing(const DomainState& state, const Field2D& land,
                      Field2D& mass_tendency, Field2D& u_tendency,
                      Field2D& v_tendency, Field2D& relaxation) const;
+
+  /// The state-independent half of build_forcing(): everything that depends
+  /// only on the grid, its land mask, and this storm's centre and deficit.
+  /// It stays valid until advance() or restore() moves the storm.
+  void forcing_geometry(const GridSpec& grid, const Field2D& land,
+                        ForcingGeometry& geometry) const;
+
+  /// The state-dependent half: relaxation tendencies of `state` (on the
+  /// grid `geometry` was built for) toward the geometry's targets.
+  static void apply_forcing(const ForcingGeometry& geometry,
+                            const DomainState& state, Field2D& mass_tendency,
+                            Field2D& u_tendency, Field2D& v_tendency);
 
   [[nodiscard]] const PhysicsConfig& config() const { return config_; }
 

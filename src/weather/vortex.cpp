@@ -12,31 +12,33 @@ double distance_km(LatLon a, LatLon b) {
   return std::hypot(dx, dy);
 }
 
-double HollandVortex::pressure_anomaly_hpa(double r_km) const {
-  // Holland: p(r) = pc + deficit * exp(-(Rm/r)^B), so the anomaly relative
-  // to the environment is -deficit * (1 - exp(-(Rm/r)^B)): full deficit at
-  // the centre, zero far away.
+HollandVortex::Profile HollandVortex::profile(double r_km, double f) const {
+  // Height: h(r) = -(deficit / kHpaPerMetre) * (1 - exp(-(Rm/r)^B)), full
+  // deficit at the centre, zero far away.
   const double r = std::max(r_km, 1e-3);
-  return -deficit_hpa * (1.0 - std::exp(-std::pow(r_max_km / r, b)));
-}
+  const double ratio_h = r_max_km / r;
+  const double x_h = std::pow(ratio_h, b);
+  const double e_h = std::exp(-x_h);
+  const double height = -deficit_hpa * (1.0 - e_h) / kHpaPerMetre;
 
-double HollandVortex::height_anomaly_m(double r_km) const {
-  return pressure_anomaly_hpa(r_km) / kHpaPerMetre;
-}
-
-double HollandVortex::balanced_tangential_wind(double r_km, double f) const {
-  // d(h)/dr of the Holland height profile, analytically:
-  //   h(r) = -D * exp(-(Rm/r)^B)  with D = deficit/kHpaPerMetre
-  //   dh/dr = -D * exp(-(Rm/r)^B) * B * Rm^B / r^(B+1)
+  // Wind: the gradient balance of the same profile, with dh/dr in metres:
+  //   dh/dr = D * exp(-(Rm/r)^B) * B * Rm^B / r^(B+1)
+  // with D = deficit / kHpaPerMetre.
   const double r_m = std::max(r_km, 1.0) * 1000.0;
   const double rm_m = r_max_km * 1000.0;
+  const double ratio_v = rm_m / r_m;
+  double x = x_h;
+  double e = e_h;
+  if (ratio_v != ratio_h) {
+    x = std::pow(ratio_v, b);
+    e = std::exp(-x);
+  }
   const double d_m = deficit_hpa / kHpaPerMetre;
-  const double x = std::pow(rm_m / r_m, b);
-  const double dhdr = d_m * std::exp(-x) * b * x / r_m;  // positive outward
+  const double dhdr = d_m * e * b * x / r_m;  // positive outward
   const double g = 9.81;
   const double fr2 = 0.5 * std::fabs(f) * r_m;
-  const double v = -fr2 + std::sqrt(fr2 * fr2 + g * r_m * dhdr);
-  return v;
+  return Profile{.height_m = height,
+                 .wind_ms = -fr2 + std::sqrt(fr2 * fr2 + g * r_m * dhdr)};
 }
 
 void HollandVortex::deposit(DomainState& state) const {
@@ -46,17 +48,16 @@ void HollandVortex::deposit(DomainState& state) const {
       const LatLon p = grid.at(i, j);
       const double r = distance_km(p, center);
       if (r > 12.0 * r_max_km) continue;  // negligible beyond
-      state.h(i, j) += height_anomaly_m(r);
-      const double f = coriolis(center.lat);
-      const double vt = balanced_tangential_wind(r, f);
+      const Profile prof = profile(r, coriolis(center.lat));
+      state.h(i, j) += prof.height_m;
       if (r > 1.0) {
         // Unit tangential vector (counterclockwise = cyclonic, NH).
         const double mean_lat = 0.5 * (p.lat + center.lat) * 3.14159265 / 180.0;
         const double dx = (p.lon - center.lon) * kKmPerDegree *
                           std::cos(mean_lat);
         const double dy = (p.lat - center.lat) * kKmPerDegree;
-        state.u(i, j) += vt * (-dy / r);
-        state.v(i, j) += vt * (dx / r);
+        state.u(i, j) += prof.wind_ms * (-dy / r);
+        state.v(i, j) += prof.wind_ms * (dx / r);
       }
     }
   }

@@ -20,16 +20,19 @@ struct HollandVortex {
   /// Holland shape parameter (1 < B < 2.5 for real storms).
   double b = 1.5;
 
-  /// Pressure anomaly (hPa, negative inside the storm) at radius r (km):
-  /// -deficit * exp(-(r_max/r)^B).
-  [[nodiscard]] double pressure_anomaly_hpa(double r_km) const;
+  /// Height anomaly (m, negative inside the storm) and gradient-balanced
+  /// tangential wind (m/s, cyclonic positive) at radius r (km).
+  struct Profile {
+    double height_m = 0.0;
+    double wind_ms = 0.0;
+  };
 
-  /// Height anomaly (m) via the kHpaPerMetre diagnostic mapping.
-  [[nodiscard]] double height_anomaly_m(double r_km) const;
-
-  /// Gradient-wind-balanced tangential wind (m/s, cyclonic positive) at
-  /// radius r for Coriolis parameter f: v^2/r + f*v = g * d(h)/dr.
-  [[nodiscard]] double balanced_tangential_wind(double r_km, double f) const;
+  /// Holland: the pressure anomaly is -deficit * (1 - exp(-(r_max/r)^B)),
+  /// mapped to height by kHpaPerMetre; the wind solves v^2/r + f*v =
+  /// g * dh/dr for Coriolis parameter f. Height and wind each evaluate
+  /// (r_max/r)^B on their own radius floor and units, and share one
+  /// pow/exp whenever the two ratios round alike.
+  [[nodiscard]] Profile profile(double r_km, double f) const;
 
   /// Adds the vortex (height depression + balanced cyclonic winds) onto a
   /// domain state in place.

@@ -210,6 +210,26 @@ TEST(Framework, ObservabilityCapturesThePipeline) {
   EXPECT_EQ(step->count, r.metrics.counter_or("sim.steps"));
   EXPECT_GT(step->sum, 0.0);
 
+  // Weather-step attribution: kNestRatio boundary exchanges per feedback,
+  // and one nest geometry serves all of a parent step's nest substeps.
+  const obs::Histogram::Snapshot* boundary =
+      r.metrics.histogram("sim.nest.boundary");
+  const obs::Histogram::Snapshot* feedback =
+      r.metrics.histogram("sim.nest.feedback");
+  const obs::Histogram::Snapshot* geometry =
+      r.metrics.histogram("sim.forcing.geometry");
+  const obs::Histogram::Snapshot* apply =
+      r.metrics.histogram("sim.forcing.apply");
+  ASSERT_NE(boundary, nullptr);
+  ASSERT_NE(feedback, nullptr);
+  ASSERT_NE(geometry, nullptr);
+  ASSERT_NE(apply, nullptr);
+  EXPECT_GT(feedback->count, 0);
+  EXPECT_EQ(boundary->count, 3 * feedback->count);
+  EXPECT_LT(geometry->count, apply->count);
+  EXPECT_GT(geometry->sum, 0.0);
+  EXPECT_GT(apply->sum, 0.0);
+
   // The trace retains events from both clock domains, and every manager
   // decision is on it (the ring is far larger than the decision count).
   EXPECT_FALSE(r.trace.empty());

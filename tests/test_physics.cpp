@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "weather/nest.hpp"
 
 namespace adaptviz {
 namespace {
@@ -125,6 +132,247 @@ TEST(Forcing, FieldsShapedAroundCenter) {
   const std::size_t land_j = static_cast<std::size_t>(g.y_of_lat(17.0));
   EXPECT_GT(relax(land_i, land_j), relax(ci, cj));
   EXPECT_LT(relax(ci, cj), 1.0 / (6.0 * 3600.0));
+}
+
+// ---- Oracle: the forcing loop as it stood before the geometry/apply split,
+// ---- with the Holland height and wind formulas it called. The forcing must
+// ---- match it bit for bit, signed zeros included.
+
+double oracle_height_m(const HollandVortex& v, double r_km) {
+  const double r = std::max(r_km, 1e-3);
+  const double p =
+      -v.deficit_hpa * (1.0 - std::exp(-std::pow(v.r_max_km / r, v.b)));
+  return p / kHpaPerMetre;
+}
+
+double oracle_wind(const HollandVortex& v, double r_km, double f) {
+  const double r_m = std::max(r_km, 1.0) * 1000.0;
+  const double rm_m = v.r_max_km * 1000.0;
+  const double d_m = v.deficit_hpa / kHpaPerMetre;
+  const double x = std::pow(rm_m / r_m, v.b);
+  const double dhdr = d_m * std::exp(-x) * v.b * x / r_m;
+  const double g = 9.81;
+  const double fr2 = 0.5 * std::fabs(f) * r_m;
+  return -fr2 + std::sqrt(fr2 * fr2 + g * r_m * dhdr);
+}
+
+void oracle_forcing(const CyclonePhysics& phys, const DomainState& state,
+                    const Field2D& land, Field2D& mass_tendency,
+                    Field2D& u_tendency, Field2D& v_tendency,
+                    Field2D& relaxation) {
+  const GridSpec& g = state.grid;
+  const PhysicsConfig& config = phys.config();
+  const LatLon center = phys.center();
+  mass_tendency = Field2D(g.nx(), g.ny());
+  u_tendency = Field2D(g.nx(), g.ny());
+  v_tendency = Field2D(g.nx(), g.ny());
+  relaxation = Field2D(g.nx(), g.ny());
+
+  const HollandVortex target = phys.target_vortex(g.resolution_km());
+  const double inv_tau = 1.0 / (config.mass_relax_tau_hours * 3600.0);
+  const double inv_tau_fric = 1.0 / (config.land_friction_tau_hours * 3600.0);
+  const double inv_tau_nudge = 1.0 / (config.nudge_tau_hours * 3600.0);
+  const double storm_radius = 5.0 * target.r_max_km;
+  const double sigma2 = 2.0 * 9.0 * target.r_max_km * target.r_max_km;
+  const double fcor = coriolis(center.lat);
+  const double deg2rad = 3.14159265358979 / 180.0;
+
+  for (std::size_t j = 0; j < g.ny(); ++j) {
+    for (std::size_t i = 0; i < g.nx(); ++i) {
+      const LatLon p = g.at(i, j);
+      const double r = distance_km(p, center);
+      const double w = std::exp(-(r * r) / sigma2);
+      double q = 0.0;
+      double fu = 0.0;
+      double fv = 0.0;
+      if (w > 1e-4) {
+        const double h_target = oracle_height_m(target, r);
+        q = w * (h_target - state.h(i, j)) * inv_tau;
+        double ut = 0.0;
+        double vt = 0.0;
+        if (r > 1.0) {
+          const double vt_mag = oracle_wind(target, r, fcor);
+          const double coslat = std::cos(0.5 * (p.lat + center.lat) * deg2rad);
+          const double dx = (p.lon - center.lon) * kKmPerDegree * coslat;
+          const double dy = (p.lat - center.lat) * kKmPerDegree;
+          ut = vt_mag * (-dy / r);
+          vt = vt_mag * (dx / r);
+        }
+        fu = w * (ut - state.u(i, j)) * inv_tau;
+        fv = w * (vt - state.v(i, j)) * inv_tau;
+      }
+      mass_tendency(i, j) = q;
+      u_tendency(i, j) = fu;
+      v_tendency(i, j) = fv;
+      const double w_storm =
+          std::exp(-(r * r) / (2.0 * storm_radius * storm_radius));
+      relaxation(i, j) =
+          land(i, j) * inv_tau_fric + (1.0 - w_storm) * inv_tau_nudge;
+    }
+  }
+}
+
+bool same_bits(const Field2D& a, const Field2D& b) {
+  return a.nx() == b.nx() && a.ny() == b.ny() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(double)) == 0;
+}
+
+/// Three prognostic states on one grid: at rest (so the row through an
+/// on-grid centre yields signed zeros), a vortex offset from the storm, and
+/// deterministic noise of both signs.
+std::vector<DomainState> oracle_states(const GridSpec& g, LatLon storm) {
+  std::vector<DomainState> out(3, DomainState(g));
+  HollandVortex v{.center = LatLon{storm.lat + 0.7, storm.lon - 0.9},
+                  .deficit_hpa = 15.0,
+                  .r_max_km = 3.0 * g.resolution_km(),
+                  .b = 1.4};
+  v.deposit(out[1]);
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  auto next = [&x] {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<double>(x >> 11) / 9007199254740992.0 - 0.5;
+  };
+  for (std::size_t k = 0; k < g.point_count(); ++k) {
+    out[2].h.data()[k] = 80.0 * next();
+    out[2].u.data()[k] = 30.0 * next();
+    out[2].v.data()[k] = 30.0 * next();
+  }
+  return out;
+}
+
+struct OracleTally {
+  std::size_t cells = 0;
+  std::size_t outside_zone = 0;
+  std::size_t land = 0;
+  std::size_t centre_on_point = 0;
+};
+
+/// Checks both forms of the forcing against the oracle on one grid: one
+/// build_forcing() per state, and one geometry applied to all three states.
+void expect_matches_oracle(const CyclonePhysics& phys, const GridSpec& g,
+                           OracleTally& tally) {
+  const Field2D land = land_mask(g);
+  const std::vector<DomainState> states = oracle_states(g, phys.center());
+  ForcingGeometry geometry;
+  phys.forcing_geometry(g, land, geometry);
+  for (std::size_t k = 0; k < states.size(); ++k) {
+    SCOPED_TRACE("state " + std::to_string(k));
+    Field2D q0, fu0, fv0, relax0;
+    oracle_forcing(phys, states[k], land, q0, fu0, fv0, relax0);
+    Field2D q, fu, fv, relax;
+    phys.build_forcing(states[k], land, q, fu, fv, relax);
+    EXPECT_TRUE(same_bits(q, q0));
+    EXPECT_TRUE(same_bits(fu, fu0));
+    EXPECT_TRUE(same_bits(fv, fv0));
+    EXPECT_TRUE(same_bits(relax, relax0));
+
+    CyclonePhysics::apply_forcing(geometry, states[k], q, fu, fv);
+    EXPECT_TRUE(same_bits(q, q0));
+    EXPECT_TRUE(same_bits(fu, fu0));
+    EXPECT_TRUE(same_bits(fv, fv0));
+    EXPECT_TRUE(same_bits(geometry.relaxation, relax0));
+  }
+  for (std::size_t j = 0; j < g.ny(); ++j) {
+    for (std::size_t i = 0; i < g.nx(); ++i) {
+      ++tally.cells;
+      if (geometry.weight(i, j) <= 1e-4) ++tally.outside_zone;
+      if (land(i, j) > 0.0) ++tally.land;
+      if (distance_km(g.at(i, j), phys.center()) <= 1.0) {
+        ++tally.centre_on_point;
+      }
+    }
+  }
+}
+
+TEST(ForcingOracle, EveryLadderRungParentAndNest) {
+  // Storm centres: open ocean, the nearest parent grid point to it (r = 0
+  // at a cell), and near the south-west corner of the parent domain.
+  // Deficits bracket the storm-active floor (2 hPa) and deficit_max.
+  OracleTally tally;
+  for (const double scale : {8.0, 20.0}) {
+    for (const double res_km : {24.0, 21.0, 18.0, 15.0, 12.0, 10.0}) {
+      const GridSpec parent_grid(60.0, -10.0, 60.0, 50.0, res_km * scale);
+      const double ri = std::round(parent_grid.x_of_lon(88.5));
+      const double rj = std::round(parent_grid.y_of_lat(14.0));
+      const LatLon on_point = parent_grid.at(static_cast<std::size_t>(ri),
+                                             static_cast<std::size_t>(rj));
+      for (const LatLon centre : {LatLon{14.3, 88.7}, on_point,
+                                  LatLon{-8.6, 61.9}}) {
+        const DomainState parent(parent_grid);
+        const NestDomain nest(parent, centre, 9.0);
+        const GridSpec& nest_grid = nest.grid();
+        const LatLon nest_point = nest_grid.at(nest_grid.nx() / 2,
+                                               nest_grid.ny() / 2);
+        for (const double deficit : {2.01, 47.9}) {
+          SCOPED_TRACE("scale " + std::to_string(scale) + " res " +
+                       std::to_string(res_km) + " centre " +
+                       std::to_string(centre.lat) + "," +
+                       std::to_string(centre.lon) + " deficit " +
+                       std::to_string(deficit));
+          expect_matches_oracle(CyclonePhysics(PhysicsConfig{}, deficit,
+                                               centre),
+                                parent_grid, tally);
+          expect_matches_oracle(CyclonePhysics(PhysicsConfig{}, deficit,
+                                               centre),
+                                nest_grid, tally);
+          expect_matches_oracle(CyclonePhysics(PhysicsConfig{}, deficit,
+                                               nest_point),
+                                nest_grid, tally);
+        }
+      }
+    }
+  }
+  // The cases reach every branch the forcing has.
+  EXPECT_GT(tally.outside_zone, 0u);
+  EXPECT_LT(tally.outside_zone, tally.cells);
+  EXPECT_GT(tally.land, 0u);
+  EXPECT_GT(tally.centre_on_point, 0u);
+}
+
+TEST(ForcingOracle, SizesEachOutputOnItsOwn) {
+  // A sized mass tendency next to empty or wrongly shaped wind and
+  // relaxation fields: every output is reshaped, none is written past.
+  CyclonePhysics phys(PhysicsConfig{}, 20.0, kBay);
+  GridSpec g(80.0, 5.0, 18.0, 18.0, 100.0);
+  DomainState s(g);
+  const Field2D land = land_mask(g);
+  Field2D q0, fu0, fv0, relax0;
+  oracle_forcing(phys, s, land, q0, fu0, fv0, relax0);
+
+  Field2D q(g.nx(), g.ny());
+  Field2D fu;
+  Field2D fv(3, 2);
+  Field2D relax;
+  phys.build_forcing(s, land, q, fu, fv, relax);
+  EXPECT_TRUE(same_bits(q, q0));
+  EXPECT_TRUE(same_bits(fu, fu0));
+  EXPECT_TRUE(same_bits(fv, fv0));
+  EXPECT_TRUE(same_bits(relax, relax0));
+
+  ForcingGeometry geometry;
+  geometry.weight = Field2D(g.nx(), g.ny());
+  geometry.u_target = Field2D(1, 1);
+  phys.forcing_geometry(g, land, geometry);
+  Field2D q1;
+  Field2D fu1(g.nx(), g.ny());
+  Field2D fv1(1, g.ny());
+  CyclonePhysics::apply_forcing(geometry, s, q1, fu1, fv1);
+  EXPECT_TRUE(same_bits(q1, q0));
+  EXPECT_TRUE(same_bits(fu1, fu0));
+  EXPECT_TRUE(same_bits(fv1, fv0));
+  EXPECT_TRUE(same_bits(geometry.relaxation, relax0));
+}
+
+TEST(ForcingOracle, ApplyRejectsGeometryOfAnotherGrid) {
+  CyclonePhysics phys(PhysicsConfig{}, 20.0, kBay);
+  GridSpec g(80.0, 5.0, 18.0, 18.0, 100.0);
+  ForcingGeometry geometry;
+  phys.forcing_geometry(g, land_mask(g), geometry);
+  DomainState other(GridSpec(80.0, 5.0, 10.0, 10.0, 100.0));
+  Field2D q, fu, fv;
+  EXPECT_THROW(CyclonePhysics::apply_forcing(geometry, other, q, fu, fv),
+               std::invalid_argument);
 }
 
 TEST(Forcing, ShapeMismatchRejected) {

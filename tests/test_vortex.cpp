@@ -26,21 +26,31 @@ TEST(Distance, PlanarKm) {
 
 TEST(Holland, PressureProfileShape) {
   const HollandVortex v = aila_like();
+  const auto pressure = [&v](double r) {
+    return v.profile(r, 0.0).height_m * kHpaPerMetre;
+  };
   // Full deficit at the centre, ~0 far away, monotone in between.
-  EXPECT_NEAR(v.pressure_anomaly_hpa(0.1), -20.0, 0.01);
-  EXPECT_GT(v.pressure_anomaly_hpa(2000.0), -0.2);
-  double prev = v.pressure_anomaly_hpa(1.0);
+  EXPECT_NEAR(pressure(0.1), -20.0, 0.01);
+  EXPECT_GT(pressure(2000.0), -0.2);
+  double prev = pressure(1.0);
   for (double r = 20.0; r <= 1000.0; r += 20.0) {
-    const double cur = v.pressure_anomaly_hpa(r);
+    const double cur = pressure(r);
     EXPECT_GE(cur, prev - 1e-12) << "not monotone at r=" << r;
     prev = cur;
   }
 }
 
 TEST(Holland, HeightMatchesPressureMapping) {
+  // The height anomaly is the Holland pressure anomaly over kHpaPerMetre,
+  // whether or not the height and wind radii share one pow/exp.
   const HollandVortex v = aila_like();
-  EXPECT_NEAR(v.height_anomaly_m(50.0),
-              v.pressure_anomaly_hpa(50.0) / kHpaPerMetre, 1e-12);
+  for (const double r : {0.5, 1.0, 50.0, 333.3}) {
+    const double p =
+        -v.deficit_hpa * (1.0 - std::exp(-std::pow(v.r_max_km / r, v.b)));
+    EXPECT_NEAR(v.profile(r, coriolis(14.0)).height_m, p / kHpaPerMetre,
+                1e-12)
+        << "r=" << r;
+  }
 }
 
 TEST(Holland, BalancedWindPeaksNearRmax) {
@@ -49,7 +59,7 @@ TEST(Holland, BalancedWindPeaksNearRmax) {
   double peak = 0.0;
   double peak_r = 0.0;
   for (double r = 5.0; r <= 600.0; r += 5.0) {
-    const double w = v.balanced_tangential_wind(r, f);
+    const double w = v.profile(r, f).wind_ms;
     EXPECT_GE(w, 0.0);
     if (w > peak) {
       peak = w;
@@ -61,7 +71,7 @@ TEST(Holland, BalancedWindPeaksNearRmax) {
   EXPECT_LT(peak, 70.0);
   EXPECT_NEAR(peak_r, v.r_max_km, 25.0);
   // Far field decays.
-  EXPECT_LT(v.balanced_tangential_wind(600.0, f), 0.5 * peak);
+  EXPECT_LT(v.profile(600.0, f).wind_ms, 0.5 * peak);
 }
 
 TEST(Holland, DepositCreatesCyclonicLow) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <optional>
 
 #include "weather/domain_io.hpp"
 
@@ -174,6 +176,133 @@ TEST(WeatherModel, DeterministicForFixedConfig) {
   }
   EXPECT_DOUBLE_EQ(a.min_pressure_hpa(), b.min_pressure_hpa());
   EXPECT_DOUBLE_EQ(a.eye().lat, b.eye().lat);
+}
+
+/// WeatherModel::step() rebuilt from the weather modules' public calls,
+/// with build_forcing() on the parent and on every nest substep: the
+/// reference for the model's one-geometry-per-parent-step reuse.
+class ForcingReplay {
+ public:
+  explicit ForcingReplay(const WeatherModel& m)
+      : config_(m.config()),
+        ladder_(m.ladder()),
+        solver_(m.config().dynamics),
+        res_km_(m.modeled_resolution_km()),
+        sim_time_(m.sim_time()),
+        parent_(m.parent_state()),
+        nest_(m.nest()),
+        parent_land_(land_mask(parent_.grid)),
+        tracker_(m.tracker()),
+        physics_(m.physics()) {
+    if (nest_.has_value()) nest_land_ = land_mask(nest_->grid());
+  }
+
+  void step() {
+    const double dt = SwSolver::dt_for_resolution_km(res_km_);
+    const bool storm_active = physics_.deficit_hpa() > 2.0;
+    SwForcing forcing;
+    forcing.steering_u = config_.analysis.steering.u(sim_time_);
+    forcing.steering_v = config_.analysis.steering.v(sim_time_);
+    if (storm_active) force(parent_, parent_land_, forcing);
+    solver_.step(parent_, dt, forcing);
+    if (nest_.has_value()) {
+      SwForcing nf;
+      nf.steering_u = forcing.steering_u;
+      nf.steering_v = forcing.steering_v;
+      for (int k = 0; k < kNestRatio; ++k) {
+        nest_->apply_boundary(parent_);
+        if (storm_active) force(nest_->state(), nest_land_, nf);
+        solver_.step(nest_->state(), dt / kNestRatio, nf);
+      }
+      nest_->feedback(parent_);
+    }
+    physics_.advance(dt, forcing.steering_u, forcing.steering_v,
+                     tracker_.eye());
+    sim_time_ += SimSeconds(dt);
+    tracker_.update(nest_.has_value() ? nest_->state() : parent_, sim_time_);
+    if (!nest_.has_value()) {
+      if (tracker_.min_pressure_hpa() < ladder_.spawn_pressure_hpa()) {
+        nest_.emplace(parent_, tracker_.eye(), config_.nest_extent_deg);
+        nest_land_ = land_mask(nest_->grid());
+      }
+    } else if (nest_->needs_recenter(tracker_.eye())) {
+      nest_->recenter(parent_, tracker_.eye());
+      nest_land_ = land_mask(nest_->grid());
+    }
+  }
+
+  [[nodiscard]] SimSeconds sim_time() const { return sim_time_; }
+  [[nodiscard]] const DomainState& parent() const { return parent_; }
+  [[nodiscard]] const std::optional<NestDomain>& nest() const {
+    return nest_;
+  }
+  [[nodiscard]] const CycloneTracker& tracker() const { return tracker_; }
+  [[nodiscard]] const CyclonePhysics& physics() const { return physics_; }
+
+ private:
+  void force(const DomainState& state, const Field2D& land, SwForcing& f) {
+    physics_.build_forcing(state, land, q_, fu_, fv_, relax_);
+    f.mass_tendency = &q_;
+    f.u_tendency = &fu_;
+    f.v_tendency = &fv_;
+    f.relaxation = &relax_;
+  }
+
+  ModelConfig config_;
+  ResolutionLadder ladder_;
+  SwSolver solver_;
+  double res_km_;
+  SimSeconds sim_time_;
+  DomainState parent_;
+  std::optional<NestDomain> nest_;
+  Field2D parent_land_, nest_land_;
+  CycloneTracker tracker_;
+  CyclonePhysics physics_;
+  Field2D q_, fu_, fv_, relax_;
+};
+
+bool same_bits(const DomainState& a, const DomainState& b) {
+  const auto same = [](const Field2D& x, const Field2D& y) {
+    return x.nx() == y.nx() && x.ny() == y.ny() &&
+           std::memcmp(x.data().data(), y.data().data(),
+                       x.size() * sizeof(double)) == 0;
+  };
+  return a.grid == b.grid && same(a.h, b.h) && same(a.u, b.u) &&
+         same(a.v, b.v);
+}
+
+TEST(WeatherModel, ForcingGeometryReuseIsBitwiseExact) {
+  // Through nest spawn and several recenters, the model (one storm geometry
+  // per parent step) stays bitwise equal to a replay that rebuilds the
+  // whole forcing on the parent and on every nest substep.
+  WeatherModel m(fast_config());
+  ForcingReplay replay(m);
+  int spawned_at = -1;
+  int recenters = 0;
+  std::optional<GridSpec> nest_grid;
+  for (int step = 0; step < 1000; ++step) {
+    m.step();
+    replay.step();
+    ASSERT_EQ(m.sim_time().seconds(), replay.sim_time().seconds());
+    ASSERT_TRUE(same_bits(m.parent_state(), replay.parent())) << step;
+    ASSERT_EQ(m.nest_active(), replay.nest().has_value()) << step;
+    if (m.nest_active()) {
+      ASSERT_TRUE(same_bits(m.nest()->state(), replay.nest()->state()))
+          << step;
+      if (spawned_at < 0) spawned_at = step;
+      if (nest_grid.has_value() && !(*nest_grid == m.nest()->grid())) {
+        ++recenters;
+      }
+      nest_grid = m.nest()->grid();
+    }
+    ASSERT_EQ(m.physics().deficit_hpa(), replay.physics().deficit_hpa());
+    ASSERT_EQ(m.physics().center().lat, replay.physics().center().lat);
+    ASSERT_EQ(m.physics().center().lon, replay.physics().center().lon);
+    ASSERT_EQ(m.eye().lat, replay.tracker().eye().lat);
+    ASSERT_EQ(m.eye().lon, replay.tracker().eye().lon);
+  }
+  EXPECT_GT(spawned_at, 0);
+  EXPECT_GE(recenters, 2);
 }
 
 }  // namespace
