@@ -186,6 +186,7 @@ AdaptiveFramework::AdaptiveFramework(ExperimentConfig config)
   sim_opts.end_time = config_.sim_window;
   sim_opts.keep_payloads = config_.keep_payloads;
   sim_opts.codec = config_.codec;
+  sim_opts.pool = config_.pool;
   SimulationProcess::Callbacks sim_cbs;
   sim_cbs.on_resolution_signal = [this](double res) {
     job_handler_->on_resolution_signal(res);

@@ -48,6 +48,9 @@ class SimulationProcess {
     /// measured per-frame ratio scales the modeled frame bytes that flow
     /// into disk, WAN, and cache accounting.
     CodecOptions codec{};
+    /// Pool the codec runs a frame's field slots on (non-owning; null uses
+    /// ThreadPool::shared()). Payloads do not depend on it.
+    ThreadPool* pool = nullptr;
   };
 
   struct Callbacks {

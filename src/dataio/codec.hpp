@@ -37,6 +37,8 @@
 
 namespace adaptviz {
 
+class ThreadPool;
+
 /// A borrowed, row-major (ny, nx) view of a double field. The codec does
 /// not depend on weather/Field2D; callers pass `{f.data().data(), f.nx(),
 /// f.ny()}`.
@@ -117,12 +119,15 @@ struct CodecOptions {
   CodecPrecision precision = CodecPrecision::kFloat32;
 };
 
-/// Aggregate result of encoding one frame's field set.
+/// Aggregate result of encoding one frame's field set. The field slots
+/// run concurrently, so encode_seconds and decode_seconds are per-field
+/// kernel times summed over lanes and can exceed wall_seconds.
 struct CodecFrameReport {
   std::size_t raw_bytes = 0;      // at the coded precision, summed
   std::size_t encoded_bytes = 0;  // payload bytes, summed
-  double encode_seconds = 0.0;    // host wall clock
-  double decode_seconds = 0.0;    // host wall clock, verify decode
+  double encode_seconds = 0.0;    // host clock, summed over fields
+  double decode_seconds = 0.0;    // host clock, verify decode, summed
+  double wall_seconds = 0.0;      // host wall clock of the whole call
   int fields = 0;
 
   [[nodiscard]] double ratio() const {
@@ -149,7 +154,17 @@ class FrameFieldCodec {
   /// bit-for-bit against what was encoded, which proves losslessness on
   /// every frame and gives the decode-time measurement; throws
   /// std::logic_error if any field fails to reconstruct.
-  CodecFrameReport encode_frame_fields(const std::vector<FieldView>& fields);
+  ///
+  /// Each field slot's encode and verify decode is one lane on `pool`
+  /// (null uses ThreadPool::shared()), up to the pool's worker count.
+  /// Slots share nothing, and the results are summed and the histories
+  /// rotated in slot order after the join, so payloads and report are the
+  /// same for any pool. Called from inside a pool task or region, the
+  /// slots run inline. When `encoded` is non-null the frames are appended to it in
+  /// slot order.
+  CodecFrameReport encode_frame_fields(
+      const std::vector<FieldView>& fields, ThreadPool* pool = nullptr,
+      std::vector<CompressedFrame>* encoded = nullptr);
 
   [[nodiscard]] const CodecOptions& options() const { return options_; }
   /// Raw bytes encoded since construction.

@@ -7,7 +7,10 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
+
+#include "util/thread_pool.hpp"
 
 namespace adaptviz {
 namespace {
@@ -254,6 +257,17 @@ TEST(Codec, Delta2RequiresBothHistoryFramesToDecode) {
   EXPECT_THROW(decode_frame(frame, &p1, &wrong), std::invalid_argument);
 }
 
+TEST(Codec, DeltaDelta2TieGoesToDelta) {
+  // cur == prev == prev2: both temporal residual streams are all zeros
+  // and code to the same bytes, so the earlier mode must win the tie.
+  const std::vector<double> held = ar1_field(24, 24, 37);
+  const FieldView hv = view(held, 24, 24);
+  for (CodecPrecision precision : {kF32, kF64}) {
+    const CompressedFrame frame = encode_frame(hv, &hv, &hv, precision);
+    EXPECT_EQ(frame.mode, CompressedFrame::Mode::kDelta);
+  }
+}
+
 TEST(Codec, Prev2AloneNeverSelectsDelta2) {
   // A stale prev2 without a usable prev (e.g. the frame right after a
   // resolution change) must not enable temporal prediction.
@@ -265,6 +279,330 @@ TEST(Codec, Prev2AloneNeverSelectsDelta2) {
   EXPECT_NE(frame.mode, CompressedFrame::Mode::kDelta);
   EXPECT_NE(frame.mode, CompressedFrame::Mode::kDelta2);
   EXPECT_EQ(decode_frame(frame, nullptr, nullptr), cur);
+}
+
+// ---- Golden payload bytes ----
+//
+// The encoded size of every frame is science (it sets the modeled frame
+// bytes that disk, WAN, cache and the LP charge), so the entropy stage
+// must emit the same bytes whatever its implementation. These tests pin an
+// FNV-1a digest of every payload byte, and the mode sequence, of a
+// scripted multi-frame stream that exercises all four modes and a
+// resolution change at both precisions.
+
+// splitmix64: a fixed integer generator, so the stream is the same on every
+// platform and standard library (<random>'s distributions are
+// implementation-defined).
+std::uint64_t splitmix(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+// Uniform integer in [-amp, amp].
+std::int64_t noise(std::uint64_t& state, std::int64_t amp) {
+  return static_cast<std::int64_t>(splitmix(state) %
+                                   static_cast<std::uint64_t>(2 * amp + 1)) -
+         amp;
+}
+
+struct GoldenFrame {
+  std::vector<double> values;
+  std::size_t nx = 0, ny = 0;
+};
+
+// One stream of the scripted sequence, built on an integer lattice: a
+// rough static texture (which defeats the spatial predictor) plus a smooth
+// quadratic, advanced in time by a smooth drift and small per-frame noise.
+// Values are lattice / 3.0, one correctly rounded division, so every
+// mantissa bit is used and no libm call or FMA contraction can change them.
+class GoldenStream {
+ public:
+  GoldenStream(std::size_t nx, std::size_t ny, std::uint64_t seed)
+      : nx_(nx), ny_(ny), rng_(seed), lattice_(nx * ny) {
+    for (std::size_t j = 0; j < ny; ++j) {
+      for (std::size_t i = 0; i < nx; ++i) {
+        const auto x = static_cast<std::int64_t>(i);
+        const auto y = static_cast<std::int64_t>(j);
+        lattice_[j * nx + i] = 40 * x * x - 17 * x * y + 25 * y * y +
+                               noise(rng_, 100000);
+      }
+    }
+  }
+
+  // Smooth drift plus small noise: the temporal predictors' regime.
+  GoldenFrame drift() {
+    for (std::size_t k = 0; k < lattice_.size(); ++k) {
+      const auto x = static_cast<std::int64_t>(k % nx_);
+      const auto y = static_cast<std::int64_t>(k / nx_);
+      lattice_[k] += 30 * x - 20 * y + 900 + noise(rng_, 2);
+    }
+    return frame();
+  }
+  // Independent random jumps: a random walk, where plain delta beats delta2.
+  GoldenFrame jump() {
+    for (std::int64_t& v : lattice_) v += noise(rng_, 300);
+    return frame();
+  }
+  GoldenFrame frame() const {
+    GoldenFrame f{std::vector<double>(lattice_.size()), nx_, ny_};
+    for (std::size_t k = 0; k < lattice_.size(); ++k) {
+      f.values[k] = static_cast<double>(lattice_[k]) / 3.0;
+    }
+    return f;
+  }
+
+ private:
+  std::size_t nx_, ny_;
+  std::uint64_t rng_;
+  std::vector<std::int64_t> lattice_;
+};
+
+// A texture-free smooth quadratic: only the spatial predictor helps.
+GoldenFrame golden_smooth(std::size_t nx, std::size_t ny) {
+  GoldenFrame f{std::vector<double>(nx * ny), nx, ny};
+  for (std::size_t j = 0; j < ny; ++j) {
+    for (std::size_t i = 0; i < nx; ++i) {
+      const auto x = static_cast<std::int64_t>(i);
+      const auto y = static_cast<std::int64_t>(j);
+      f.values[j * nx + i] =
+          static_cast<double>(7 * x * x + 3 * x * y - 5 * y * y + 1000) / 3.0;
+    }
+  }
+  return f;
+}
+
+// Uniformly random bit patterns at the coded width (NaN exponents
+// excluded, so narrowing cannot touch them): only the raw escape fits.
+GoldenFrame golden_noise(std::size_t nx, std::size_t ny,
+                         CodecPrecision precision, std::uint64_t seed) {
+  GoldenFrame f{std::vector<double>(nx * ny), nx, ny};
+  for (double& v : f.values) {
+    const std::uint64_t bits = splitmix(seed);
+    if (precision == kF32) {
+      std::uint32_t b = static_cast<std::uint32_t>(bits);
+      if (((b >> 23) & 0xff) == 0xff) b ^= 0x00800000u;
+      float x;
+      std::memcpy(&x, &b, sizeof x);
+      v = static_cast<double>(x);
+    } else {
+      std::uint64_t b = bits;
+      if (((b >> 52) & 0x7ff) == 0x7ff) b ^= 0x0010000000000000ull;
+      std::memcpy(&v, &b, sizeof v);
+    }
+  }
+  return f;
+}
+
+// intra, delta, delta2 x2, delta x2 (random walk), intra (smooth), raw,
+// then a resolution change: intra, delta, delta2 x2 at the new shape, and
+// two held frames (the second an exact delta/delta2 tie, which the
+// earlier mode must win).
+std::vector<GoldenFrame> golden_sequence(CodecPrecision precision) {
+  std::vector<GoldenFrame> seq;
+  GoldenStream a(24, 16, 19);
+  seq.push_back(a.frame());
+  for (int k = 0; k < 3; ++k) seq.push_back(a.drift());
+  seq.push_back(a.jump());
+  seq.push_back(a.jump());
+  seq.push_back(golden_smooth(24, 16));
+  seq.push_back(golden_noise(24, 16, precision, 77));
+  GoldenStream b(20, 12, 31);
+  seq.push_back(b.frame());
+  for (int k = 0; k < 3; ++k) seq.push_back(b.drift());
+  seq.push_back(b.frame());
+  seq.push_back(b.frame());
+  return seq;
+}
+
+constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+void fnv1a(std::uint64_t& h, const std::uint8_t* p, std::size_t n) {
+  for (std::size_t k = 0; k < n; ++k) {
+    h ^= p[k];
+    h *= kFnvPrime;
+  }
+}
+
+char mode_letter(CompressedFrame::Mode mode) {
+  switch (mode) {
+    case CompressedFrame::Mode::kRaw: return 'R';
+    case CompressedFrame::Mode::kIntra: return 'I';
+    case CompressedFrame::Mode::kDelta: return 'D';
+    case CompressedFrame::Mode::kDelta2: return 'T';
+  }
+  return '?';
+}
+
+struct GoldenDigest {
+  std::uint64_t hash = kFnvOffset;
+  std::string modes;
+};
+
+// Encodes the sequence with the two-frame history FrameFieldCodec keeps,
+// folds every frame's mode byte and payload into one FNV-1a digest, and
+// checks each frame decodes back bit for bit.
+GoldenDigest encode_golden(CodecPrecision precision) {
+  GoldenDigest d;
+  const std::vector<GoldenFrame> seq = golden_sequence(precision);
+  for (std::size_t t = 0; t < seq.size(); ++t) {
+    const FieldView cur = view(seq[t].values, seq[t].nx, seq[t].ny);
+    const FieldView p1 =
+        t >= 1 ? view(seq[t - 1].values, seq[t - 1].nx, seq[t - 1].ny)
+               : FieldView{};
+    const FieldView p2 =
+        t >= 2 ? view(seq[t - 2].values, seq[t - 2].nx, seq[t - 2].ny)
+               : FieldView{};
+    const CompressedFrame f = encode_frame(cur, t >= 1 ? &p1 : nullptr,
+                                           t >= 2 ? &p2 : nullptr, precision);
+    const auto mode = static_cast<std::uint8_t>(f.mode);
+    fnv1a(d.hash, &mode, 1);
+    fnv1a(d.hash, f.payload.data(), f.payload.size());
+    d.modes += mode_letter(f.mode);
+    const std::vector<double> back = decode_frame(f, &p1, &p2);
+    const std::vector<double> want =
+        precision == kF32 ? narrowed32(seq[t].values) : seq[t].values;
+    EXPECT_EQ(std::memcmp(back.data(), want.data(),
+                          want.size() * sizeof(double)),
+              0)
+        << "frame " << t;
+  }
+  return d;
+}
+
+TEST(Codec, DecodeRejectsTrailingBytesAfterRangeCodedBody) {
+  // A valid range-coded stream ends exactly at the payload's end, so any
+  // appended byte is corruption, in every range-coded mode.
+  for (CodecPrecision precision : {kF32, kF64}) {
+    const std::vector<GoldenFrame> seq = golden_sequence(precision);
+    const FieldView v2 = view(seq[0].values, seq[0].nx, seq[0].ny);
+    const FieldView v1 = view(seq[1].values, seq[1].nx, seq[1].ny);
+    const FieldView cur = view(seq[2].values, seq[2].nx, seq[2].ny);
+    const CompressedFrame frames[] = {encode_frame(cur, nullptr, nullptr, precision),
+                                      encode_frame(cur, &v1, nullptr, precision),
+                                      encode_frame(cur, &v1, &v2, precision)};
+    EXPECT_EQ(frames[0].mode, CompressedFrame::Mode::kIntra);
+    EXPECT_EQ(frames[1].mode, CompressedFrame::Mode::kDelta);
+    EXPECT_EQ(frames[2].mode, CompressedFrame::Mode::kDelta2);
+    for (const CompressedFrame& frame : frames) {
+      EXPECT_NO_THROW(decode_frame(frame, &v1, &v2));
+      CompressedFrame padded = frame;
+      padded.payload.push_back(0);
+      EXPECT_THROW(decode_frame(padded, &v1, &v2), std::invalid_argument)
+          << "mode " << static_cast<int>(frame.mode);
+    }
+  }
+}
+
+// ---- Per-field fan-out ----
+//
+// FrameFieldCodec runs each field slot on its own pool lane. The payloads,
+// sizes and ratios must not depend on the pool, and a copied codec (the
+// snapshot path) must resume exactly where the original would.
+
+// 40 frames of three slots (two parent-sized, one nest-sized, as a frame's
+// fields), with a resolution change of the first two slots at frame 17.
+struct FanoutRun {
+  std::vector<std::size_t> encoded_bytes;
+  std::vector<double> cumulative_ratio;
+  std::uint64_t payload_hash = kFnvOffset;
+};
+
+std::vector<std::vector<GoldenFrame>> fanout_frames() {
+  GoldenStream a(24, 16, 5), b(24, 16, 6), nest(11, 11, 7);
+  GoldenStream a2(30, 20, 8), b2(30, 20, 9);
+  std::vector<std::vector<GoldenFrame>> frames;
+  for (int t = 0; t < 40; ++t) {
+    const bool fine = t >= 17;
+    frames.push_back({fine ? a2.drift() : a.drift(),
+                      fine ? b2.jump() : b.jump(), nest.drift()});
+  }
+  return frames;
+}
+
+void encode_frames(FrameFieldCodec& codec, ThreadPool& pool,
+                   const std::vector<std::vector<GoldenFrame>>& frames,
+                   std::size_t begin, std::size_t end, FanoutRun& run) {
+  for (std::size_t t = begin; t < end; ++t) {
+    std::vector<FieldView> fields;
+    for (const GoldenFrame& f : frames[t]) {
+      fields.push_back(view(f.values, f.nx, f.ny));
+    }
+    std::vector<CompressedFrame> encoded;
+    const CodecFrameReport report =
+        codec.encode_frame_fields(fields, &pool, &encoded);
+    EXPECT_EQ(report.fields, 3);
+    ASSERT_EQ(encoded.size(), fields.size());
+    std::size_t bytes = 0;
+    for (const CompressedFrame& f : encoded) {
+      bytes += f.encoded_bytes();
+      fnv1a(run.payload_hash, f.payload.data(), f.payload.size());
+    }
+    EXPECT_EQ(report.encoded_bytes, bytes);
+    run.encoded_bytes.push_back(report.encoded_bytes);
+    run.cumulative_ratio.push_back(codec.cumulative_ratio());
+  }
+}
+
+TEST(CodecFanout, PayloadsAndRatiosDoNotDependOnThePool) {
+  const auto frames = fanout_frames();
+  ThreadPool serial(0);
+  ThreadPool wide(3);
+  FanoutRun a, b;
+  FrameFieldCodec ca(CodecOptions{true, kF32});
+  FrameFieldCodec cb(CodecOptions{true, kF32});
+  encode_frames(ca, serial, frames, 0, frames.size(), a);
+  encode_frames(cb, wide, frames, 0, frames.size(), b);
+  EXPECT_EQ(a.encoded_bytes, b.encoded_bytes);
+  EXPECT_EQ(a.cumulative_ratio, b.cumulative_ratio);
+  EXPECT_EQ(a.payload_hash, b.payload_hash);
+  EXPECT_GT(ca.cumulative_ratio(), 1.0);
+}
+
+TEST(CodecFanout, CopiedCodecResumesIdentically) {
+  const auto frames = fanout_frames();
+  ThreadPool serial(0);
+  ThreadPool wide(3);
+  FanoutRun whole, split;
+  FrameFieldCodec straight(CodecOptions{true, kF64});
+  encode_frames(straight, serial, frames, 0, frames.size(), whole);
+
+  // Snapshot mid-sequence (just before the resolution change), then
+  // resume the copy on the other pool.
+  FrameFieldCodec first(CodecOptions{true, kF64});
+  encode_frames(first, wide, frames, 0, 16, split);
+  FrameFieldCodec resumed = first;
+  encode_frames(resumed, wide, frames, 16, frames.size(), split);
+  EXPECT_EQ(whole.encoded_bytes, split.encoded_bytes);
+  EXPECT_EQ(whole.cumulative_ratio, split.cumulative_ratio);
+  EXPECT_EQ(whole.payload_hash, split.payload_hash);
+  EXPECT_EQ(resumed.total_raw_bytes(), straight.total_raw_bytes());
+}
+
+TEST(CodecFanout, LaneFailureIsRethrownOnTheCaller) {
+  // A slot that throws on a pool lane must surface as the same exception
+  // on the calling thread, not terminate the process.
+  ThreadPool wide(3);
+  FrameFieldCodec codec(CodecOptions{true, kF32});
+  const std::vector<double> good = ar1_field(16, 16, 3);
+  const std::vector<FieldView> fields = {view(good, 16, 16),
+                                         FieldView{nullptr, 16, 16},
+                                         view(good, 16, 16)};
+  EXPECT_THROW(codec.encode_frame_fields(fields, &wide), std::invalid_argument);
+}
+
+TEST(CodecGolden, Float32PayloadBytesArePinned) {
+  const GoldenDigest d = encode_golden(kF32);
+  EXPECT_EQ(d.modes, "IDTTDDIRIDTTDD");
+  EXPECT_EQ(d.hash, 18107403636333372271ull);
+}
+
+TEST(CodecGolden, Float64PayloadBytesArePinned) {
+  const GoldenDigest d = encode_golden(kF64);
+  EXPECT_EQ(d.modes, "IDTTDDIRIDTTDD");
+  EXPECT_EQ(d.hash, 874226914895838326ull);
 }
 
 // ---- Error handling ----

@@ -282,10 +282,13 @@ TEST(FrameworkCodec, EncodedBytesFlowThroughTheWholePipeline) {
   EXPECT_EQ(r.summary.codec_bytes_saved.count(), raw - enc);
   const obs::Histogram::Snapshot* enc_ms = r.metrics.histogram("codec.encode_ms");
   const obs::Histogram::Snapshot* dec_ms = r.metrics.histogram("codec.decode_ms");
+  const obs::Histogram::Snapshot* frame_ms = r.metrics.histogram("codec.frame_ms");
   ASSERT_NE(enc_ms, nullptr);
   ASSERT_NE(dec_ms, nullptr);
+  ASSERT_NE(frame_ms, nullptr);
   EXPECT_EQ(enc_ms->count, r.summary.frames_written);
   EXPECT_EQ(dec_ms->count, r.summary.frames_written);
+  EXPECT_EQ(frame_ms->count, r.summary.frames_written);
 }
 
 TEST(FrameworkCodec, EncodedRunMovesFewerBytesThanRawRun) {
