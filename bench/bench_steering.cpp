@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
 
   // Leg 2: the recorded log is the only steering input.
   ExperimentConfig replay_cfg = steered_config(args.quick);
-  replay_cfg.steering.replay_log_path = log_path;
+  replay_cfg.steering.replay = load_steering_log(log_path);
   replay_cfg.steering.record_log_path = relog_path;
   const ExperimentResult replayed = run_experiment(replay_cfg);
   const std::uint64_t replay_digest = digest_result(replayed);

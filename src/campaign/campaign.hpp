@@ -182,7 +182,7 @@ struct CampaignOptions : CampaignOutputOptions {
   /// Experiments in flight at once (K). 1 executes strictly sequentially
   /// on the calling thread, no worker threads involved.
   int concurrency = 1;
-  /// Live control plane fronting the campaign (non-owning; must outlive
+  /// Registration server fronting the campaign (non-owning; must outlive
   /// the call). Every run whose config leaves steering.control_plane
   /// unset registers here — one serve process fronts all K concurrent
   /// runs — and sweep progress is published as a CampaignView after each

@@ -43,7 +43,7 @@ struct ResourceSnapshot {
 
 /// The third decision input (alongside resource observations and the
 /// application snapshot): what the attached observers are asking for.
-/// The control plane aggregates per-client KnobProposals into the
+/// The framework aggregates per-client KnobProposals into the
 /// strictest request — smallest proposed max_output_interval, largest
 /// proposed resolution floor — and the application manager tightens the
 /// bounds the algorithms work within accordingly. Zero values mean "no
@@ -78,7 +78,7 @@ struct DecisionInput : ResourceSnapshot {
   int max_processors = 1;  // min(machine, WRF decomposition limit)
   DecisionBounds bounds{};
 
-  // --- Observer input (control plane) ---
+  // --- Observer input (steering events) ---
   ObserverDigest observers{};
 };
 

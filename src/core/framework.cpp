@@ -98,12 +98,6 @@ AdaptiveFramework::AdaptiveFramework(ExperimentConfig config)
   app_config_.output_interval = config_.bounds.min_output_interval;
   app_config_.resolution_km = config_.model.base_resolution_km;
 
-  if (!config_.steering.replay_log_path.empty()) {
-    for (SteeringEvent& e :
-         load_steering_log(config_.steering.replay_log_path)) {
-      config_.steering.replay.push_back(std::move(e));
-    }
-  }
   if (config_.steering.policy && !config_.steering.replay.empty()) {
     throw std::invalid_argument(
         "ExperimentConfig: a steering policy and a replay log would "
@@ -113,14 +107,18 @@ AdaptiveFramework::AdaptiveFramework(ExperimentConfig config)
     throw std::invalid_argument(
         "ExperimentConfig: steering.poll_period must be > 0");
   }
+  if (config_.steering.latency.seconds() < 0) {
+    throw std::invalid_argument(
+        "ExperimentConfig: steering.latency must be >= 0");
+  }
   validate(config_.adversary);
 
   algorithm_ = make_algorithm(config_);
   VisualizationProcess::Options vis_opts = config_.vis;
   {
-    // Every visualized frame becomes a control-plane observation: the
-    // in-run policy reacts to it, and an external registration server
-    // publishes it to attached monitoring clients.
+    // Every visualized frame becomes a steering observation: the in-run
+    // policy reacts to it, and a registration server publishes it to
+    // attached monitoring clients.
     auto chained = std::move(vis_opts.on_frame);
     vis_opts.on_frame = [this, chained = std::move(chained)](
                             const Frame& f, const VisRecord& rec) {
@@ -134,7 +132,14 @@ AdaptiveFramework::AdaptiveFramework(ExperimentConfig config)
       obs.nest_active = f.nest_active;
       if (config_.steering.policy) {
         if (auto cmd = config_.steering.policy(obs)) {
-          control_->send_command(std::move(*cmd));
+          SteeringEvent e;
+          e.command = std::move(*cmd);
+          deliver(e, queue_.now() + config_.steering.latency,
+                  "steering.deliver");
+          ADAPTVIZ_LOG_INFO("steering", "[%s] %s queued (%s)",
+                            hh_mm(queue_.now()).c_str(),
+                            to_string(e.command.kind),
+                            e.command.reason.c_str());
         }
       }
       if (config_.steering.control_plane != nullptr && server_run_id_ >= 0) {
@@ -213,31 +218,16 @@ AdaptiveFramework::AdaptiveFramework(ExperimentConfig config)
   telemetry_ = std::make_unique<TelemetryRecorder>(
       queue_, [this] { return sample_now(); }, config_.sample_period);
 
-  // The run's control plane: the single applier of steering events. Always
-  // present — with nothing steering it schedules no events and the run is
-  // bitwise identical to a plane-less one.
-  control_ = std::make_unique<LocalControlPlane>(
-      queue_, config_.steering.latency,
-      [this](const SteeringEvent& e) { apply_event(e); });
-  control_->register_run(config_.name);
   for (const SteeringEvent& e : config_.steering.replay) {
-    control_->schedule_replay(e);
+    deliver(e, e.wall, "steering.replay");
   }
   if (config_.steering.control_plane != nullptr) {
     server_run_id_ =
         config_.steering.control_plane->register_run(config_.name);
     // First inbox pull at t=0 (pre-registration events with wall 0 apply
-    // immediately), then every poll_period.
+    // one latency in), then every poll_period.
     queue_.schedule_at(
-        WallSeconds(0.0),
-        [this] {
-          for (SteeringEvent& e : config_.steering.control_plane->drain(
-                   server_run_id_, queue_.now())) {
-            control_->steer(0, std::move(e));
-          }
-          schedule_control_poll();
-        },
-        "steering.poll");
+        WallSeconds(0.0), [this] { poll_inbox(); }, "steering.poll");
   }
 }
 
@@ -248,19 +238,22 @@ AdaptiveFramework::~AdaptiveFramework() {
   }
 }
 
-void AdaptiveFramework::schedule_control_poll() {
+void AdaptiveFramework::deliver(const SteeringEvent& event, WallSeconds at,
+                                const char* label) {
+  validate(event);
+  queue_.schedule_at(at, [this, event] { apply_event(event); }, label);
+}
+
+void AdaptiveFramework::poll_inbox() {
+  if (server_run_id_ < 0) return;  // deregistered: the run is over
+  // A drained event's wall has passed (wall <= now), so it applies one
+  // channel latency from now.
+  for (const SteeringEvent& e : config_.steering.control_plane->drain(
+           server_run_id_, queue_.now())) {
+    deliver(e, queue_.now() + config_.steering.latency, "steering.deliver");
+  }
   queue_.schedule_after(
-      config_.steering.poll_period,
-      [this] {
-        if (config_.steering.control_plane == nullptr || server_run_id_ < 0) {
-          return;
-        }
-        for (SteeringEvent& e : config_.steering.control_plane->drain(
-                 server_run_id_, queue_.now())) {
-          control_->steer(0, std::move(e));
-        }
-        schedule_control_poll();
-      },
+      config_.steering.poll_period, [this] { poll_inbox(); },
       "steering.poll");
 }
 
@@ -542,7 +535,7 @@ void AdaptiveFramework::set_adversary_plan(AdversaryPlan plan) {
 ExperimentState AdaptiveFramework::snapshot() const {
   if (config_.steering.control_plane != nullptr) {
     throw std::logic_error(
-        "AdaptiveFramework::snapshot: an external control plane does not "
+        "AdaptiveFramework::snapshot: a registration server does not "
         "support snapshot/restore");
   }
   ExperimentState s;
@@ -560,7 +553,6 @@ ExperimentState AdaptiveFramework::snapshot() const {
   s.receiver = receiver_->snapshot();
   s.vis = vis_->snapshot();
   s.telemetry = telemetry_->snapshot();
-  s.control = control_->snapshot();
   if (serving_) s.serving = serving_->snapshot();
   if (tree_) s.tree = tree_->snapshot();
   s.run = run_;
@@ -583,7 +575,6 @@ void AdaptiveFramework::restore(const ExperimentState& s) {
   receiver_->restore(s.receiver);
   vis_->restore(s.vis);
   telemetry_->restore(s.telemetry);
-  control_->restore(s.control);
   if (s.serving.has_value()) {
     ensure_serving();
     serving_->restore(*s.serving);

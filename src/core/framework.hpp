@@ -25,6 +25,7 @@
 #include "core/simulation_process.hpp"
 #include "core/telemetry.hpp"
 #include "serve/edge_tree.hpp"
+#include "serve/registration.hpp"
 #include "serve/session_manager.hpp"
 #include "steering/control_plane.hpp"
 #include "steering/steering.hpp"
@@ -64,28 +65,28 @@ struct FaultOptions {
   RetryPolicy retry{};
 };
 
-/// The run-side half of the control plane (steering/control_plane.hpp).
-/// All fields default to "no steering" and reproduce the seed bitwise.
+/// The run-side steering knobs. All fields default to "no steering" and
+/// reproduce the seed bitwise. Every event reaches the run on its event
+/// queue: policy commands and events drained from `control_plane` apply
+/// `latency` after they arrive, replayed events at exactly their `wall`.
 struct SteeringOptions {
   /// Scientist stand-in consulted at the visualization site per visualized
-  /// frame; commands travel back over the control plane. Mutually
-  /// exclusive with `replay` (a replayed log already contains whatever a
-  /// policy decided — running both would double-steer the run).
+  /// frame; its commands travel back to the run. Mutually exclusive with
+  /// `replay` (a replayed log already contains whatever a policy decided —
+  /// running both would double-steer the run).
   SteeringPolicy policy;
-  /// Command-channel latency.
+  /// Command-channel latency (>= 0).
   WallSeconds latency{0.3};
-  /// How often (virtual time) the run drains its inbox on an external
-  /// control plane.
+  /// How often (virtual time) the run drains its inbox on `control_plane`.
   WallSeconds poll_period{60.0};
-  /// External multi-run control plane (a RegistrationServer). Non-owning;
-  /// must outlive the run. The framework registers under config.name at
-  /// construction, polls the inbox every `poll_period`, publishes
-  /// per-frame observations, and deregisters when run() returns.
-  ControlPlane* control_plane = nullptr;
-  /// Scripted/replayed events, applied at exactly their `wall` times.
+  /// Multi-run registration server. Non-owning; must outlive the run. The
+  /// framework registers under config.name at construction, polls the
+  /// inbox every `poll_period`, publishes per-frame observations, and
+  /// deregisters when run() returns.
+  RegistrationServer* control_plane = nullptr;
+  /// Scripted/replayed events, applied at exactly their `wall` times
+  /// (load_steering_log() reads a recorded steering_log.jsonl).
   std::vector<SteeringEvent> replay;
-  /// Load this steering_log.jsonl into `replay` at construction.
-  std::string replay_log_path;
   /// Save the applied event stream here when run() returns; replaying the
   /// saved log reproduces this run bit for bit.
   std::string record_log_path;
@@ -146,8 +147,8 @@ struct ExperimentConfig {
   ThreadPool* pool = nullptr;
   std::uint64_t seed = 42;
 
-  /// The control plane (registration, observers, scripted/replayed
-  /// steering).
+  /// Steering: in-run policy, registration server, scripted/replayed
+  /// events.
   SteeringOptions steering{};
 
   /// Observability: when true the framework owns a metrics registry +
@@ -209,7 +210,7 @@ struct ExperimentSummary {
   double codec_mean_ratio = 1.0;  // cumulative raw/encoded over the run
   Bytes codec_bytes_saved{};      // modeled bytes kept off disk and wire
 
-  // Control plane (zero when no steering/observers are configured).
+  // Steering (zero when no steering/observers are configured).
   std::int64_t steering_events = 0;  // events applied on the run's stream
   std::int64_t steer_renders = 0;    // view-steer re-renders performed
   std::int64_t steer_dedup = 0;      // renders saved by (frame,view) dedup
@@ -288,7 +289,6 @@ struct ExperimentState {
   FrameReceiver::State receiver;
   VisualizationProcess::State vis;
   TelemetryRecorder::State telemetry;
-  LocalControlPlane::State control;
   /// Absent when the serving subsystem had not been created yet (restore
   /// then tears a later-created manager back down).
   std::optional<ViewerSessionManager::State> serving;
@@ -337,7 +337,7 @@ class AdaptiveFramework {
   ExperimentResult finish_run();
 
   /// Whole-experiment checkpoint at the current event boundary. Throws
-  /// std::logic_error with an external control plane: a RegistrationServer
+  /// std::logic_error with a steering.control_plane: a RegistrationServer
   /// is shared across runs, so its state is not this run's to rewind.
   [[nodiscard]] ExperimentState snapshot() const;
   /// Rewinds this instance to `s`. Only valid with a state captured from
@@ -388,9 +388,15 @@ class AdaptiveFramework {
   [[nodiscard]] bool drained() const;
   void apply_steering(const SteeringCommand& command);
   void apply_event(const SteeringEvent& event);
+  /// The one way a steering event reaches the run: validates it (throws
+  /// std::invalid_argument, scheduling nothing) and applies it at `at`.
+  void deliver(const SteeringEvent& event, WallSeconds at,
+               const char* label);
+  /// Drains the server inbox, delivering each event one latency from now,
+  /// and schedules the next poll.
+  void poll_inbox();
   void ensure_serving();
   void recompute_observer_digest();
-  void schedule_control_poll();
   /// Applies every not-yet-applied adversary action whose decision index
   /// has passed. Both the stepwise loop and set_adversary_plan() run
   /// through here, so an explored branch and its plain replay mutate the
@@ -419,8 +425,7 @@ class AdaptiveFramework {
   std::unique_ptr<JobHandler> job_handler_;
   std::unique_ptr<ApplicationManager> manager_;
   std::unique_ptr<TelemetryRecorder> telemetry_;
-  std::unique_ptr<LocalControlPlane> control_;
-  ControlPlane::RunId server_run_id_ = -1;
+  RegistrationServer::RunId server_run_id_ = -1;
   RunBookkeeping run_;
 
   // The experiment's run context (obs bundle + log overrides). Declared

@@ -175,14 +175,15 @@ void obs_fields(IniSection& s, ExperimentConfig& c) {
   s.field("trace_capacity", c.obs.trace_capacity, above(0));
 }
 
-// The control plane's run-side knobs. Policies and external registration
-// servers are code-level wiring; scenario files configure latency, the
-// inbox poll cadence, and record/replay log paths.
+// The run-side steering knobs. Policies and registration servers are
+// code-level wiring; scenario files configure latency, the inbox poll
+// cadence, the log to record, and the log to replay (read here, so a
+// missing or malformed log fails the scenario load).
 void steering_fields(IniSection& s, ExperimentConfig& c) {
   s.field("latency_seconds", c.steering.latency, at_least(0));
   s.field("poll_period_seconds", c.steering.poll_period, above(0));
   s.field("record_log", c.steering.record_log_path);
-  s.field("replay_log", c.steering.replay_log_path);
+  s.field("replay_log", c.steering.replay, load_steering_log);
 }
 
 using SectionTable = void (*)(IniSection&, ExperimentConfig&);

@@ -288,7 +288,7 @@ ScenarioExplorer::ScenarioExplorer(ExperimentConfig config, ExploreSpec spec)
   }
   if (spec_.use_snapshots && config_.steering.control_plane != nullptr) {
     throw std::logic_error(
-        "ScenarioExplorer: an external control plane does not support "
+        "ScenarioExplorer: a registration server does not support "
         "snapshot/restore");
   }
 }

@@ -97,8 +97,9 @@ std::string to_string(const ExploreReport& report);
 class ScenarioExplorer {
  public:
   /// `config.adversary` must be empty (the explorer owns the plan) and,
-  /// when use_snapshots is set, the scenario must not use an external
-  /// control plane (it is shared across runs, so it cannot be rewound).
+  /// when use_snapshots is set, the scenario must not set
+  /// steering.control_plane (a registration server is shared across runs,
+  /// so it cannot be rewound).
   /// Throws std::invalid_argument / std::logic_error otherwise.
   ScenarioExplorer(ExperimentConfig config, ExploreSpec spec);
 

@@ -24,7 +24,7 @@ void RegistrationServer::enqueue(RunSlot& slot, SteeringEvent event) {
   slot.inbox.push_back(std::move(event));
 }
 
-ControlPlane::RunId RegistrationServer::register_run(
+RegistrationServer::RunId RegistrationServer::register_run(
     const std::string& label) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (label.empty()) {
@@ -46,8 +46,7 @@ ControlPlane::RunId RegistrationServer::register_run(
   }
   runs_.emplace(id, std::move(slot));
   by_label_[label] = id;
-  int active = 0;
-  for (const auto& [rid, s] : runs_) active += s.active ? 1 : 0;
+  const int active = static_cast<int>(by_label_.size());
   if (active > peak_active_) peak_active_ = active;
   ADAPTVIZ_LOG_DEBUG("serve", "run '%s' registered (id %lld, %d live)",
                      label.c_str(), static_cast<long long>(id), active);
@@ -61,31 +60,6 @@ void RegistrationServer::deregister_run(RunId run) {
   it->second.active = false;
   it->second.inbox.clear();
   by_label_.erase(it->second.label);
-}
-
-ClientId RegistrationServer::attach(RunId run, const std::string& client,
-                                    const ObserverSpec& spec) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  SteeringEvent e;
-  e.client = client;
-  e.type = SteeringEvent::Type::kAttach;
-  e.attach = spec;
-  enqueue(slot_for(run), std::move(e));
-  return ClientId{next_client_++};
-}
-
-void RegistrationServer::detach(RunId run, ClientId client) {
-  if (!client.valid()) {
-    throw std::invalid_argument("RegistrationServer: invalid client id");
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  SteeringEvent e;
-  // The server-side handle does not know the client's name; the run maps
-  // handles back to names itself, so label-keyed detach is the primary
-  // path and this overload is for symmetry with the interface.
-  e.client = "client" + std::to_string(client.value);
-  e.type = SteeringEvent::Type::kDetach;
-  enqueue(slot_for(run), std::move(e));
 }
 
 void RegistrationServer::steer(RunId run, SteeringEvent event) {

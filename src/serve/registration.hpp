@@ -37,7 +37,7 @@ namespace adaptviz {
 
 /// Monitoring snapshot of one registered run.
 struct RunView {
-  ControlPlane::RunId id = -1;
+  std::int64_t id = -1;
   std::string label;
   bool active = false;        // false once deregistered
   std::size_t inbox = 0;      // events waiting to be drained
@@ -57,29 +57,32 @@ struct CampaignView {
   bool last_failed = false;
 };
 
-/// Thread-safe multi-run ControlPlane. All methods may be called from any
-/// thread; runs drain their inboxes from their own event loops.
-class RegistrationServer : public ControlPlane {
+/// Thread-safe multi-run registration server. All methods may be called
+/// from any thread; runs drain their inboxes from their own event loops.
+class RegistrationServer {
  public:
-  RegistrationServer() = default;
+  /// Handle for one registered run.
+  using RunId = std::int64_t;
 
-  // -- ControlPlane --
-  /// Throws std::invalid_argument when `label` is already registered and
-  /// still active (finished labels are reusable).
-  RunId register_run(const std::string& label) override;
-  void deregister_run(RunId run) override;
-  ClientId attach(RunId run, const std::string& client,
-                  const ObserverSpec& spec) override;
-  void detach(RunId run, ClientId client) override;
-  /// Validates and enqueues; event.wall is the earliest virtual time the
-  /// run may apply the event at (0 = as soon as drained).
-  void steer(RunId run, SteeringEvent event) override;
-  void observe(RunId run, const SteeringObservation& obs) override;
+  // -- run side (the framework) --
+  /// A simulation announces itself under its run label. Throws
+  /// std::invalid_argument when `label` is already registered and still
+  /// active (finished labels are reusable).
+  RunId register_run(const std::string& label);
+  /// The run is over; its label becomes reusable. Idempotent.
+  void deregister_run(RunId run);
+  /// Outbound: the run publishes a per-visualized-frame observation.
+  void observe(RunId run, const SteeringObservation& obs);
   /// FIFO events with wall <= now. The run-side pull: called from the
   /// owning run's event loop.
-  std::vector<SteeringEvent> drain(RunId run, WallSeconds now) override;
+  std::vector<SteeringEvent> drain(RunId run, WallSeconds now);
 
-  // -- label-keyed conveniences (observer side) --
+  // -- observer side --
+  /// Validates and enqueues (malformed events are rejected here and never
+  /// reach the decision algorithms); event.wall is the earliest virtual
+  /// time the run may apply the event at (0 = as soon as drained).
+  void steer(RunId run, SteeringEvent event);
+
   /// Steers the run registered under `label`; events sent before the run
   /// registers wait in a pending queue and are delivered on registration.
   void steer(const std::string& label, SteeringEvent event);
@@ -120,7 +123,6 @@ class RegistrationServer : public ControlPlane {
   std::map<std::string, RunId> by_label_;  // active labels only
   std::map<std::string, std::deque<SteeringEvent>> pending_by_label_;
   RunId next_run_ = 0;
-  std::int64_t next_client_ = 0;
   int peak_active_ = 0;
   CampaignView campaign_{};
 };

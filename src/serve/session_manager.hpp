@@ -25,8 +25,8 @@
 // ordering decisions happen on the event loop, so results are bitwise
 // identical for any pool size.
 //
-// The control plane (steering/control_plane.hpp) adds the interactive
-// loop: sessions are addressed by stable ClientId handles, observers
+// The steering event stream (steering/control_plane.hpp) adds the
+// interactive loop: sessions are addressed by stable ClientId handles, observers
 // detach and re-attach mid-run, and per-client view steering
 // (pan/zoom/field/colormap) re-renders the client's current frame through
 // the same bounded slots — identical (frame, view) requests from

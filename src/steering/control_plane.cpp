@@ -1,12 +1,10 @@
 #include "steering/control_plane.hpp"
 
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
 
-#include "util/logging.hpp"
 #include "util/wire.hpp"
 
 namespace adaptviz {
@@ -279,105 +277,6 @@ std::vector<SteeringEvent> load_steering_log(const std::string& path) {
     out.push_back(steering_event_from_jsonl(line));
   }
   return out;
-}
-
-// ---- LocalControlPlane ----
-
-LocalControlPlane::LocalControlPlane(EventQueue& queue, WallSeconds latency,
-                                     ApplyFn apply)
-    : queue_(queue), latency_(latency), apply_(std::move(apply)) {
-  if (!apply_) {
-    throw std::invalid_argument("LocalControlPlane: null apply fn");
-  }
-  if (latency_.seconds() < 0) {
-    throw std::invalid_argument("LocalControlPlane: negative latency");
-  }
-}
-
-ControlPlane::RunId LocalControlPlane::register_run(const std::string& label) {
-  if (s_.registered) {
-    throw std::invalid_argument(
-        "LocalControlPlane: already fronting run '" + s_.label + "'");
-  }
-  s_.label = label;
-  s_.registered = true;
-  return 0;
-}
-
-void LocalControlPlane::deregister_run(RunId) { s_.registered = false; }
-
-ClientId LocalControlPlane::attach(RunId run, const std::string& client,
-                                   const ObserverSpec& spec) {
-  SteeringEvent e;
-  e.client = client;
-  e.type = SteeringEvent::Type::kAttach;
-  e.attach = spec;
-  steer(run, std::move(e));
-  s_.names.push_back(client);
-  return ClientId{static_cast<std::int64_t>(s_.names.size()) - 1};
-}
-
-void LocalControlPlane::detach(RunId run, ClientId client) {
-  if (client.value < 0 ||
-      client.value >= static_cast<std::int64_t>(s_.names.size())) {
-    throw std::invalid_argument("LocalControlPlane: unknown client id " +
-                                std::to_string(client.value));
-  }
-  SteeringEvent e;
-  e.client = s_.names[static_cast<std::size_t>(client.value)];
-  e.type = SteeringEvent::Type::kDetach;
-  steer(run, std::move(e));
-}
-
-void LocalControlPlane::steer(RunId, SteeringEvent event) {
-  validate(event);
-  ++s_.sent;
-  // event.wall on an inbound event is an earliest-apply request; the
-  // channel latency always applies on top of "now".
-  WallSeconds deliver_at =
-      std::max(queue_.now(), event.wall) + latency_;
-  schedule_apply(deliver_at, std::move(event));
-}
-
-void LocalControlPlane::send_command(SteeringCommand command,
-                                     WallSeconds extra_delay) {
-  if (extra_delay.seconds() < 0) {
-    throw std::invalid_argument("control plane: negative delay");
-  }
-  validate(command);
-  ++s_.sent;
-  ADAPTVIZ_LOG_INFO("steering", "[%s] %s queued (%s)",
-                    hh_mm(queue_.now()).c_str(), to_string(command.kind),
-                    command.reason.c_str());
-  SteeringEvent e;
-  e.type = SteeringEvent::Type::kCommand;
-  e.command = std::move(command);
-  schedule_apply(queue_.now() + extra_delay + latency_, std::move(e));
-}
-
-void LocalControlPlane::schedule_apply(WallSeconds at, SteeringEvent event) {
-  if (at < s_.last_delivery) at = s_.last_delivery;  // in order
-  s_.last_delivery = at;
-  event.wall = at;
-  queue_.schedule_at(
-      at,
-      [this, event = std::move(event)] {
-        ++s_.applied;
-        apply_(event);
-      },
-      "steering.deliver");
-}
-
-void LocalControlPlane::schedule_replay(const SteeringEvent& event) {
-  validate(event);
-  ++s_.sent;
-  queue_.schedule_at(
-      event.wall,
-      [this, event] {
-        ++s_.applied;
-        apply_(event);
-      },
-      "steering.replay");
 }
 
 }  // namespace adaptviz

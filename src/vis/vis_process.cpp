@@ -9,11 +9,6 @@ namespace adaptviz {
 VisualizationProcess::VisualizationProcess(EventQueue& queue, Options options)
     : queue_(queue), options_(std::move(options)) {}
 
-WallSeconds VisualizationProcess::visualize(const Frame& frame) {
-  render_frame(frame);
-  return record(frame);
-}
-
 void VisualizationProcess::render_frame(const Frame& frame) const {
   if (options_.render_images && frame.payload != nullptr &&
       !options_.output_dir.empty()) {

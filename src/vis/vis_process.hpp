@@ -43,11 +43,6 @@ class VisualizationProcess {
 
   VisualizationProcess(EventQueue& queue, Options options);
 
-  /// FrameReceiver::VisualizeFn: records progress, optionally renders, and
-  /// returns the frame's render cost. Equivalent to render_frame() followed
-  /// by record().
-  WallSeconds visualize(const Frame& frame);
-
   /// The heavy half: renders the frame image to disk when `render_images`
   /// is set (no-op otherwise). Touches no process state, so concurrent
   /// calls on different frames are safe — the FrameReceiver runs these on

@@ -227,7 +227,7 @@ TEST(Explorer, RejectsConfiguredAdversaryAndUnsnapshotableSubsystems) {
   cfg.adversary = {{1, AdversaryActionKind::kDiskShock, 0.5}};
   EXPECT_THROW(ScenarioExplorer(cfg, quick_spec()), std::invalid_argument);
 
-  // An external control plane is shared across runs, so a snapshot cannot
+  // A registration server is shared across runs, so a snapshot cannot
   // rewind it.
   RegistrationServer server;
   ExperimentConfig external = smoke_config();
@@ -387,13 +387,13 @@ TEST(SnapshotRestore, ResumeWithEdgeTreeIsExact) {
 }
 
 // A snapshot taken between two applied steering events of the checked-in
-// session, with viewers attached: serving, control-plane and steering
-// bookkeeping all rewind.
+// session, with viewers attached: serving and steering bookkeeping
+// rewind.
 TEST(SnapshotRestore, ResumeBetweenSteeringEventsIsExact) {
   ExperimentConfig cfg = load_scenario(std::string(ADAPTVIZ_SCENARIO_DIR) +
                                        "/steered_session.ini");
-  cfg.steering.replay_log_path =
-      std::string(ADAPTVIZ_SCENARIO_DIR) + "/steering_session.jsonl";
+  cfg.steering.replay = load_steering_log(
+      std::string(ADAPTVIZ_SCENARIO_DIR) + "/steering_session.jsonl");
   expect_resume_exact(
       cfg,
       [](AdaptiveFramework& fw) {

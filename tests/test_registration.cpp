@@ -32,7 +32,7 @@ SteeringEvent command_event(WallSeconds wall, SteeringCommand::Kind kind,
 TEST(Registration, RegisterSteerDrainLifecycle) {
   RegistrationServer server;
   EXPECT_THROW(server.register_run(""), std::invalid_argument);
-  const ControlPlane::RunId a = server.register_run("run-a");
+  const RegistrationServer::RunId a = server.register_run("run-a");
   EXPECT_THROW(server.register_run("run-a"), std::invalid_argument);
   EXPECT_EQ(server.active_runs(), 1);
   EXPECT_EQ(server.total_registered(), 1);
@@ -55,7 +55,7 @@ TEST(Registration, RegisterSteerDrainLifecycle) {
   bad.type = SteeringEvent::Type::kView;
   bad.view.zoom = -2.0;
   EXPECT_THROW(server.steer(a, bad), std::invalid_argument);
-  EXPECT_THROW(server.steer(ControlPlane::RunId{99},
+  EXPECT_THROW(server.steer(RegistrationServer::RunId{99},
                             command_event(WallSeconds(0.0),
                                           SteeringCommand::Kind::kPause)),
                std::invalid_argument);
@@ -68,7 +68,7 @@ TEST(Registration, RegisterSteerDrainLifecycle) {
   EXPECT_THROW(server.steer(a, command_event(WallSeconds(0.0),
                                              SteeringCommand::Kind::kPause)),
                std::invalid_argument);
-  const ControlPlane::RunId a2 = server.register_run("run-a");
+  const RegistrationServer::RunId a2 = server.register_run("run-a");
   EXPECT_NE(a2, a);
   EXPECT_EQ(server.total_registered(), 2);
   EXPECT_EQ(server.peak_active_runs(), 1);
@@ -82,7 +82,7 @@ TEST(Registration, PreRegistrationEventsWaitForTheRun) {
   server.attach("late-run", "watcher", ObserverSpec{});
   EXPECT_EQ(server.active_runs(), 0);
 
-  const ControlPlane::RunId run = server.register_run("late-run");
+  const RegistrationServer::RunId run = server.register_run("late-run");
   const auto events = server.drain(run, WallSeconds(10.0));
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].type, SteeringEvent::Type::kCommand);
@@ -91,15 +91,14 @@ TEST(Registration, PreRegistrationEventsWaitForTheRun) {
 
   // A second registration of the same label starts with a clean inbox.
   server.deregister_run(run);
-  const ControlPlane::RunId again = server.register_run("late-run");
+  const RegistrationServer::RunId again = server.register_run("late-run");
   EXPECT_TRUE(server.drain(again, WallSeconds(1e9)).empty());
 }
 
 TEST(Registration, AttachDetachAndObservationsAreTracked) {
   RegistrationServer server;
-  const ControlPlane::RunId run = server.register_run("run");
-  const ClientId c = server.attach(run, "scientist", ObserverSpec{});
-  EXPECT_TRUE(c.valid());
+  const RegistrationServer::RunId run = server.register_run("run");
+  server.attach("run", "scientist", ObserverSpec{});
   {
     const auto runs = server.runs();
     ASSERT_EQ(runs.size(), 1u);
@@ -108,8 +107,9 @@ TEST(Registration, AttachDetachAndObservationsAreTracked) {
     EXPECT_EQ(runs[0].observers, 1);
     EXPECT_EQ(runs[0].inbox, 1u);  // the attach event awaits its drain
   }
-  server.detach(run, c);
+  server.detach("run", "scientist");
   EXPECT_EQ(server.runs()[0].observers, 0);
+  EXPECT_EQ(server.runs()[0].inbox, 2u);
 
   SteeringObservation obs;
   for (int i = 0; i < 100; ++i) {

@@ -156,7 +156,8 @@ TEST(VisProcess, RecordsProgressAndCost) {
   f.sequence = 7;
   f.sim_time = SimSeconds::hours(3.0);
   f.size = Bytes::gigabytes(0.5);
-  const WallSeconds cost = vis.visualize(f);
+  vis.render_frame(f);
+  const WallSeconds cost = vis.record(f);
   EXPECT_NEAR(cost.seconds(), 4.0, 1e-9);
   ASSERT_EQ(vis.records().size(), 1u);
   EXPECT_EQ(vis.records()[0].sequence, 7);
@@ -178,7 +179,7 @@ TEST(VisProcess, RendersPayloadToDisk) {
   f.sim_time = SimSeconds::hours(1.0);
   f.size = Bytes::megabytes(10);
   f.payload = std::make_shared<NclFile>(storm_frame());
-  (void)vis.visualize(f);
+  vis.render_frame(f);
   EXPECT_TRUE(std::filesystem::exists(dir + "/frame_000003.ppm"));
   std::filesystem::remove_all(dir);
 }

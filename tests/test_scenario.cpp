@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <string>
 
@@ -370,6 +371,43 @@ TEST(Scenario, ShippedScenarioFilesParse) {
     ++count;
   }
   EXPECT_GE(count, 3);
+}
+
+// [steering] replay_log is read while the scenario loads: a good log
+// lands in steering.replay, and a missing or malformed one fails the load
+// with the key named.
+TEST(ScenarioSteering, ReplayLogIsReadAtLoad) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "adaptviz_replay_log";
+  fs::create_directories(dir);
+  const auto scenario_with = [&dir](const std::string& log) {
+    const std::string path = (dir / "scenario.ini").string();
+    std::ofstream(path) << "[steering]\nreplay_log = " << log << "\n";
+    return path;
+  };
+
+  const fs::path shipped = fs::path(__FILE__).parent_path().parent_path() /
+                           "scenarios" / "steering_session.jsonl";
+  const ExperimentConfig cfg =
+      load_scenario(scenario_with(shipped.string()));
+  EXPECT_EQ(cfg.steering.replay.size(),
+            load_steering_log(shipped.string()).size());
+  EXPECT_FALSE(cfg.steering.replay.empty());
+
+  const std::string malformed = (dir / "malformed.jsonl").string();
+  std::ofstream(malformed) << "{\"wall\":\"soon\",\"type\":\"detach\"}\n";
+  for (const std::string& log :
+       {(dir / "missing.jsonl").string(), malformed}) {
+    try {
+      (void)load_scenario(scenario_with(log));
+      ADD_FAILURE() << "accepted: " << log;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("[steering] replay_log"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  fs::remove_all(dir);
 }
 
 TEST(Scenario, WriteResultProducesArtifacts) {

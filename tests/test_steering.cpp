@@ -1,6 +1,7 @@
-// Computational steering: channel semantics, the unified control plane
-// (event codec, record/replay determinism) and end-to-end behaviour
-// through the full framework.
+// Computational steering: the event stream (validation, JSONL codec),
+// the framework's delivery path (latency, FIFO drains, exact replay walls),
+// record/replay determinism and end-to-end behaviour through the full
+// framework.
 #include "steering/steering.hpp"
 
 #include <gtest/gtest.h>
@@ -14,92 +15,13 @@
 
 #include "core/framework.hpp"
 #include "core/telemetry.hpp"
+#include "serve/registration.hpp"
 #include "steering/control_plane.hpp"
 #include "util/calendar.hpp"
 #include "util/csv.hpp"
 
 namespace adaptviz {
 namespace {
-
-// --- Commands through LocalControlPlane::send_command ---
-
-TEST(ControlPlaneCommands, DeliverAfterLatencyInOrder) {
-  EventQueue queue;
-  std::vector<std::pair<double, SteeringCommand::Kind>> got;
-  LocalControlPlane plane(queue, WallSeconds(2.0),
-                          [&got, &queue](const SteeringEvent& e) {
-                            EXPECT_EQ(e.type, SteeringEvent::Type::kCommand);
-                            got.push_back({queue.now().seconds(),
-                                           e.command.kind});
-                          });
-  plane.send_command(SteeringCommand{.kind = SteeringCommand::Kind::kPause});
-  queue.run_until(WallSeconds(1.0));
-  plane.send_command(SteeringCommand{.kind = SteeringCommand::Kind::kResume});
-  queue.run_until(WallSeconds(10.0));
-  ASSERT_EQ(got.size(), 2u);
-  EXPECT_DOUBLE_EQ(got[0].first, 2.0);
-  EXPECT_EQ(got[0].second, SteeringCommand::Kind::kPause);
-  EXPECT_DOUBLE_EQ(got[1].first, 3.0);
-  EXPECT_EQ(got[1].second, SteeringCommand::Kind::kResume);
-  EXPECT_EQ(plane.events_sent(), 2);
-  EXPECT_EQ(plane.events_applied(), 2);
-}
-
-TEST(ControlPlaneCommands, ConstructorRejectsNullApplyAndNegativeLatency) {
-  EventQueue queue;
-  EXPECT_THROW(LocalControlPlane(queue, WallSeconds(1.0), nullptr),
-               std::invalid_argument);
-  EXPECT_THROW(
-      LocalControlPlane(queue, WallSeconds(-1.0), [](const SteeringEvent&) {}),
-      std::invalid_argument);
-}
-
-// Malformed commands are rejected at send time — they never reach the
-// queue, the log, or the decision algorithms.
-TEST(ControlPlaneCommands, MalformedCommandsRejectedAtSendTime) {
-  EventQueue queue;
-  int delivered = 0;
-  LocalControlPlane plane(queue, WallSeconds(1.0),
-                          [&delivered](const SteeringEvent&) { ++delivered; });
-
-  SteeringCommand inverted;
-  inverted.kind = SteeringCommand::Kind::kSetOutputBounds;
-  inverted.bounds.min_output_interval = SimSeconds::minutes(25.0);
-  inverted.bounds.max_output_interval = SimSeconds::minutes(3.0);
-  EXPECT_THROW(plane.send_command(inverted), std::invalid_argument);
-
-  SteeringCommand nonpositive;
-  nonpositive.kind = SteeringCommand::Kind::kSetOutputBounds;
-  nonpositive.bounds.min_output_interval = SimSeconds(0.0);
-  nonpositive.bounds.max_output_interval = SimSeconds::minutes(3.0);
-  EXPECT_THROW(plane.send_command(nonpositive), std::invalid_argument);
-
-  SteeringCommand floor;
-  floor.kind = SteeringCommand::Kind::kSetResolutionFloor;
-  floor.resolution_floor_km = -1.0;
-  EXPECT_THROW(plane.send_command(floor), std::invalid_argument);
-
-  SteeringCommand extent;
-  extent.kind = SteeringCommand::Kind::kSetNestExtent;
-  extent.nest_extent_deg = -9.0;
-  EXPECT_THROW(plane.send_command(extent), std::invalid_argument);
-
-  SteeringCommand pause;
-  pause.kind = SteeringCommand::Kind::kPause;
-  pause.auto_resume_after = WallSeconds(-5.0);
-  EXPECT_THROW(plane.send_command(pause), std::invalid_argument);
-
-  EXPECT_THROW(
-      plane.send_command(
-          SteeringCommand{.kind = SteeringCommand::Kind::kResume},
-          WallSeconds(-1.0)),
-      std::invalid_argument);
-
-  // Nothing was queued by the rejected sends.
-  queue.run_all();
-  EXPECT_EQ(plane.events_sent(), 0);
-  EXPECT_EQ(delivered, 0);
-}
 
 // --- Control-plane event stream: validation and the JSONL codec ---
 
@@ -282,55 +204,6 @@ TEST(ControlPlaneCodec, SaveLoadRoundTripAndBlankLines) {
   fs::remove_all(dir);
 }
 
-// --- LocalControlPlane mechanics ---
-
-TEST(ControlPlaneLocal, DeliversInOrderAndCounts) {
-  EventQueue queue;
-  std::vector<std::pair<double, SteeringEvent::Type>> applied;
-  LocalControlPlane plane(queue, WallSeconds(2.0),
-                          [&applied, &queue](const SteeringEvent& e) {
-                            applied.push_back({queue.now().seconds(), e.type});
-                          });
-  const ControlPlane::RunId run = plane.register_run("run-a");
-  EXPECT_THROW(plane.register_run("run-b"), std::invalid_argument);
-
-  const ClientId c = plane.attach(run, "scientist", ObserverSpec{});
-  EXPECT_TRUE(c.valid());
-  SteeringEvent view;
-  view.type = SteeringEvent::Type::kView;
-  view.client = "scientist";
-  view.view.zoom = 2.0;
-  plane.steer(run, view);
-  plane.detach(run, c);
-  EXPECT_THROW(plane.detach(run, ClientId{99}), std::invalid_argument);
-  queue.run_all();
-
-  ASSERT_EQ(applied.size(), 3u);
-  EXPECT_EQ(applied[0].second, SteeringEvent::Type::kAttach);
-  EXPECT_EQ(applied[1].second, SteeringEvent::Type::kView);
-  EXPECT_EQ(applied[2].second, SteeringEvent::Type::kDetach);
-  for (const auto& [at, type] : applied) EXPECT_DOUBLE_EQ(at, 2.0);
-  EXPECT_EQ(plane.events_sent(), 3);
-  EXPECT_EQ(plane.events_applied(), 3);
-  EXPECT_TRUE(plane.drain(run, WallSeconds(10.0)).empty());
-}
-
-TEST(ControlPlaneLocal, ReplayAppliesAtExactlyTheLoggedWall) {
-  EventQueue queue;
-  std::vector<double> at;
-  LocalControlPlane plane(queue, WallSeconds(2.0),
-                          [&at, &queue](const SteeringEvent& e) {
-                            at.push_back(queue.now().seconds());
-                            EXPECT_EQ(e.wall.seconds(), queue.now().seconds());
-                          });
-  SteeringEvent e;
-  e.wall = WallSeconds(7.25);
-  plane.schedule_replay(e);  // no channel latency added: 7.25, not 9.25
-  queue.run_all();
-  ASSERT_EQ(at.size(), 1u);
-  EXPECT_EQ(at[0], 7.25);
-}
-
 TEST(SteeringCommandKind, Names) {
   EXPECT_STREQ(to_string(SteeringCommand::Kind::kPause), "pause");
   EXPECT_STREQ(to_string(SteeringCommand::Kind::kResume), "resume");
@@ -466,6 +339,141 @@ TEST(SteeringEndToEnd, NestExtentChangeRestarts) {
   EXPECT_GE(r.summary.restarts, 2);
 }
 
+// --- Delivery: how each kind of event reaches the run ---
+//
+// The framework stamps every applied event with the virtual time it was
+// applied at, so steering_events() walls are the delivery times.
+
+SteeringCommand resume(const std::string& reason) {
+  return SteeringCommand{.kind = SteeringCommand::Kind::kResume,
+                         .reason = reason};
+}
+
+TEST(SteeringDelivery, PolicyCommandsApplyOneLatencyAfterTheirFrame) {
+  ExperimentConfig cfg = steer_config();
+  cfg.steering.latency = WallSeconds(2.0);
+  std::vector<double> frame_walls;
+  cfg.steering.policy = [&frame_walls](const SteeringObservation& obs)
+      -> std::optional<SteeringCommand> {
+    if (obs.sequence > 1) return std::nullopt;
+    frame_walls.push_back(obs.wall_time.seconds());
+    return resume("frame " + std::to_string(obs.sequence));
+  };
+  AdaptiveFramework fw(cfg);
+  (void)fw.run();
+
+  const std::vector<SteeringEvent>& applied = fw.steering_events();
+  ASSERT_EQ(frame_walls.size(), 2u);
+  ASSERT_EQ(applied.size(), 2u);
+  for (std::size_t i = 0; i < applied.size(); ++i) {
+    EXPECT_EQ(applied[i].type, SteeringEvent::Type::kCommand);
+    EXPECT_EQ(applied[i].command.reason, "frame " + std::to_string(i));
+    EXPECT_EQ(applied[i].wall.seconds(), frame_walls[i] + 2.0);
+  }
+}
+
+TEST(SteeringDelivery, DrainedEventsApplyOneLatencyAfterTheDrainInFifoOrder) {
+  RegistrationServer server;
+  ExperimentConfig cfg = steer_config();
+  cfg.steering.latency = WallSeconds(2.0);
+  cfg.steering.poll_period = WallSeconds(60.0);
+  cfg.steering.control_plane = &server;
+
+  // Drained by the t=0 poll.
+  server.attach(cfg.name, "scientist", ObserverSpec{});
+  // Due at 100 s: the polls at 0 and 60 s leave it (and everything queued
+  // behind it) in the inbox; the poll at 120 s drains both, in order.
+  SteeringEvent view;
+  view.wall = WallSeconds(100.0);
+  view.client = "scientist";
+  view.type = SteeringEvent::Type::kView;
+  view.view.zoom = 2.0;
+  server.steer(cfg.name, view);
+  SteeringEvent detach;
+  detach.wall = WallSeconds(30.0);
+  detach.client = "scientist";
+  detach.type = SteeringEvent::Type::kDetach;
+  server.steer(cfg.name, detach);
+
+  AdaptiveFramework fw(cfg);
+  (void)fw.run();
+
+  const std::vector<SteeringEvent>& applied = fw.steering_events();
+  ASSERT_EQ(applied.size(), 3u);
+  EXPECT_EQ(applied[0].type, SteeringEvent::Type::kAttach);
+  EXPECT_EQ(applied[0].wall.seconds(), 2.0);
+  EXPECT_EQ(applied[1].type, SteeringEvent::Type::kView);
+  EXPECT_EQ(applied[1].wall.seconds(), 122.0);
+  EXPECT_EQ(applied[2].type, SteeringEvent::Type::kDetach);
+  EXPECT_EQ(applied[2].wall.seconds(), 122.0);
+}
+
+TEST(SteeringDelivery, ReplayedEventsApplyAtExactlyTheirLoggedWall) {
+  ExperimentConfig cfg = steer_config();
+  cfg.steering.latency = WallSeconds(2.0);  // not added to replayed events
+  for (const double wall : {7.25, 3600.0 + 1.0 / 3.0}) {
+    SteeringEvent e;
+    e.wall = WallSeconds(wall);
+    e.command = resume("scripted");
+    cfg.steering.replay.push_back(e);
+  }
+  AdaptiveFramework fw(cfg);
+  (void)fw.run();
+
+  const std::vector<SteeringEvent>& applied = fw.steering_events();
+  ASSERT_EQ(applied.size(), 2u);
+  EXPECT_EQ(applied[0].wall.seconds(), 7.25);
+  EXPECT_EQ(applied[1].wall.seconds(), 3600.0 + 1.0 / 3.0);
+}
+
+// Malformed commands are rejected before they are scheduled — they never
+// reach the queue, the log, or the decision algorithms.
+TEST(SteeringDelivery, MalformedPolicyCommandThrowsAndAppliesNothing) {
+  SteeringCommand inverted;
+  inverted.kind = SteeringCommand::Kind::kSetOutputBounds;
+  inverted.bounds.min_output_interval = SimSeconds::minutes(25.0);
+  inverted.bounds.max_output_interval = SimSeconds::minutes(3.0);
+
+  SteeringCommand nonpositive;
+  nonpositive.kind = SteeringCommand::Kind::kSetOutputBounds;
+  nonpositive.bounds.min_output_interval = SimSeconds(0.0);
+  nonpositive.bounds.max_output_interval = SimSeconds::minutes(3.0);
+
+  SteeringCommand floor;
+  floor.kind = SteeringCommand::Kind::kSetResolutionFloor;
+  floor.resolution_floor_km = -1.0;
+
+  SteeringCommand extent;
+  extent.kind = SteeringCommand::Kind::kSetNestExtent;
+  extent.nest_extent_deg = -9.0;
+
+  SteeringCommand pause;
+  pause.kind = SteeringCommand::Kind::kPause;
+  pause.auto_resume_after = WallSeconds(-5.0);
+
+  for (const SteeringCommand& bad :
+       {inverted, nonpositive, floor, extent, pause}) {
+    EXPECT_THROW(validate(bad), std::invalid_argument) << to_string(bad.kind);
+  }
+
+  // Through the framework: the policy's command throws out of the run at
+  // the frame that produced it, and nothing is applied.
+  ExperimentConfig cfg = steer_config();
+  cfg.steering.policy = [&inverted](const SteeringObservation&)
+      -> std::optional<SteeringCommand> { return inverted; };
+  AdaptiveFramework fw(cfg);
+  EXPECT_THROW((void)fw.run(), std::invalid_argument);
+  EXPECT_TRUE(fw.steering_events().empty());
+}
+
+TEST(SteeringDelivery, NegativeLatencyIsRejectedAtConstruction) {
+  ExperimentConfig cfg = steer_config();
+  cfg.steering.latency = WallSeconds(-1.0);
+  EXPECT_THROW(AdaptiveFramework{cfg}, std::invalid_argument);
+  cfg.steering.latency = WallSeconds(0.0);
+  EXPECT_NO_THROW(AdaptiveFramework{cfg});
+}
+
 // --- Record / replay determinism through the full framework ---
 
 // Exact-byte views of a result (the test_campaign.cpp pattern): identity
@@ -517,7 +525,7 @@ TEST(SteeringReplay, RecordedLogReplaysBitwiseIdentical) {
   // Replay leg: no policy — the log carries what the policy decided — and
   // the replayed run re-records its own applied stream.
   ExperimentConfig replay = steer_config();
-  replay.steering.replay_log_path = recorded;
+  replay.steering.replay = load_steering_log(recorded);
   replay.steering.record_log_path = rerecorded;
   const ExperimentResult second = run_experiment(replay);
 
@@ -531,7 +539,7 @@ TEST(SteeringReplay, RecordedLogReplaysBitwiseIdentical) {
   // Configuring both a policy and a replay double-steers: rejected.
   ExperimentConfig both = steer_config();
   both.steering.policy = live.steering.policy;
-  both.steering.replay_log_path = recorded;
+  both.steering.replay = load_steering_log(recorded);
   EXPECT_THROW(run_experiment(both), std::invalid_argument);
   fs::remove_all(dir);
 }

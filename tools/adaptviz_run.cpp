@@ -13,9 +13,10 @@
 // the scenario's [obs] section) and dumps the metrics registry + stage
 // trace as one JSON document to <path> after the run.
 //
-// --steer-replay <path> applies a recorded/scripted steering_log.jsonl to
-// the run (each event at exactly its logged wall time); --steer-record
-// <path> saves the run's applied steering stream. Recording a steered run
+// --steer-replay <path> loads a recorded/scripted steering_log.jsonl in
+// place of the scenario's [steering] replay_log; the framework applies
+// each event at exactly its logged wall time. --steer-record <path> saves
+// the run's applied steering stream. Recording a steered run
 // and replaying the saved log reproduces it bit for bit — the CI
 // steering-smoke step asserts exactly that with cmp(1).
 #include <cstdio>
@@ -48,7 +49,9 @@ int main(int argc, char** argv) {
     ExperimentConfig cfg = load_scenario(scenario_path);
     if (!metrics_out.empty()) cfg.observability = true;
     if (!steer_record.empty()) cfg.steering.record_log_path = steer_record;
-    if (!steer_replay.empty()) cfg.steering.replay_log_path = steer_replay;
+    if (!steer_replay.empty()) {
+      cfg.steering.replay = load_steering_log(steer_replay);
+    }
     std::printf("scenario '%s': %s on %s (%d cores, %s disk, %s WAN)\n",
                 cfg.name.c_str(), to_string(cfg.algorithm),
                 cfg.site.machine.name.c_str(), cfg.site.machine.max_cores,
