@@ -139,11 +139,11 @@ struct ExperimentConfig {
   /// ([adversary] section; see core/adversary.hpp). An explored branch
   /// replayed through this field reproduces the branch bit for bit.
   AdversaryPlan adversary;
-  /// Worker pool for render fan-out at the visualization site and for the
-  /// codec's per-field lanes. Non-owning; must outlive the run. Null uses
-  /// ThreadPool::shared(). All ordering decisions happen on the event
-  /// loop, so results are bitwise identical for any pool size —
-  /// tests/test_explore.cpp asserts it.
+  /// Worker pool for render fan-out at the visualization site, the model's
+  /// storm-geometry rows and the codec's per-field lanes. Non-owning; must
+  /// outlive the run. Null uses ThreadPool::shared(). All ordering
+  /// decisions happen on the event loop, so results are bitwise identical
+  /// for any pool size — tests/test_explore.cpp asserts it.
   ThreadPool* pool = nullptr;
   std::uint64_t seed = 42;
 

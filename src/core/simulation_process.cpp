@@ -108,7 +108,7 @@ void SimulationProcess::schedule_step() {
 
 void SimulationProcess::complete_step() {
   s_.step_in_flight = false;
-  model_->step();
+  model_->step(options_.pool);
   ++s_.steps;
 
   if (model_->resolution_change_pending()) {

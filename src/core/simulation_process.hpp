@@ -48,8 +48,9 @@ class SimulationProcess {
     /// measured per-frame ratio scales the modeled frame bytes that flow
     /// into disk, WAN, and cache accounting.
     CodecOptions codec{};
-    /// Pool the codec runs a frame's field slots on (non-owning; null uses
-    /// ThreadPool::shared()). Payloads do not depend on it.
+    /// Pool the model's storm geometry and the codec's field slots run on
+    /// (non-owning; null uses ThreadPool::shared()). Neither the model state
+    /// nor the payloads depend on it.
     ThreadPool* pool = nullptr;
   };
 

@@ -1,10 +1,47 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "obs/obs.hpp"
 
 namespace adaptviz {
+
+namespace {
+
+// How long a lane polls the other side of a fork-join handoff before it
+// parks on a condition variable. It spans the gap between the forcing and
+// solver regions of one weather step; measured in EXPERIMENTS.md (P3).
+constexpr std::chrono::microseconds kHandoffSpin{500};
+
+// Polls between two clock reads, with a `pause` after each.
+constexpr int kPauseBurst = 64;
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Polls `ready` for up to kHandoffSpin: a burst of `pause`s, then a yield,
+// so a polling lane hands its vCPU to any other runnable thread. Returns
+// whether `ready` came to hold.
+template <typename Ready>
+bool spin_until(const Ready& ready) {
+  const auto deadline = std::chrono::steady_clock::now() + kHandoffSpin;
+  for (;;) {
+    for (int i = 0; i < kPauseBurst; ++i) {
+      if (ready()) return true;
+      cpu_relax();
+    }
+    if (std::chrono::steady_clock::now() >= deadline) return ready();
+    std::this_thread::yield();
+  }
+}
+
+}  // namespace
 
 ThreadPool::ThreadPool(int workers) {
   const int n = std::max(0, workers);
@@ -19,6 +56,9 @@ ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
+    // Ends the poll of a helper waiting for the next region, so it parks,
+    // sees stop_ and exits now rather than when its spin runs out.
+    generation_.fetch_add(1, std::memory_order_release);
     orphaned.swap(tasks_);
   }
   wake_cv_.notify_all();
@@ -83,6 +123,7 @@ void ThreadPool::run(std::size_t begin, std::size_t end, std::size_t chunk,
   static thread_local obs::HotCounter regions("pool.regions");
   static thread_local obs::HotHistogram queue_wait("pool.queue_wait_seconds");
   static thread_local obs::HotHistogram region_time("pool.region_seconds");
+  static thread_local obs::HotCounter helper_bands("pool.helper_bands");
   double enqueued = 0.0;
   if (o != nullptr) {
     enqueued = o->tracer().host_now();
@@ -106,31 +147,47 @@ void ThreadPool::run(std::size_t begin, std::size_t end, std::size_t chunk,
     job_.next.store(begin, std::memory_order_relaxed);
     tickets_ = std::min(helper_tickets, static_cast<int>(workers_.size()));
     job_active_ = true;
-    ++generation_;
+    generation_.fetch_add(1, std::memory_order_release);
   }
   wake_cv_.notify_all();
 
   // The caller is a lane too: claim bands until the cursor runs out.
   in_parallel_region() = true;
-  work(body, end, chunk);
+  const std::size_t caller_bands = work(body, end, chunk);
   in_parallel_region() = false;
 
   // All bands are claimed once the caller's loop exits (the cursor is
-  // monotonic); wait for the helpers still finishing theirs. Helpers that
-  // wake late see an exhausted cursor and never join.
+  // monotonic); wait for the helpers still finishing theirs, polling
+  // first. Helpers that wake late see an exhausted cursor and never join.
+  // The final check stays under mutex_: a helper raises active_ in the
+  // critical section where it tests the cursor, so a lock-free zero may
+  // miss a helper that has passed that test but not yet raised it. Such a
+  // helper would then run this region's body on the next region's cursor.
+  spin_until([this] { return active_.load(std::memory_order_acquire) == 0; });
   std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [this] { return active_ == 0; });
+  done_cv_.wait(lock, [this] {
+    return active_.load(std::memory_order_acquire) == 0;
+  });
   job_active_ = false;
   if (o != nullptr) {
     queue_depth_.fetch_sub(1, std::memory_order_relaxed);
     region_time.resolve(o)->observe(o->tracer().host_now() - started);
+    // Every band not run here ran on a helper. Counted by the caller, so
+    // the helpers' hand-back to the caller carries no metric update.
+    const std::size_t bands = (end - begin + chunk - 1) / chunk;
+    if (bands > caller_bands) {
+      helper_bands.resolve(o)->add(
+          static_cast<std::int64_t>(bands - caller_bands));
+    }
   }
 }
 
-void ThreadPool::work(RangeFnRef body, std::size_t end, std::size_t chunk) {
-  for (;;) {
+std::size_t ThreadPool::work(RangeFnRef body, std::size_t end,
+                             std::size_t chunk) {
+  std::size_t bands = 0;
+  for (;; ++bands) {
     const std::size_t b = job_.next.fetch_add(chunk, std::memory_order_relaxed);
-    if (b >= end) break;
+    if (b >= end) return bands;
     body(b, std::min(end, b + chunk));
   }
 }
@@ -138,17 +195,34 @@ void ThreadPool::work(RangeFnRef body, std::size_t end, std::size_t chunk) {
 void ThreadPool::worker_loop() {
   in_parallel_region() = true;  // nested calls from a worker run inline
   std::uint64_t seen = 0;
-  std::unique_lock<std::mutex> lock(mutex_);
+  // Whether the last wake-up found a ticket left, whether or not any band
+  // was left to claim with it. A helper a region left out (no ticket)
+  // parks at once: the next region likely has the same lane count and
+  // leaves it out again.
+  bool poll = false;
   for (;;) {
-    wake_cv_.wait(lock,
-                  [&] { return stop_ || generation_ != seen || !tasks_.empty(); });
+    // The next region often follows within microseconds: poll for it
+    // before parking, so the handoff needs no futex wake.
+    if (poll) {
+      spin_until([&] {
+        return generation_.load(std::memory_order_acquire) != seen;
+      });
+    }
+    std::unique_lock<std::mutex> lock(mutex_);
+    wake_cv_.wait(lock, [&] {
+      return stop_ || generation_.load(std::memory_order_relaxed) != seen ||
+             !tasks_.empty();
+    });
     if (stop_) return;
-    if (generation_ != seen) {
-      seen = generation_;
+    poll = tickets_ > 0;
+    const std::uint64_t generation =
+        generation_.load(std::memory_order_relaxed);
+    if (generation != seen) {
+      seen = generation;
       if (job_active_ && tickets_ > 0 &&
           job_.next.load(std::memory_order_relaxed) < job_.end) {
         --tickets_;
-        ++active_;
+        active_.fetch_add(1, std::memory_order_relaxed);
         const RangeFnRef body = job_.body;
         const std::size_t end = job_.end;
         const std::size_t chunk = job_.chunk;
@@ -160,8 +234,12 @@ void ThreadPool::worker_loop() {
           ScopedRunContext scope(context);
           work(body, end, chunk);
         }
-        lock.lock();
-        if (--active_ == 0) done_cv_.notify_all();
+        // The last helper out wakes a caller that has stopped polling.
+        // Taking mutex_ orders the notify after the caller's locked check.
+        if (active_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+          { std::lock_guard<std::mutex> wake(mutex_); }
+          done_cv_.notify_all();
+        }
         continue;
       }
     }
@@ -178,8 +256,7 @@ void ThreadPool::worker_loop() {
         task.state->done = true;
       }
       task.state->cv.notify_all();
-      task.fn = nullptr;  // release the closure before re-taking the lock
-      lock.lock();
+      poll = false;
     }
   }
 }

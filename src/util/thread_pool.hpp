@@ -28,6 +28,16 @@
 // run inline serially rather than deadlocking. Concurrent top-level
 // callers serialize on the pool (one fork-join job at a time).
 //
+// Handoff: regions on the solver and forcing paths last tens to hundreds
+// of microseconds, often less than a parked helper takes to wake on a busy
+// host. So both sides of a handoff poll before they block: a helper that
+// has just finished its band (or woke with a ticket left to find the
+// region already claimed) polls `generation_` for the next region, and the
+// caller that has run out of bands polls `active_` for the helpers still
+// inside theirs. A helper a region left without a ticket parks at once.
+// Each poll is bounded by one constant (kHandoffSpin in thread_pool.cpp);
+// past it the lane parks on its condition variable.
+//
 // The callable is passed by non-owning reference (RangeFnRef): no
 // std::function allocation on the hot path.
 //
@@ -203,7 +213,9 @@ class ThreadPool {
 
   void run(std::size_t begin, std::size_t end, std::size_t chunk,
            int helper_tickets, RangeFnRef body);
-  void work(RangeFnRef body, std::size_t end, std::size_t chunk);
+  // Claims bands off the job's cursor until it passes `end`; returns how
+  // many this lane ran.
+  std::size_t work(RangeFnRef body, std::size_t end, std::size_t chunk);
   void worker_loop();
   static bool& in_parallel_region();
 
@@ -214,9 +226,12 @@ class ThreadPool {
   std::condition_variable done_cv_;  // the caller waits here
   Job job_;
   std::deque<PendingTask> tasks_;  // submitted tasks, FIFO
-  std::uint64_t generation_ = 0;  // bumped per job; wakes parked workers
-  int tickets_ = 0;               // helper lanes still allowed to join
-  int active_ = 0;                // helpers currently inside work()
+  // Bumped per job, under mutex_; helpers poll it lock-free before parking.
+  std::atomic<std::uint64_t> generation_{0};
+  int tickets_ = 0;  // helper lanes still allowed to join
+  // Helpers inside work(). Raised under mutex_ in the same critical
+  // section as the claim test, lowered lock-free; the caller polls it.
+  std::atomic<int> active_{0};
   bool job_active_ = false;
   bool stop_ = false;
   std::vector<std::thread> workers_;

@@ -114,6 +114,17 @@ SwSolver::SwSolver(SwParams params) : params_(params) {
       params_.diffusion_alpha < 0 || params_.sponge_width < 0) {
     throw std::invalid_argument("SwSolver: bad parameters");
   }
+  // Sponge weight table rw[d] = (1/tau) * (1 - d/w)^2 — the exact per-point
+  // expression of the scalar reference, evaluated once per distance.
+  const int w = params_.sponge_width;
+  if (w > 0 && params_.sponge_tau_seconds > 0) {
+    const double r0 = 1.0 / params_.sponge_tau_seconds;
+    sponge_rates_.resize(static_cast<std::size_t>(w));
+    for (int d = 0; d < w; ++d) {
+      const double wgt = 1.0 - static_cast<double>(d) / static_cast<double>(w);
+      sponge_rates_[static_cast<std::size_t>(d)] = r0 * wgt * wgt;
+    }
+  }
 }
 
 void SwSolver::compute_tendency(const DomainState& s, const SwForcing& f,
@@ -141,22 +152,15 @@ void SwSolver::compute_tendency(const DomainState& s, const SwForcing& f,
 
   // Coriolis per row (varies with latitude: the beta effect is what makes
   // cyclones drift poleward-westward even in quiescent environments).
-  std::vector<double> frow(ny);
-  for (std::size_t j = 0; j < ny; ++j) frow[j] = coriolis(g.at(0, j).lat);
+  coriolis_rows_.resize(ny);
+  for (std::size_t j = 0; j < ny; ++j) {
+    coriolis_rows_[j] = coriolis(g.at(0, j).lat);
+  }
+  const std::vector<double>& frow = coriolis_rows_;
 
-  // Sponge weight table rw[d] = (1/tau) * (1 - d/w)^2 — the exact per-point
-  // expression of the scalar reference, evaluated once per distance.
   const int w = params_.sponge_width;
   const bool sponge_on = w > 0 && params_.sponge_tau_seconds > 0;
-  std::vector<double> rw;
-  if (sponge_on) {
-    const double r0 = 1.0 / params_.sponge_tau_seconds;
-    rw.resize(static_cast<std::size_t>(w));
-    for (int d = 0; d < w; ++d) {
-      const double wgt = 1.0 - static_cast<double>(d) / static_cast<double>(w);
-      rw[static_cast<std::size_t>(d)] = r0 * wgt * wgt;
-    }
-  }
+  const std::vector<double>& rw = sponge_rates_;
 
   // The original per-point loop, kept verbatim as the bitwise oracle and
   // bench baseline for the row kernels below.

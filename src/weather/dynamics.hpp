@@ -19,6 +19,7 @@
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "weather/state.hpp"
 
@@ -96,6 +97,8 @@ class SwSolver {
   // solvers on one thread alias the same tendency fields).
   mutable Tendency tend_scratch_;
   mutable std::optional<DomainState> stage_scratch_;
+  mutable std::vector<double> coriolis_rows_;  // per row of the last grid
+  std::vector<double> sponge_rates_;  // (1/tau)(1 - d/w)^2 for d < w
 };
 
 }  // namespace adaptviz

@@ -127,7 +127,7 @@ void WeatherModel::maybe_spawn_or_move_nest() {
   }
 }
 
-SimSeconds WeatherModel::step() {
+SimSeconds WeatherModel::step(ThreadPool* pool) {
   static thread_local obs::HotHistogram geometry_hist("sim.forcing.geometry");
   static thread_local obs::HotHistogram apply_hist("sim.forcing.apply");
   static thread_local obs::HotHistogram boundary_hist("sim.nest.boundary");
@@ -135,7 +135,7 @@ SimSeconds WeatherModel::step() {
   const auto build_geometry = [&](const GridSpec& grid, const Field2D& land,
                                   DomainForcing& df) {
     obs::ScopedTimer span(geometry_hist);
-    physics_.forcing_geometry(grid, land, df.geometry);
+    physics_.forcing_geometry(grid, land, df.geometry, pool);
   };
   const auto apply = [&](const DomainState& state, DomainForcing& df,
                          SwForcing& f) {

@@ -73,8 +73,10 @@ class WeatherModel {
   /// Advances one parent time step (dt = 6 * modeled resolution seconds):
   /// parent RK3 step, three nest substeps with boundary exchange and
   /// feedback, intensity ODE, tracking, nest spawn/recenter.
-  /// Returns the simulated time advanced.
-  SimSeconds step();
+  /// Returns the simulated time advanced. The storm geometry's rows run on
+  /// `pool`'s lanes (null: ThreadPool::shared()); the state does not
+  /// depend on the pool.
+  SimSeconds step(ThreadPool* pool = nullptr);
 
   [[nodiscard]] SimSeconds sim_time() const { return sim_time_; }
   [[nodiscard]] double dt_seconds() const {

@@ -18,12 +18,16 @@
 // matching the cyclone's real late-May-2009 timeline.
 #pragma once
 
+#include <vector>
+
 #include "weather/geography.hpp"
 #include "weather/grid.hpp"
 #include "weather/state.hpp"
 #include "weather/vortex.hpp"
 
 namespace adaptviz {
+
+class ThreadPool;
 
 struct PhysicsConfig {
   double k_intensify_per_hour = 0.075;
@@ -54,6 +58,9 @@ struct ForcingGeometry {
   Field2D relaxation;
   /// Rate (1/s) of the relaxation toward the target.
   double inv_tau = 0.0;
+  /// Scratch: each column's east-west offset from the centre (km, before
+  /// the cos(lat) scaling), kept so a rebuild does not allocate.
+  std::vector<double> dlon_km;
 };
 
 class CyclonePhysics {
@@ -98,9 +105,12 @@ class CyclonePhysics {
 
   /// The state-independent half of build_forcing(): everything that depends
   /// only on the grid, its land mask, and this storm's centre and deficit.
-  /// It stays valid until advance() or restore() moves the storm.
+  /// It stays valid until advance() or restore() moves the storm. Rows are
+  /// shared out over `pool`'s lanes (null: ThreadPool::shared()); each cell
+  /// writes only its own outputs, so the bits do not depend on the pool.
   void forcing_geometry(const GridSpec& grid, const Field2D& land,
-                        ForcingGeometry& geometry) const;
+                        ForcingGeometry& geometry,
+                        ThreadPool* pool = nullptr) const;
 
   /// The state-dependent half: relaxation tendencies of `state` (on the
   /// grid `geometry` was built for) toward the geometry's targets.

@@ -8,6 +8,8 @@
 #include <cmath>
 #include <set>
 
+#include "util/thread_pool.hpp"
+
 namespace adaptviz {
 namespace {
 
@@ -247,6 +249,18 @@ TEST(Framework, ObservabilityCapturesThePipeline) {
 
   // Nothing leaks: the install point is empty again after run_experiment.
   EXPECT_EQ(obs::current(), nullptr);
+}
+
+TEST(Framework, HelpersShareRegionsOnAnExplicitPool) {
+  // The run's pool reaches the model: the storm geometry's rows are shared
+  // with its helpers, whose bands count in the run's own metrics.
+  ThreadPool pool(3);
+  ExperimentConfig cfg = mini_config(AlgorithmKind::kOptimization);
+  cfg.observability = true;
+  cfg.pool = &pool;
+  const ExperimentResult r = run_experiment(cfg);
+  EXPECT_GT(r.metrics.counter_or("pool.regions"), 0);
+  EXPECT_GT(r.metrics.counter_or("pool.helper_bands"), 0);
 }
 
 // ---- Frame codec end to end ----

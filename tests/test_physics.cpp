@@ -6,9 +6,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "util/thread_pool.hpp"
 #include "weather/nest.hpp"
 
 namespace adaptviz {
@@ -248,14 +250,26 @@ struct OracleTally {
   std::size_t centre_on_point = 0;
 };
 
+/// Pools of 0, 1 and 3 helper lanes for the geometry's rows.
+struct OraclePools {
+  ThreadPool none{0};
+  ThreadPool one{1};
+  ThreadPool three{3};
+};
+
 /// Checks both forms of the forcing against the oracle on one grid: one
-/// build_forcing() per state, and one geometry applied to all three states.
+/// build_forcing() per state, and one geometry applied to all three states,
+/// built once on each pool of `pools`.
 void expect_matches_oracle(const CyclonePhysics& phys, const GridSpec& g,
-                           OracleTally& tally) {
+                           OraclePools& pools, OracleTally& tally) {
   const Field2D land = land_mask(g);
   const std::vector<DomainState> states = oracle_states(g, phys.center());
-  ForcingGeometry geometry;
-  phys.forcing_geometry(g, land, geometry);
+  ThreadPool* const lanes[] = {&pools.none, &pools.one, &pools.three};
+  std::vector<ForcingGeometry> geometries(std::size(lanes));
+  for (std::size_t p = 0; p < std::size(lanes); ++p) {
+    phys.forcing_geometry(g, land, geometries[p], lanes[p]);
+  }
+  const ForcingGeometry& geometry = geometries.front();
   for (std::size_t k = 0; k < states.size(); ++k) {
     SCOPED_TRACE("state " + std::to_string(k));
     Field2D q0, fu0, fv0, relax0;
@@ -267,11 +281,18 @@ void expect_matches_oracle(const CyclonePhysics& phys, const GridSpec& g,
     EXPECT_TRUE(same_bits(fv, fv0));
     EXPECT_TRUE(same_bits(relax, relax0));
 
-    CyclonePhysics::apply_forcing(geometry, states[k], q, fu, fv);
-    EXPECT_TRUE(same_bits(q, q0));
-    EXPECT_TRUE(same_bits(fu, fu0));
-    EXPECT_TRUE(same_bits(fv, fv0));
-    EXPECT_TRUE(same_bits(geometry.relaxation, relax0));
+    for (std::size_t p = 0; p < geometries.size(); ++p) {
+      SCOPED_TRACE("pool " + std::to_string(lanes[p]->worker_count() - 1));
+      CyclonePhysics::apply_forcing(geometries[p], states[k], q, fu, fv);
+      EXPECT_TRUE(same_bits(q, q0));
+      EXPECT_TRUE(same_bits(fu, fu0));
+      EXPECT_TRUE(same_bits(fv, fv0));
+      EXPECT_TRUE(same_bits(geometries[p].relaxation, relax0));
+      EXPECT_TRUE(same_bits(geometries[p].weight, geometry.weight));
+      EXPECT_TRUE(same_bits(geometries[p].h_target, geometry.h_target));
+      EXPECT_TRUE(same_bits(geometries[p].u_target, geometry.u_target));
+      EXPECT_TRUE(same_bits(geometries[p].v_target, geometry.v_target));
+    }
   }
   for (std::size_t j = 0; j < g.ny(); ++j) {
     for (std::size_t i = 0; i < g.nx(); ++i) {
@@ -289,6 +310,7 @@ TEST(ForcingOracle, EveryLadderRungParentAndNest) {
   // Storm centres: open ocean, the nearest parent grid point to it (r = 0
   // at a cell), and near the south-west corner of the parent domain.
   // Deficits bracket the storm-active floor (2 hPa) and deficit_max.
+  OraclePools pools;
   OracleTally tally;
   for (const double scale : {8.0, 20.0}) {
     for (const double res_km : {24.0, 21.0, 18.0, 15.0, 12.0, 10.0}) {
@@ -312,13 +334,13 @@ TEST(ForcingOracle, EveryLadderRungParentAndNest) {
                        std::to_string(deficit));
           expect_matches_oracle(CyclonePhysics(PhysicsConfig{}, deficit,
                                                centre),
-                                parent_grid, tally);
+                                parent_grid, pools, tally);
           expect_matches_oracle(CyclonePhysics(PhysicsConfig{}, deficit,
                                                centre),
-                                nest_grid, tally);
+                                nest_grid, pools, tally);
           expect_matches_oracle(CyclonePhysics(PhysicsConfig{}, deficit,
                                                nest_point),
-                                nest_grid, tally);
+                                nest_grid, pools, tally);
         }
       }
     }

@@ -515,10 +515,10 @@ TEST(Sessions, ClientIdHandlesAreValidatedAtTheBoundary) {
   EXPECT_EQ(manager.viewer(alice).name, "alice");
 
   // Stale/invalid handles throw instead of UB.
-  EXPECT_THROW(manager.stats(ClientId{}), std::invalid_argument);
-  EXPECT_THROW(manager.deliveries(ClientId{99}), std::invalid_argument);
-  EXPECT_THROW(manager.viewer(ClientId{-1}), std::invalid_argument);
-  EXPECT_THROW(manager.stats(ClientId{7}), std::invalid_argument);
+  EXPECT_THROW((void)manager.stats(ClientId{}), std::invalid_argument);
+  EXPECT_THROW((void)manager.deliveries(ClientId{99}), std::invalid_argument);
+  EXPECT_THROW((void)manager.viewer(ClientId{-1}), std::invalid_argument);
+  EXPECT_THROW((void)manager.stats(ClientId{7}), std::invalid_argument);
   EXPECT_THROW(manager.detach(ClientId{42}), std::invalid_argument);
   EXPECT_THROW(manager.steer_view(ClientId{42}, ViewCommand{}),
                std::invalid_argument);

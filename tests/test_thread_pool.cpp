@@ -1,6 +1,7 @@
 // Tests for the persistent worker-pool runtime: coverage/disjointness of
 // both schedulers, degenerate inputs, nested-call safety, concurrent
-// callers, and clean shutdown with no leaked threads.
+// callers, back-to-back regions through the polling handoff, and clean
+// shutdown with no leaked threads.
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -9,7 +10,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -150,6 +153,59 @@ TEST(ThreadPool, ConcurrentTopLevelCallersSerialize) {
   for (std::thread& t : callers) t.join();
   for (int c = 0; c < kCallers; ++c) {
     EXPECT_EQ(hits[c].load(), 20 * static_cast<int>(kN));
+  }
+}
+
+// Back-to-back regions, each with its own body stamping its region id: a
+// helper still holding one region's body must never run it on the next
+// region's cursor (the caller's locked check of active_ guards this), and
+// every index of every region is written exactly once, by its own body.
+// Each region writes its own row of `hits`, and the rows are checked after
+// the last region, so nothing but the next region's set-up separates two
+// regions.
+TEST(ThreadPool, BackToBackRegionsKeepTheirOwnBodies) {
+  constexpr std::size_t kRegions = 10000;
+  constexpr std::size_t kSpan = 128;
+  for (const int workers : {1, 3}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    ThreadPool pool(workers);
+    std::vector<std::atomic<std::uint8_t>> hits(kRegions * kSpan);
+    std::vector<std::pair<std::size_t, std::size_t>> ranges(kRegions);
+    std::uint64_t x = 0x2545f4914f6cdd1dULL;
+    const auto next = [&x](std::uint64_t bound) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      return (x >> 33) % bound;
+    };
+    for (std::size_t region = 0; region < kRegions; ++region) {
+      const std::size_t begin = next(8);
+      const std::size_t end = begin + 2 + next(kSpan - 9);
+      ranges[region] = {begin, end};
+      const int threads = 2 + static_cast<int>(next(3));
+      const std::size_t chunk = 1 + next(8);
+      std::atomic<std::uint8_t>* const row = &hits[region * kSpan];
+      const auto stamp = [row](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          row[i].fetch_add(1, std::memory_order_relaxed);
+        }
+      };
+      if (next(2) == 0) {
+        pool.parallel_for(begin, end, threads, stamp);
+      } else {
+        pool.parallel_for_chunked(begin, end, threads, chunk, stamp);
+      }
+    }
+    std::size_t bad_regions = 0;
+    std::size_t first_bad = kRegions;
+    for (std::size_t region = 0; region < kRegions; ++region) {
+      const auto [begin, end] = ranges[region];
+      bool ok = true;
+      for (std::size_t i = 0; i < kSpan; ++i) {
+        const bool inside = i >= begin && i < end;
+        if (hits[region * kSpan + i].load() != (inside ? 1 : 0)) ok = false;
+      }
+      if (!ok && bad_regions++ == 0) first_bad = region;
+    }
+    EXPECT_EQ(bad_regions, 0u) << "first: region " << first_bad;
   }
 }
 

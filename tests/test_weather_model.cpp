@@ -8,7 +8,9 @@
 #include <cmath>
 #include <cstring>
 #include <optional>
+#include <string>
 
+#include "util/thread_pool.hpp"
 #include "weather/domain_io.hpp"
 
 namespace adaptviz {
@@ -273,36 +275,42 @@ bool same_bits(const DomainState& a, const DomainState& b) {
 
 TEST(WeatherModel, ForcingGeometryReuseIsBitwiseExact) {
   // Through nest spawn and several recenters, the model (one storm geometry
-  // per parent step) stays bitwise equal to a replay that rebuilds the
-  // whole forcing on the parent and on every nest substep.
-  WeatherModel m(fast_config());
-  ForcingReplay replay(m);
-  int spawned_at = -1;
-  int recenters = 0;
-  std::optional<GridSpec> nest_grid;
-  for (int step = 0; step < 1000; ++step) {
-    m.step();
-    replay.step();
-    ASSERT_EQ(m.sim_time().seconds(), replay.sim_time().seconds());
-    ASSERT_TRUE(same_bits(m.parent_state(), replay.parent())) << step;
-    ASSERT_EQ(m.nest_active(), replay.nest().has_value()) << step;
-    if (m.nest_active()) {
-      ASSERT_TRUE(same_bits(m.nest()->state(), replay.nest()->state()))
-          << step;
-      if (spawned_at < 0) spawned_at = step;
-      if (nest_grid.has_value() && !(*nest_grid == m.nest()->grid())) {
-        ++recenters;
+  // per parent step, its rows shared over the step's pool) stays bitwise
+  // equal to a replay that rebuilds the whole forcing on the parent and on
+  // every nest substep. Stepped inline (no helper lanes) and on three
+  // helpers, both runs match the same replay, so they match each other.
+  for (const int helpers : {0, 3}) {
+    SCOPED_TRACE("helpers " + std::to_string(helpers));
+    ThreadPool pool(helpers);
+    WeatherModel m(fast_config());
+    ForcingReplay replay(m);
+    int spawned_at = -1;
+    int recenters = 0;
+    std::optional<GridSpec> nest_grid;
+    for (int step = 0; step < 1000; ++step) {
+      m.step(&pool);
+      replay.step();
+      ASSERT_EQ(m.sim_time().seconds(), replay.sim_time().seconds());
+      ASSERT_TRUE(same_bits(m.parent_state(), replay.parent())) << step;
+      ASSERT_EQ(m.nest_active(), replay.nest().has_value()) << step;
+      if (m.nest_active()) {
+        ASSERT_TRUE(same_bits(m.nest()->state(), replay.nest()->state()))
+            << step;
+        if (spawned_at < 0) spawned_at = step;
+        if (nest_grid.has_value() && !(*nest_grid == m.nest()->grid())) {
+          ++recenters;
+        }
+        nest_grid = m.nest()->grid();
       }
-      nest_grid = m.nest()->grid();
+      ASSERT_EQ(m.physics().deficit_hpa(), replay.physics().deficit_hpa());
+      ASSERT_EQ(m.physics().center().lat, replay.physics().center().lat);
+      ASSERT_EQ(m.physics().center().lon, replay.physics().center().lon);
+      ASSERT_EQ(m.eye().lat, replay.tracker().eye().lat);
+      ASSERT_EQ(m.eye().lon, replay.tracker().eye().lon);
     }
-    ASSERT_EQ(m.physics().deficit_hpa(), replay.physics().deficit_hpa());
-    ASSERT_EQ(m.physics().center().lat, replay.physics().center().lat);
-    ASSERT_EQ(m.physics().center().lon, replay.physics().center().lon);
-    ASSERT_EQ(m.eye().lat, replay.tracker().eye().lat);
-    ASSERT_EQ(m.eye().lon, replay.tracker().eye().lon);
+    EXPECT_GT(spawned_at, 0);
+    EXPECT_GE(recenters, 2);
   }
-  EXPECT_GT(spawned_at, 0);
-  EXPECT_GE(recenters, 2);
 }
 
 }  // namespace
