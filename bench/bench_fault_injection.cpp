@@ -126,7 +126,8 @@ RigResult run_determinism_rig(int pool_workers) {
       [&](const Frame& f) {
         // Heavy side-effect work whose result never feeds virtual time.
         pool.parallel_for(
-            0, 4096, pool_workers + 1, [&](std::size_t b, std::size_t e) {
+            0, 4096, pool.worker_count(), /*chunk=*/256,
+            [&](std::size_t b, std::size_t e) {
               std::int64_t acc = 0;
               for (std::size_t i = b; i < e; ++i) {
                 acc += (f.sequence * 131 +

@@ -4,10 +4,10 @@
 //
 // Before the google-benchmark suite runs, two self-checking kernel cases
 // run: the shallow-water row kernels against the scalar reference (bitwise
-// digests across kernels and worker counts), and the physics forcing built
-// whole per substep against one storm geometry applied to every substep
-// (bitwise outputs). Both write their measurements to BENCH_kernels.json
-// (--json=PATH overrides; --quick runs only these cases at smoke size).
+// digests), and the physics forcing built whole per substep against one
+// storm geometry applied to every substep (bitwise outputs). Both write
+// their measurements to BENCH_kernels.json (--json=PATH overrides; --quick
+// runs only these cases at smoke size).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -24,7 +24,6 @@
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
 #include "perf/perf_model.hpp"
-#include "util/parallel_for.hpp"
 #include "util/thread_pool.hpp"
 #include "vis/renderer.hpp"
 #include "weather/model.hpp"
@@ -65,37 +64,17 @@ void BM_SwStep(benchmark::State& state) {
 }
 BENCHMARK(BM_SwStep)->Arg(300)->Arg(192)->Arg(96);
 
-// --- Parallel scaling on the persistent pool ----------------------------
-//
-// The same 96-km shallow-water step at 1/2/4/8 workers, its six parallel
-// regions per step dispatched to the persistent pool.
-
-void BM_SwStepPool(benchmark::State& state) {
-  const double res = 96.0;
-  GridSpec g(60.0, -10.0, 60.0, 50.0, res);
-  DomainState s(g);
-  SwParams params;
-  params.threads = static_cast<int>(state.range(0));
-  SwSolver solver(params);
-  const double dt = SwSolver::dt_for_resolution_km(res);
-  for (auto _ : state) {
-    solver.step(s, dt, SwForcing{});
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(g.point_count()));
-}
-
-BENCHMARK(BM_SwStepPool)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-// Raw fork-join dispatch latency of one near-empty region: the fixed
-// overhead every parallel call pays.
+// Raw fork-join dispatch latency of one near-empty region on the shared
+// pool, one chunk per lane: the fixed overhead every parallel call pays.
 void BM_ParallelForPool(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
+  const int lanes = static_cast<int>(state.range(0));
+  const std::size_t chunk = 64 / static_cast<std::size_t>(lanes);
   std::size_t sink = 0;
   for (auto _ : state) {
-    parallel_for_rows(0, 64, threads, [&](std::size_t lo, std::size_t hi) {
-      benchmark::DoNotOptimize(sink += hi - lo);
-    });
+    ThreadPool::shared().parallel_for(
+        0, 64, lanes, chunk, [&](std::size_t lo, std::size_t hi) {
+          benchmark::DoNotOptimize(sink += hi - lo);
+        });
   }
 }
 BENCHMARK(BM_ParallelForPool)->Arg(2)->Arg(4)->Arg(8);
@@ -143,29 +122,6 @@ void BM_RenderFrame(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RenderFrame)->Arg(240)->Arg(480);
-
-// Base-layer render scaling: terrain + pseudocolor only (the band-parallel
-// layer), 480 px wide, at 1/2/4/8 pool workers.
-void BM_RenderBaseThreads(benchmark::State& state) {
-  ModelConfig cfg;
-  cfg.compute_scale = 8.0;
-  WeatherModel model(cfg);
-  while (model.sim_time() < SimSeconds::hours(16)) model.step();
-  const NclFile frame = model.make_frame();
-  RenderOptions opts;
-  opts.width = 480;
-  opts.draw_contours = false;
-  opts.draw_glyphs = false;
-  opts.draw_nest_box = false;
-  opts.draw_track = false;
-  opts.draw_eye = false;
-  opts.threads = static_cast<int>(state.range(0));
-  const FrameRenderer renderer(opts);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(renderer.render(frame, nullptr));
-  }
-}
-BENCHMARK(BM_RenderBaseThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 std::shared_ptr<PerformanceModel> micro_perf() {
   GroundTruthMachine machine(inter_department_site().machine, 1);
@@ -252,12 +208,11 @@ DomainState kernel_initial_state(const GridSpec& g) {
   return s;
 }
 
-/// Best-of-`reps` seconds per step for one kernel/thread configuration.
-double seconds_per_step(const DomainState& init, SwKernel kernel, int threads,
-                        int steps, int reps) {
+/// Best-of-`reps` seconds per step for one kernel.
+double seconds_per_step(const DomainState& init, SwKernel kernel, int steps,
+                        int reps) {
   SwParams params;
   params.kernel = kernel;
-  params.threads = threads;
   const double dt = SwSolver::dt_for_resolution_km(init.grid.resolution_km());
   double best = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
@@ -274,10 +229,9 @@ double seconds_per_step(const DomainState& init, SwKernel kernel, int threads,
 }
 
 std::uint64_t digest_after_steps(const DomainState& init, SwKernel kernel,
-                                 int threads, int steps) {
+                                 int steps) {
   SwParams params;
   params.kernel = kernel;
-  params.threads = threads;
   DomainState s = init;
   SwSolver solver(params);
   const double dt = SwSolver::dt_for_resolution_km(init.grid.resolution_km());
@@ -296,9 +250,9 @@ int run_kernel_report(benchio::BenchReport& report, bool quick) {
   const int reps = quick ? 3 : 5;
 
   const double scalar_s =
-      seconds_per_step(init, SwKernel::kScalarReference, 1, steps, reps);
+      seconds_per_step(init, SwKernel::kScalarReference, steps, reps);
   const double row_s =
-      seconds_per_step(init, SwKernel::kRowKernel, 1, steps, reps);
+      seconds_per_step(init, SwKernel::kRowKernel, steps, reps);
   const double speedup = scalar_s / row_s;
 
   report.add("kernel_step", "96km", "scalar_step_seconds", scalar_s, "s");
@@ -306,15 +260,11 @@ int run_kernel_report(benchio::BenchReport& report, bool quick) {
   report.add("kernel_step", "96km", "speedup", speedup, "x");
 
   // Bitwise determinism: the row kernels must reproduce the scalar
-  // reference exactly, at every worker count.
+  // reference exactly.
   const int digest_steps = 10;
-  const std::uint64_t golden =
-      digest_after_steps(init, SwKernel::kScalarReference, 1, digest_steps);
-  bool digests_match = true;
-  for (const int threads : {1, 2, 8}) {
-    digests_match &= digest_after_steps(init, SwKernel::kRowKernel, threads,
-                                        digest_steps) == golden;
-  }
+  const bool digests_match =
+      digest_after_steps(init, SwKernel::kRowKernel, digest_steps) ==
+      digest_after_steps(init, SwKernel::kScalarReference, digest_steps);
   report.add("kernel_step", "96km", "digest_match",
              digests_match ? 1.0 : 0.0, "flag");
 

@@ -26,6 +26,7 @@
 #include "bench_report.hpp"
 #include "experiment_common.hpp"
 #include "obs/export.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace adaptviz;
 using namespace adaptviz::bench;
@@ -97,9 +98,6 @@ ExperimentConfig scenario(bool quick) {
     cfg.model.compute_scale = 8.0;
     cfg.seed = 42;
   }
-  // Two solver lanes so the shared pool's fork-join instrumentation is on
-  // the measured path (results are bitwise identical for any lane count).
-  cfg.model.dynamics.threads = 2;
   return cfg;
 }
 
@@ -123,10 +121,15 @@ int main(int argc, char** argv) {
   const bool quick = args.quick;
   const std::string json_path =
       args.json_path.empty() ? "BENCH_observability.json" : args.json_path;
-  const ExperimentConfig cfg = scenario(quick);
+  // One helper lane on an explicit pool puts the pool's fork-join
+  // instrumentation (the storm geometry's regions) on the measured path;
+  // results are bitwise identical for any lane count.
+  ThreadPool pool(1);
+  ExperimentConfig cfg = scenario(quick);
+  cfg.pool = &pool;
   const int kRuns = quick ? 5 : 3;
 
-  // Warm the shared pool and every code path before timing anything.
+  // Warm the pool and every code path before timing anything.
   std::uint64_t digest_off = 0;
   std::uint64_t digest_on = 0;
   run_once(cfg, /*with_obs=*/false, nullptr);

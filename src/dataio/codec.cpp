@@ -653,7 +653,7 @@ CodecFrameReport FrameFieldCodec::encode_frame_fields(
   };
 
   ThreadPool& lanes_pool = pool != nullptr ? *pool : ThreadPool::shared();
-  lanes_pool.parallel_for_chunked(
+  lanes_pool.parallel_for(
       0, fields.size(), lanes_pool.worker_count(), /*chunk=*/1,
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t s = lo; s < hi; ++s) {

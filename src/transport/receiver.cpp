@@ -45,7 +45,7 @@ void FrameReceiver::drain() {
 
     if (render_) {
       if (pool_ != nullptr && batch.size() > 1) {
-        pool_->parallel_for_chunked(
+        pool_->parallel_for(
             0, batch.size(), static_cast<int>(batch.size()), /*chunk=*/1,
             [&](std::size_t lo, std::size_t hi) {
               for (std::size_t k = lo; k < hi; ++k) render_(batch[k]);

@@ -10,8 +10,8 @@ namespace adaptviz {
 namespace {
 
 // How long a lane polls the other side of a fork-join handoff before it
-// parks on a condition variable. It spans the gap between the forcing and
-// solver regions of one weather step; measured in EXPERIMENTS.md (P3).
+// parks on a condition variable. It spans the serial solver and nest work
+// between two storm-geometry regions; measured in EXPERIMENTS.md (P3).
 constexpr std::chrono::microseconds kHandoffSpin{500};
 
 // Polls between two clock reads, with a `pause` after each.
@@ -117,7 +117,7 @@ void ThreadPool::run(std::size_t begin, std::size_t end, std::size_t chunk,
   // Capture the bundle once so the increment/decrement below stay
   // symmetric even if observability is swapped mid-region.
   obs::Observability* const o = obs::current();
-  // Regions fire at tens of kilohertz on the solver path: the registry
+  // Regions fire at kilohertz rates on the forcing path: the registry
   // lookups are cached per caller thread (obs.hpp, hot-path handles).
   static thread_local obs::HotGauge depth_peak("pool.queue_depth_peak");
   static thread_local obs::HotCounter regions("pool.regions");

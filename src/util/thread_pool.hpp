@@ -1,35 +1,26 @@
 // Persistent worker-pool runtime for the compute hot paths.
 //
-// Every parallel region in the repo used to spawn and join fresh
-// std::threads per call (six pool spawns per shallow-water step: three
-// tendency regions plus three RK3 update sweeps), which caps scaling and
-// inflates the timing variance the decision algorithms consume. This pool
-// keeps a fixed set of long-lived workers parked on a condition variable
-// and hands them fork-join jobs:
+// A fixed set of long-lived workers parks on a condition variable and
+// takes fork-join jobs, so no region spawns threads:
 //
-//   ThreadPool::shared().parallel_for(0, n, threads, body);
+//   pool.parallel_for(0, n, pool.worker_count(), chunk, body);
 //
-// Scheduling:
-//  * parallel_for — static: the range is cut into exactly
-//    min(threads, n) contiguous bands of ceil(n/W) rows, the same
-//    partition the old spawn-per-call parallel_for_rows used. Each band
-//    is claimed once; which worker runs which band is unspecified, but
-//    bands are disjoint and the boundaries depend only on (range,
-//    threads), so results are bitwise identical to the serial loop for
-//    any worker count and any pool size.
-//  * parallel_for_chunked — dynamic: workers grab fixed-size chunks off
-//    an atomic cursor; use it when per-row cost is uneven (streamline
-//    tracing, batches of whole-frame renders).
+// Scheduling: up to `lanes` lanes grab `chunk`-sized pieces off an atomic
+// cursor. Chunk boundaries depend only on (range, chunk); which lane runs
+// which chunk is unspecified. Every caller's body writes only the indices
+// of its own chunk (storm-geometry rows, codec field slots, render
+// batches), so results are bitwise identical to the serial loop for any
+// lane count and any pool size.
 //
-// The calling thread always participates, so `threads == 1` (or a pool
+// The calling thread always participates, so `lanes <= 1` (or a pool
 // built with zero workers) degenerates to the plain serial loop with no
 // synchronization. Nested calls — a body that itself calls into the pool,
 // from a pool worker or from the thread that issued the outer region —
 // run inline serially rather than deadlocking. Concurrent top-level
 // callers serialize on the pool (one fork-join job at a time).
 //
-// Handoff: regions on the solver and forcing paths last tens to hundreds
-// of microseconds, often less than a parked helper takes to wake on a busy
+// Handoff: regions on the forcing path last tens to hundreds of
+// microseconds, often less than a parked helper takes to wake on a busy
 // host. So both sides of a handoff poll before they block: a helper that
 // has just finished its band (or woke with a ticket left to find the
 // region already claimed) polls `generation_` for the next region, and the
@@ -50,8 +41,8 @@
 // Task submission (`submit`): whole units of work — e.g. one experiment of
 // a campaign — run as pool tasks on the worker threads, draining a FIFO
 // queue. Tasks run with in-region semantics: any parallel_for a task issues
-// runs inline on its lane (deterministically — the static partition makes
-// lane count invisible to results), so K tasks progress independently
+// runs inline on its lane (deterministically — disjoint per-index writes
+// make lane count invisible to results), so K tasks progress independently
 // without nested fork-join deadlocks. Do not wait() on a task's handle
 // from inside another task on the same pool: with every worker occupied
 // that wait can never be satisfied.
@@ -113,33 +104,13 @@ class ThreadPool {
     return static_cast<int>(workers_.size()) + 1;
   }
 
-  /// Process-wide lazily-constructed pool sized for the hardware. All
-  /// subsystems (dynamics, rendering, transport) share it; per-call
-  /// `threads` arguments cap how much of it a region uses.
+  /// Process-wide lazily-constructed pool sized for the hardware: the
+  /// storm geometry and the codec use it when a run passes no pool of its
+  /// own.
   static ThreadPool& shared();
 
   /// hardware_concurrency - 1 helpers (the caller is the final lane).
   static int default_worker_count();
-
-  /// Fork-join over [begin, end) with the deterministic static partition:
-  /// min(threads, n) bands of ceil(n / W). threads <= 1, a nested call,
-  /// or a tiny range runs body(begin, end) inline.
-  template <typename Body>
-  void parallel_for(std::size_t begin, std::size_t end, int threads,
-                    Body&& body) {
-    if (end <= begin) return;
-    const std::size_t n = end - begin;
-    const std::size_t lanes =
-        std::min<std::size_t>(static_cast<std::size_t>(
-                                  threads > 1 ? threads : 1),
-                              n);
-    if (lanes <= 1 || in_parallel_region()) {
-      body(begin, end);
-      return;
-    }
-    const std::size_t band = (n + lanes - 1) / lanes;
-    run(begin, end, band, static_cast<int>(lanes) - 1, RangeFnRef(body));
-  }
 
   /// Blocks until the task has finished. A default-constructed handle (or
   /// one whose task already ran) returns immediately.
@@ -169,24 +140,25 @@ class ThreadPool {
   /// unblock).
   TaskHandle submit(std::function<void()> task);
 
-  /// Fork-join with dynamic chunk scheduling: up to `threads` lanes grab
-  /// `chunk`-sized pieces off a shared cursor. Chunk boundaries are
+  /// Fork-join over [begin, end): up to `lanes` lanes (the caller is one)
+  /// grab `chunk`-sized pieces off a shared cursor. Chunk boundaries are
   /// deterministic; claim order is not — use only when the body's writes
-  /// are disjoint per index (which every renderer/solver body here is).
+  /// are disjoint per index. lanes <= 1, a single chunk or a nested call
+  /// runs body(begin, end) inline.
   template <typename Body>
-  void parallel_for_chunked(std::size_t begin, std::size_t end, int threads,
-                            std::size_t chunk, Body&& body) {
+  void parallel_for(std::size_t begin, std::size_t end, int lanes,
+                    std::size_t chunk, Body&& body) {
     if (end <= begin) return;
     if (chunk == 0) chunk = 1;
     const std::size_t n = end - begin;
     const std::size_t pieces = (n + chunk - 1) / chunk;
-    const std::size_t lanes = std::min<std::size_t>(
-        static_cast<std::size_t>(threads > 1 ? threads : 1), pieces);
-    if (lanes <= 1 || in_parallel_region()) {
+    const std::size_t used = std::min<std::size_t>(
+        static_cast<std::size_t>(lanes > 1 ? lanes : 1), pieces);
+    if (used <= 1 || in_parallel_region()) {
       body(begin, end);
       return;
     }
-    run(begin, end, chunk, static_cast<int>(lanes) - 1, RangeFnRef(body));
+    run(begin, end, chunk, static_cast<int>(used) - 1, RangeFnRef(body));
   }
 
  private:

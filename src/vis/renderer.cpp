@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "obs/obs.hpp"
-#include "util/parallel_for.hpp"
 #include "vis/contour.hpp"
 #include "vis/streamlines.hpp"
 #include "vis/volume.hpp"
@@ -98,9 +97,10 @@ Image FrameRenderer::render(const NclFile& frame,
         (1.0 - (lat - g.lat0()) / g.extent_lat()) * static_cast<double>(h)));
   };
 
-  // --- Base: terrain + pseudocolor (parallel over horizontal bands) ---
-  auto render_rows = [&](std::size_t y_begin, std::size_t y_end) {
-    for (std::size_t y = y_begin; y < y_end; ++y) {
+  // --- Base: terrain + pseudocolor ---
+  {
+    obs::ScopedSpan base_span("vis.render.base");
+    for (std::size_t y = 0; y < h; ++y) {
       for (std::size_t x = 0; x < w; ++x) {
         const LatLon p{lat_of_px(y), lon_of_px(x)};
         const double land = land_fraction(p);
@@ -118,12 +118,6 @@ Image FrameRenderer::render(const NclFile& frame,
                   fieldmap.map(v, range.lo, range.hi), options_.field_alpha);
       }
     }
-  };
-  // Disjoint row bands on the shared persistent pool: no synchronization
-  // needed, and no threads spawned per frame.
-  {
-    obs::ScopedSpan base_span("vis.render.base");
-    parallel_for_rows(0, h, options_.threads, render_rows);
   }
 
   // --- Contours of the parent field ---
@@ -178,8 +172,7 @@ Image FrameRenderer::render(const NclFile& frame,
 
   // --- Volume-rendered cloud layer ---
   if (options_.draw_cloud_volume) {
-    composite_volume(img, cloud_volume_from_state(parent), {},
-                     options_.threads);
+    composite_volume(img, cloud_volume_from_state(parent));
   }
 
   // --- Wind streamlines ---
@@ -198,8 +191,7 @@ Image FrameRenderer::render(const NclFile& frame,
     for (const Streamline& line :
          streamline_field(parent.u, parent.v,
                           options_.streamline_spacing_cells,
-                          /*min_points=*/8, StreamlineOptions{},
-                          options_.threads)) {
+                          /*min_points=*/8)) {
       for (std::size_t k = 1; k < line.size(); ++k) {
         img.draw_line(gx_to_px(line[k - 1].first),
                       gy_to_py(line[k - 1].second), gx_to_px(line[k].first),

@@ -40,12 +40,6 @@ struct RenderOptions {
   bool draw_nest_box = true;
   bool draw_track = true;
   bool draw_eye = true;
-  /// Rendering threads for the pseudocolor/terrain base layer, the volume
-  /// compositor, and streamline tracing (the paper's future work: "We
-  /// intend to parallelize the visualization process"). 1 = serial; the
-  /// pixel layers split into horizontal bands and streamlines into seed
-  /// chunks, all on the shared persistent pool (util/thread_pool.hpp).
-  int threads = 1;
 };
 
 class FrameRenderer {

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/obs.hpp"
-#include "util/thread_pool.hpp"
 
 namespace adaptviz {
 namespace {
@@ -67,38 +66,19 @@ Streamline trace_streamline(const Field2D& u, const Field2D& v,
 std::vector<Streamline> streamline_field(const Field2D& u, const Field2D& v,
                                          double seed_spacing_cells,
                                          std::size_t min_points,
-                                         const StreamlineOptions& options,
-                                         int threads) {
+                                         const StreamlineOptions& options) {
   if (seed_spacing_cells <= 0) {
     throw std::invalid_argument("streamline_field: bad seed spacing");
   }
   obs::ScopedSpan span("vis.streamlines");
-  std::vector<std::pair<double, double>> seeds;
+  std::vector<Streamline> out;
   for (double y = seed_spacing_cells / 2; y < static_cast<double>(u.ny() - 1);
        y += seed_spacing_cells) {
     for (double x = seed_spacing_cells / 2;
          x < static_cast<double>(u.nx() - 1); x += seed_spacing_cells) {
-      seeds.emplace_back(x, y);
+      Streamline line = trace_streamline(u, v, x, y, options);
+      if (line.size() >= min_points) out.push_back(std::move(line));
     }
-  }
-
-  // Trace into a per-seed slot (disjoint writes), then compact in seed
-  // order: the output is identical for any thread count. Line lengths are
-  // wildly uneven (stagnation vs. circumnavigating the vortex), so chunks
-  // are scheduled dynamically.
-  std::vector<Streamline> traced(seeds.size());
-  ThreadPool::shared().parallel_for_chunked(
-      0, seeds.size(), threads, /*chunk=*/4,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t k = lo; k < hi; ++k) {
-          traced[k] =
-              trace_streamline(u, v, seeds[k].first, seeds[k].second, options);
-        }
-      });
-
-  std::vector<Streamline> out;
-  for (Streamline& line : traced) {
-    if (line.size() >= min_points) out.push_back(std::move(line));
   }
   return out;
 }

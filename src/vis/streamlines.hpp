@@ -32,14 +32,10 @@ Streamline trace_streamline(const Field2D& u, const Field2D& v,
                             const StreamlineOptions& options = {});
 
 /// Traces a grid of seeds (spacing in cells) and returns all lines with at
-/// least `min_points` vertices. Seeds are independent; `threads > 1`
-/// traces them in chunks on the shared pool (line lengths vary wildly, so
-/// scheduling is dynamic). The returned lines are in seed order regardless
-/// of the thread count.
+/// least `min_points` vertices, in seed order (row by row, south to north).
 std::vector<Streamline> streamline_field(const Field2D& u, const Field2D& v,
                                          double seed_spacing_cells,
                                          std::size_t min_points = 8,
-                                         const StreamlineOptions& options = {},
-                                         int threads = 1);
+                                         const StreamlineOptions& options = {});
 
 }  // namespace adaptviz

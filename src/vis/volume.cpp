@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "obs/obs.hpp"
-#include "util/parallel_for.hpp"
 
 namespace adaptviz {
 
@@ -69,7 +68,7 @@ VolumeGrid cloud_volume_from_state(const DomainState& state,
 }
 
 void composite_volume(Image& image, const VolumeGrid& volume,
-                      const VolumeRenderOptions& opt, int threads) {
+                      const VolumeRenderOptions& opt) {
   obs::ScopedSpan span("vis.volume");
   const double sx = static_cast<double>(volume.nx() - 1) /
                     static_cast<double>(image.width() - 1);
@@ -77,10 +76,7 @@ void composite_volume(Image& image, const VolumeGrid& volume,
                     static_cast<double>(image.height() - 1);
   const double nz = static_cast<double>(volume.nz() - 1);
 
-  // Each pixel's ray is independent and writes only its own pixel, so row
-  // bands parallelize with no synchronization.
-  auto composite_rows = [&](std::size_t row_begin, std::size_t row_end) {
-  for (std::size_t py = row_begin; py < row_end; ++py) {
+  for (std::size_t py = 0; py < image.height(); ++py) {
     for (std::size_t px = 0; px < image.width(); ++px) {
       const double gx = static_cast<double>(px) * sx;
       // Image rows run north->south; volume j runs south->north.
@@ -107,8 +103,6 @@ void composite_volume(Image& image, const VolumeGrid& volume,
       }
     }
   }
-  };  // composite_rows
-  parallel_for_rows(0, image.height(), threads, composite_rows);
 }
 
 }  // namespace adaptviz

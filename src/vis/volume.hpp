@@ -69,11 +69,8 @@ struct VolumeRenderOptions {
 
 /// Composites the volume over an existing image (which must map 1 image
 /// pixel : (nx/width) grid cells, i.e. the renderer's own geometry; the
-/// image is typically a pseudocolor base layer). Rays are independent per
-/// pixel; `threads > 1` splits the image rows across the shared pool with
-/// bitwise-identical results.
+/// image is typically a pseudocolor base layer).
 void composite_volume(Image& image, const VolumeGrid& volume,
-                      const VolumeRenderOptions& options = {},
-                      int threads = 1);
+                      const VolumeRenderOptions& options = {});
 
 }  // namespace adaptviz

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "obs/obs.hpp"
-#include "util/parallel_for.hpp"
 
 // Bitwise determinism contract. Both tendency kernels (SwKernel) and both
 // RK3 update kernels below evaluate the same per-point expression in the
@@ -71,7 +70,7 @@ inline void stencil_interior_row(
   }
 }
 
-// RK3 stage update dst = src + a * tend over [lo, hi). All nine spans are
+// RK3 stage update dst = src + a * tend over [0, n). All nine spans are
 // pairwise disjoint (dst is a stage buffer distinct from the source state),
 // so every pointer carries the no-alias promise.
 inline void rk3_axpy(double* ADAPTVIZ_RESTRICT dh, double* ADAPTVIZ_RESTRICT du,
@@ -82,8 +81,8 @@ inline void rk3_axpy(double* ADAPTVIZ_RESTRICT dh, double* ADAPTVIZ_RESTRICT du,
                      const double* ADAPTVIZ_RESTRICT th,
                      const double* ADAPTVIZ_RESTRICT tu,
                      const double* ADAPTVIZ_RESTRICT tv, double a,
-                     std::size_t lo, std::size_t hi) {
-  for (std::size_t idx = lo; idx < hi; ++idx) {
+                     std::size_t n) {
+  for (std::size_t idx = 0; idx < n; ++idx) {
     dh[idx] = h0[idx] + a * th[idx];
     du[idx] = u0[idx] + a * tu[idx];
     dv[idx] = v0[idx] + a * tv[idx];
@@ -99,8 +98,8 @@ inline void rk3_axpy_inplace(double* ADAPTVIZ_RESTRICT dh,
                              const double* ADAPTVIZ_RESTRICT th,
                              const double* ADAPTVIZ_RESTRICT tu,
                              const double* ADAPTVIZ_RESTRICT tv, double a,
-                             std::size_t lo, std::size_t hi) {
-  for (std::size_t idx = lo; idx < hi; ++idx) {
+                             std::size_t n) {
+  for (std::size_t idx = 0; idx < n; ++idx) {
     dh[idx] += a * th[idx];
     du[idx] += a * tu[idx];
     dv[idx] += a * tv[idx];
@@ -333,9 +332,9 @@ void SwSolver::compute_tendency(const DomainState& s, const SwForcing& f,
   };  // row_kernel_rows
 
   if (params_.kernel == SwKernel::kScalarReference) {
-    parallel_for_rows(1, ny - 1, params_.threads, reference_rows);
+    reference_rows(1, ny - 1);
   } else {
-    parallel_for_rows(1, ny - 1, params_.threads, row_kernel_rows);
+    row_kernel_rows(1, ny - 1);
   }
 }
 
@@ -375,10 +374,7 @@ void SwSolver::step(DomainState& state, double dt,
       double* dh = state.h.data().data();
       double* du = state.u.data().data();
       double* dv = state.v.data().data();
-      parallel_for_rows(0, n, params_.threads,
-                        [=](std::size_t lo, std::size_t hi) {
-                          rk3_axpy_inplace(dh, du, dv, th, tu, tv, a, lo, hi);
-                        });
+      rk3_axpy_inplace(dh, du, dv, th, tu, tv, a, n);
     } else {
       double* dh = stage.h.data().data();
       double* du = stage.u.data().data();
@@ -386,11 +382,7 @@ void SwSolver::step(DomainState& state, double dt,
       const double* h0 = state.h.data().data();
       const double* u0 = state.u.data().data();
       const double* v0 = state.v.data().data();
-      parallel_for_rows(0, n, params_.threads,
-                        [=](std::size_t lo, std::size_t hi) {
-                          rk3_axpy(dh, du, dv, h0, u0, v0, th, tu, tv, a, lo,
-                                   hi);
-                        });
+      rk3_axpy(dh, du, dv, h0, u0, v0, th, tu, tv, a, n);
     }
   }
 }

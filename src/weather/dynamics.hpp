@@ -57,11 +57,6 @@ struct SwParams {
   /// outermost interior row (weakening inward).
   int sponge_width = 5;
   double sponge_tau_seconds = 1200.0;
-  /// Worker threads for the tendency/update loops (row decomposition, the
-  /// shared-memory analogue of WRF's MPI domain decomposition). Results are
-  /// bitwise identical for any count. Lanes come from the shared persistent
-  /// pool (util/thread_pool.hpp).
-  int threads = 1;
   /// Tendency implementation; tests and bench_micro pin kScalarReference
   /// to compare against the vectorizable row kernels.
   SwKernel kernel = SwKernel::kRowKernel;
@@ -70,7 +65,8 @@ struct SwParams {
 /// A solver owns its step scratch (RK3 stage state and tendency fields), so
 /// distinct instances never alias — two solvers on one thread, or one per
 /// thread, are safe. A single instance is NOT safe for concurrent step()
-/// calls; the internal row decomposition is how a step uses many cores.
+/// calls. A step runs serially on its caller: its regions last tens of
+/// microseconds, too short to pay for a fork-join handoff (DESIGN.md §11).
 class SwSolver {
  public:
   explicit SwSolver(SwParams params = {});

@@ -169,8 +169,7 @@ void CyclonePhysics::forcing_geometry(const GridSpec& g, const Field2D& land,
     }
   };
   ThreadPool& lanes = pool != nullptr ? *pool : ThreadPool::shared();
-  lanes.parallel_for_chunked(0, ny, lanes.worker_count(), kGeometryRowChunk,
-                             rows);
+  lanes.parallel_for(0, ny, lanes.worker_count(), kGeometryRowChunk, rows);
 }
 
 void CyclonePhysics::apply_forcing(const ForcingGeometry& geo,

@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
+#include "util/thread_pool.hpp"
 #include "weather/vortex.hpp"
 
 namespace adaptviz {
@@ -169,44 +171,6 @@ TEST(Dynamics, StableOverLongIntegration) {
   EXPECT_LT(s.wind_speed().max(), 150.0);
 }
 
-// Row-decomposed stepping must agree with serial stepping to the last bit,
-// for any worker count — the property that makes the shared-memory
-// decomposition trustworthy.
-class DynamicsThreads : public testing::TestWithParam<int> {};
-
-TEST_P(DynamicsThreads, BitwiseEqualToSerial) {
-  auto make_state = [] {
-    DomainState s(test_grid(80.0));
-    HollandVortex v{.center = LatLon{14.0, 85.0},
-                    .deficit_hpa = 20.0,
-                    .r_max_km = 250.0,
-                    .b = 1.5};
-    v.deposit(s);
-    return s;
-  };
-  SwParams serial_params;
-  SwParams parallel_params;
-  parallel_params.threads = GetParam();
-  SwSolver serial(serial_params);
-  SwSolver parallel(parallel_params);
-
-  DomainState a = make_state();
-  DomainState b = make_state();
-  const double dt = SwSolver::dt_for_resolution_km(80.0);
-  for (int k = 0; k < 10; ++k) {
-    serial.step(a, dt, SwForcing{});
-    parallel.step(b, dt, SwForcing{});
-  }
-  EXPECT_EQ(a.h, b.h);
-  EXPECT_EQ(a.u, b.u);
-  EXPECT_EQ(a.v, b.v);
-}
-
-// 64 exceeds the interior row count of the test grid: the partition must
-// clamp to one row per lane and stay bitwise identical.
-INSTANTIATE_TEST_SUITE_P(WorkerCounts, DynamicsThreads,
-                         testing::Values(2, 3, 4, 7, 64));
-
 TEST(Dynamics, TwoSolversOnOneThreadDontAliasScratch) {
   // Regression for the old `static thread_local` step scratch: two solvers
   // on one thread, alternating between different grids, must produce the
@@ -244,9 +208,9 @@ TEST(Dynamics, TwoSolversOnOneThreadDontAliasScratch) {
 //
 // The row-kernel rewrite of compute_tendency must be a pure layout
 // transformation: same bits as the scalar loop it replaced, for every
-// forcing combination and worker count. Digests below were generated from
-// the pre-refactor scalar build (plain -O2, no FMA contraction — which
-// src/weather/CMakeLists.txt pins off for every build).
+// forcing combination and however many solvers step at once. Digests below
+// were generated from the pre-refactor scalar build (plain -O2, no FMA
+// contraction — which src/weather/CMakeLists.txt pins off for every build).
 
 std::uint64_t fnv1a_bytes(std::uint64_t h, const void* p, std::size_t n) {
   const unsigned char* b = static_cast<const unsigned char*>(p);
@@ -310,36 +274,66 @@ constexpr std::uint64_t kGoldenForcedStep1 = 0xf2f9451fbe3bbc79ull;
 constexpr std::uint64_t kGoldenForcedStep10 = 0xc2be132e2571fba1ull;
 constexpr std::uint64_t kGoldenPlainStep10 = 0x9f948b9511f94191ull;
 
-class KernelRegression : public testing::TestWithParam<int> {};
+// Digests of one golden run: the forced state after steps 1 and 10, and
+// the unforced state after step 10.
+struct GoldenRun {
+  std::uint64_t initial = 0;
+  std::uint64_t forced_step1 = 0;
+  std::uint64_t forced_step10 = 0;
+  std::uint64_t plain_step10 = 0;
+};
 
-TEST_P(KernelRegression, RowKernelMatchesPreRefactorGoldens) {
-  SwParams p;
-  p.threads = GetParam();
-  SwSolver solver(p);
+GoldenRun run_golden(const SwParams& params) {
+  SwSolver solver(params);
   DomainState s = golden_vortex_state();
   FullForcingFixture fix(s.grid);
   const double dt = SwSolver::dt_for_resolution_km(80.0);
-  EXPECT_EQ(state_digest(s), kGoldenInitial);
+  GoldenRun run;
+  run.initial = state_digest(s);
   solver.step(s, dt, fix.forcing);
-  EXPECT_EQ(state_digest(s), kGoldenForcedStep1);
+  run.forced_step1 = state_digest(s);
   for (int k = 2; k <= 10; ++k) solver.step(s, dt, fix.forcing);
-  EXPECT_EQ(state_digest(s), kGoldenForcedStep10);
+  run.forced_step10 = state_digest(s);
 
   DomainState plain = golden_vortex_state();
   for (int k = 0; k < 10; ++k) solver.step(plain, dt, SwForcing{});
-  EXPECT_EQ(state_digest(plain), kGoldenPlainStep10);
+  run.plain_step10 = state_digest(plain);
+  return run;
+}
+
+// The parameter is a worker count: that many independent solvers step at
+// once, one per pool index, so any state shared between solvers or kept
+// per thread would show as a digest off the goldens.
+class KernelRegression : public testing::TestWithParam<int> {
+ protected:
+  std::vector<GoldenRun> run_concurrently(const SwParams& params) const {
+    const int workers = GetParam();
+    const auto n = static_cast<std::size_t>(workers);
+    std::vector<GoldenRun> runs(n);
+    ThreadPool pool(workers - 1);
+    pool.parallel_for(0, n, workers, 1, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t w = lo; w < hi; ++w) runs[w] = run_golden(params);
+    });
+    return runs;
+  }
+};
+
+TEST_P(KernelRegression, RowKernelMatchesPreRefactorGoldens) {
+  const std::vector<GoldenRun> runs = run_concurrently(SwParams{});
+  for (std::size_t w = 0; w < runs.size(); ++w) {
+    EXPECT_EQ(runs[w].initial, kGoldenInitial) << "solver " << w;
+    EXPECT_EQ(runs[w].forced_step1, kGoldenForcedStep1) << "solver " << w;
+    EXPECT_EQ(runs[w].forced_step10, kGoldenForcedStep10) << "solver " << w;
+    EXPECT_EQ(runs[w].plain_step10, kGoldenPlainStep10) << "solver " << w;
+  }
 }
 
 TEST_P(KernelRegression, ScalarReferenceMatchesPreRefactorGoldens) {
-  SwParams p;
-  p.threads = GetParam();
-  p.kernel = SwKernel::kScalarReference;
-  SwSolver solver(p);
-  DomainState s = golden_vortex_state();
-  FullForcingFixture fix(s.grid);
-  const double dt = SwSolver::dt_for_resolution_km(80.0);
-  for (int k = 0; k < 10; ++k) solver.step(s, dt, fix.forcing);
-  EXPECT_EQ(state_digest(s), kGoldenForcedStep10);
+  const std::vector<GoldenRun> runs =
+      run_concurrently(SwParams{.kernel = SwKernel::kScalarReference});
+  for (std::size_t w = 0; w < runs.size(); ++w) {
+    EXPECT_EQ(runs[w].forced_step10, kGoldenForcedStep10) << "solver " << w;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, KernelRegression,

@@ -190,11 +190,12 @@ TEST(Framework, NonAdaptiveBaselineStallsFirst) {
 }
 
 TEST(Framework, ObservabilityCapturesThePipeline) {
+  // One helper lane so the pool's fork-join path is exercised (results
+  // are bitwise identical for any lane count).
+  ThreadPool pool(1);
   ExperimentConfig cfg = mini_config(AlgorithmKind::kOptimization);
   cfg.observability = true;
-  // Two solver lanes so the shared pool's fork-join path is exercised
-  // (results are bitwise identical for any lane count).
-  cfg.model.dynamics.threads = 2;
+  cfg.pool = &pool;
   const ExperimentResult r = run_experiment(cfg);
   ASSERT_FALSE(r.metrics.empty());
 
@@ -206,7 +207,6 @@ TEST(Framework, ObservabilityCapturesThePipeline) {
   EXPECT_EQ(r.metrics.counter_or("manager.decisions"),
             static_cast<std::int64_t>(r.summary.decision_count));
   EXPECT_GT(r.metrics.counter_or("sim.steps"), 0);
-  EXPECT_GT(r.metrics.counter_or("pool.regions"), 0);
   const obs::Histogram::Snapshot* step = r.metrics.histogram("sim.step");
   ASSERT_NE(step, nullptr);
   EXPECT_EQ(step->count, r.metrics.counter_or("sim.steps"));
@@ -231,6 +231,8 @@ TEST(Framework, ObservabilityCapturesThePipeline) {
   EXPECT_LT(geometry->count, apply->count);
   EXPECT_GT(geometry->sum, 0.0);
   EXPECT_GT(apply->sum, 0.0);
+  // With the codec off, every fork-join region is a storm-geometry build.
+  EXPECT_EQ(r.metrics.counter_or("pool.regions"), geometry->count);
 
   // The trace retains events from both clock domains, and every manager
   // decision is on it (the ring is far larger than the decision count).

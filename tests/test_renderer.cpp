@@ -125,27 +125,6 @@ TEST(Renderer, StreamlineOverlayDrawsInk) {
   EXPECT_GT(differing, 100);  // the cyclonic circulation paints many pixels
 }
 
-TEST(Renderer, ParallelThreadsMatchSerialExactly) {
-  // Streamlines and the cloud volume on: every parallel layer (base bands,
-  // volume compositing, seed-chunked streamline tracing) must be bitwise
-  // identical to its serial result.
-  RenderOptions serial_opts;
-  serial_opts.width = 180;
-  serial_opts.draw_streamlines = true;
-  serial_opts.draw_cloud_volume = true;
-  RenderOptions parallel_opts = serial_opts;
-  parallel_opts.threads = 4;
-  const Image a = FrameRenderer(serial_opts).render(storm_frame(), nullptr);
-  const Image b = FrameRenderer(parallel_opts).render(storm_frame(), nullptr);
-  ASSERT_EQ(a.width(), b.width());
-  ASSERT_EQ(a.height(), b.height());
-  for (std::size_t y = 0; y < a.height(); ++y) {
-    for (std::size_t x = 0; x < a.width(); ++x) {
-      ASSERT_EQ(a.at(x, y), b.at(x, y)) << x << "," << y;
-    }
-  }
-}
-
 TEST(VisProcess, RecordsProgressAndCost) {
   EventQueue queue;
   VisualizationProcess::Options opts;

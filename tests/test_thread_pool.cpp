@@ -1,22 +1,21 @@
 // Tests for the persistent worker-pool runtime: coverage/disjointness of
-// both schedulers, degenerate inputs, nested-call safety, concurrent
+// the chunked scheduler, degenerate inputs, nested-call safety, concurrent
 // callers, back-to-back regions through the polling handoff, and clean
-// shutdown with no leaked threads.
+// shutdown with every helper joined.
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <dirent.h>
 
-#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
-#include <mutex>
+#include <latch>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
-
 
 namespace adaptviz {
 namespace {
@@ -31,6 +30,33 @@ int os_thread_count() {
   }
   closedir(dir);
   return count;
+}
+
+// The kernel can still list a thread in /proc/self/task for a moment after
+// its join, so a count right after one may read high: re-reads the count
+// while it is above `expected`, for at most 50 ms.
+int settled_thread_count(int expected) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
+  int count = os_thread_count();
+  while (count > expected && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    count = os_thread_count();
+  }
+  return count;
+}
+
+// Bumped by each thread that touched its ExitProbe, as the thread exits.
+std::atomic<int> g_probe_exits{0};
+
+struct ExitProbe {
+  bool touched = false;
+  ~ExitProbe() { g_probe_exits.fetch_add(1); }
+};
+
+void touch_exit_probe() {
+  static thread_local ExitProbe probe;
+  probe.touched = true;
 }
 
 // Runs a parallel_for and returns how many times each index was visited.
@@ -50,22 +76,25 @@ std::vector<int> visit_counts(std::size_t n, const Launch& launch) {
 TEST(ThreadPool, EmptyRangeNeverCalls) {
   ThreadPool pool(2);
   bool called = false;
-  pool.parallel_for(5, 5, 4, [&](std::size_t, std::size_t) { called = true; });
-  pool.parallel_for(7, 3, 4, [&](std::size_t, std::size_t) { called = true; });
-  pool.parallel_for_chunked(5, 5, 4, 2,
-                            [&](std::size_t, std::size_t) { called = true; });
+  const auto body = [&](std::size_t, std::size_t) { called = true; };
+  pool.parallel_for(5, 5, 4, 2, body);
+  pool.parallel_for(7, 3, 4, 2, body);
   EXPECT_FALSE(called);
 }
 
+// One chunk per lane, ceil(n / lanes): an even split of the range, for
+// every range size against every lane count.
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
   ThreadPool pool(3);
   for (const std::size_t n : {1u, 2u, 7u, 64u, 1000u}) {
-    for (const int threads : {1, 2, 3, 8}) {
+    for (const int lanes : {1, 2, 3, 8}) {
+      const auto w = static_cast<std::size_t>(lanes);
+      const std::size_t band = (n + w - 1) / w;
       const auto counts = visit_counts(n, [&](auto body) {
-        pool.parallel_for(0, n, threads, body);
+        pool.parallel_for(0, n, lanes, band, body);
       });
       for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(counts[i], 1) << "n=" << n << " threads=" << threads
+        EXPECT_EQ(counts[i], 1) << "n=" << n << " lanes=" << lanes
                                 << " index=" << i;
       }
     }
@@ -77,10 +106,10 @@ TEST(ThreadPool, ChunkedCoversEveryIndexExactlyOnce) {
   for (const std::size_t chunk : {1u, 3u, 16u, 1000u}) {
     const std::size_t n = 257;
     const auto counts = visit_counts(n, [&](auto body) {
-      pool.parallel_for_chunked(10, 10 + n, 4, chunk,
-                                [&](std::size_t lo, std::size_t hi) {
-                                  body(lo - 10, hi - 10);
-                                });
+      pool.parallel_for(10, 10 + n, 4, chunk,
+                        [&](std::size_t lo, std::size_t hi) {
+                          body(lo - 10, hi - 10);
+                        });
     });
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(counts[i], 1) << "chunk=" << chunk << " index=" << i;
@@ -92,16 +121,16 @@ TEST(ThreadPool, MoreThreadsThanRows) {
   ThreadPool pool(8);
   const std::size_t n = 3;
   const auto counts = visit_counts(
-      n, [&](auto body) { pool.parallel_for(0, n, 64, body); });
+      n, [&](auto body) { pool.parallel_for(0, n, 64, 1, body); });
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(counts[i], 1);
 }
 
 TEST(ThreadPool, NonPositiveThreadsRunsSerially) {
   ThreadPool pool(2);
-  for (const int threads : {0, -1, -100}) {
+  for (const int lanes : {0, -1, -100}) {
     int calls = 0;
     std::size_t lo = 99, hi = 0;
-    pool.parallel_for(2, 12, threads, [&](std::size_t b, std::size_t e) {
+    pool.parallel_for(2, 12, lanes, 1, [&](std::size_t b, std::size_t e) {
       ++calls;
       lo = b;
       hi = e;
@@ -116,17 +145,17 @@ TEST(ThreadPool, ZeroWorkerPoolStillCompletes) {
   ThreadPool pool(0);
   const std::size_t n = 100;
   const auto counts = visit_counts(
-      n, [&](auto body) { pool.parallel_for(0, n, 8, body); });
+      n, [&](auto body) { pool.parallel_for(0, n, 8, 7, body); });
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(counts[i], 1);
 }
 
 TEST(ThreadPool, NestedCallsRunInline) {
   ThreadPool pool(3);
   std::atomic<int> inner_total{0};
-  pool.parallel_for(0, 8, 4, [&](std::size_t lo, std::size_t hi) {
+  pool.parallel_for(0, 8, 4, 2, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       // A nested region must not deadlock; it runs inline on this lane.
-      pool.parallel_for(0, 10, 4, [&](std::size_t b, std::size_t e) {
+      pool.parallel_for(0, 10, 4, 3, [&](std::size_t b, std::size_t e) {
         inner_total.fetch_add(static_cast<int>(e - b));
       });
     }
@@ -144,7 +173,7 @@ TEST(ThreadPool, ConcurrentTopLevelCallersSerialize) {
   for (int c = 0; c < kCallers; ++c) {
     callers.emplace_back([&, c] {
       for (int rep = 0; rep < 20; ++rep) {
-        pool.parallel_for(0, kN, 4, [&](std::size_t lo, std::size_t hi) {
+        pool.parallel_for(0, kN, 4, 32, [&](std::size_t lo, std::size_t hi) {
           hits[c].fetch_add(static_cast<int>(hi - lo));
         });
       }
@@ -162,7 +191,7 @@ TEST(ThreadPool, ConcurrentTopLevelCallersSerialize) {
 // every index of every region is written exactly once, by its own body.
 // Each region writes its own row of `hits`, and the rows are checked after
 // the last region, so nothing but the next region's set-up separates two
-// regions.
+// regions. Half the regions take one band per lane, half a random chunk.
 TEST(ThreadPool, BackToBackRegionsKeepTheirOwnBodies) {
   constexpr std::size_t kRegions = 10000;
   constexpr std::size_t kSpan = 128;
@@ -180,19 +209,17 @@ TEST(ThreadPool, BackToBackRegionsKeepTheirOwnBodies) {
       const std::size_t begin = next(8);
       const std::size_t end = begin + 2 + next(kSpan - 9);
       ranges[region] = {begin, end};
-      const int threads = 2 + static_cast<int>(next(3));
+      const int lanes = 2 + static_cast<int>(next(3));
       const std::size_t chunk = 1 + next(8);
+      const auto w = static_cast<std::size_t>(lanes);
+      const std::size_t band = (end - begin + w - 1) / w;
       std::atomic<std::uint8_t>* const row = &hits[region * kSpan];
-      const auto stamp = [row](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          row[i].fetch_add(1, std::memory_order_relaxed);
-        }
-      };
-      if (next(2) == 0) {
-        pool.parallel_for(begin, end, threads, stamp);
-      } else {
-        pool.parallel_for_chunked(begin, end, threads, chunk, stamp);
-      }
+      pool.parallel_for(begin, end, lanes, next(2) == 0 ? band : chunk,
+                        [row](std::size_t lo, std::size_t hi) {
+                          for (std::size_t i = lo; i < hi; ++i) {
+                            row[i].fetch_add(1, std::memory_order_relaxed);
+                          }
+                        });
     }
     std::size_t bad_regions = 0;
     std::size_t first_bad = kRegions;
@@ -210,22 +237,41 @@ TEST(ThreadPool, BackToBackRegionsKeepTheirOwnBodies) {
 }
 
 TEST(ThreadPool, RepeatedConstructionLeaksNoThreads) {
+  constexpr int kHelpers = 3;
   // A warm-up pool first, so the baseline already counts any thread a
   // runtime starts lazily on first use (ThreadSanitizer's background
-  // thread, for one).
-  { ThreadPool warm_up(3); }
-  const int before = os_thread_count();
+  // thread, for one). At least the test's own thread remains after its
+  // join.
+  { ThreadPool warm_up(kHelpers); }
+  const int before = settled_thread_count(1);
+  const int exits_before = g_probe_exits.load();
   for (int rep = 0; rep < 32; ++rep) {
-    ThreadPool pool(3);
-    std::atomic<int> total{0};
-    pool.parallel_for(0, 100, 4, [&](std::size_t lo, std::size_t hi) {
-      total.fetch_add(static_cast<int>(hi - lo));
-    });
-    EXPECT_EQ(total.load(), 100);
+    {
+      ThreadPool pool(kHelpers);
+      std::atomic<int> total{0};
+      pool.parallel_for(0, 100, pool.worker_count(), 10,
+                        [&](std::size_t lo, std::size_t hi) {
+                          total.fetch_add(static_cast<int>(hi - lo));
+                        });
+      EXPECT_EQ(total.load(), 100);
+      // Each task waits until all of them run, so each holds its own
+      // helper: every helper touches its thread-local probe.
+      std::latch all_running(kHelpers);
+      std::vector<ThreadPool::TaskHandle> tasks;
+      for (int h = 0; h < kHelpers; ++h) {
+        tasks.push_back(pool.submit([&all_running] {
+          touch_exit_probe();
+          all_running.arrive_and_wait();
+        }));
+      }
+      for (ThreadPool::TaskHandle& task : tasks) task.wait();
+    }
+    // The destructor joined every helper, and a joined thread has run its
+    // thread-local destructors.
+    EXPECT_EQ(g_probe_exits.load() - exits_before, kHelpers * (rep + 1));
   }
-  // All workers joined in the destructors: the OS thread count is back to
-  // where it started.
-  const int after = os_thread_count();
+  // The OS thread count is back to where it started.
+  const int after = settled_thread_count(before);
   if (before > 0 && after > 0) {
     EXPECT_EQ(after, before);
   }
@@ -236,26 +282,6 @@ TEST(ThreadPool, SharedSingletonIsStable) {
   ThreadPool* b = &ThreadPool::shared();
   EXPECT_EQ(a, b);
   EXPECT_GE(a->worker_count(), 1);
-}
-
-// The static partition must match the historical per-call thread bands:
-// min(threads, n) bands of ceil(n / W), in-range, disjoint, ordered.
-TEST(ThreadPool, StaticPartitionMatchesLegacyBands) {
-  ThreadPool pool(7);
-  const std::size_t n = 23;
-  const int threads = 5;
-  std::mutex m;
-  std::vector<std::pair<std::size_t, std::size_t>> bands;
-  pool.parallel_for(0, n, threads, [&](std::size_t lo, std::size_t hi) {
-    std::lock_guard<std::mutex> lock(m);
-    bands.emplace_back(lo, hi);
-  });
-  std::sort(bands.begin(), bands.end());
-  ASSERT_EQ(bands.size(), 5u);  // ceil(23/5)=5 -> bands at 0,5,10,15,20
-  for (std::size_t b = 0; b < bands.size(); ++b) {
-    EXPECT_EQ(bands[b].first, b * 5);
-    EXPECT_EQ(bands[b].second, std::min<std::size_t>(n, (b + 1) * 5));
-  }
 }
 
 }  // namespace
