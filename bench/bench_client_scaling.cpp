@@ -13,21 +13,18 @@
 // clients. Asserted invariants: per-node cache bytes stay bounded, every
 // tier's hit rate is > 0, the 2-tier tree cuts origin bytes-on-WAN by
 // >= 10x vs flat, delivered-frame digests are bitwise identical across
-// tree shapes (equal leaf count) and across thread-pool sizes, and a 30%
-// fill-failure rate on the regional uplinks still delivers every frame to
-// every leaf exactly once with the identical content digest. Per-tier
-// hit-rate / bytes-on-WAN / staleness curves land in BENCH_client_scaling
-// .json.
+// tree shapes (equal leaf count), and a 30% fill-failure rate on the
+// regional uplinks still delivers every frame to every leaf exactly once
+// with the identical content digest. Per-tier hit-rate / bytes-on-WAN /
+// staleness curves land in BENCH_client_scaling.json.
 //
 // Part 3 — determinism: the synthetic single-site serving workload (late
-// catch-up joiners forcing re-renders whose heavy work runs on the
-// thread pool) replayed on pools of 1/4/8 lanes must produce bitwise
+// catch-up joiners forcing re-renders) run twice must produce bitwise
 // identical delivery digests; a fixed-seed full experiment is run twice
 // and digest-compared.
 //
 // --quick shrinks part 1 to one cell and the tree stream to 60 frames
 // (the ctest smoke); --json=PATH overrides the report location.
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -145,8 +142,6 @@ struct TreeRun {
   std::int64_t viewers = 0;
   std::int64_t fill_retries = 0;
   std::uint64_t shape_digest = 0;  // content only: (leaf, seq, size, sim)
-  std::uint64_t full_digest = 0;   // + wall times and staleness
-  std::int64_t render_checksum = 0;
   double wall_hours = 0.0;
   bool bounded = true;
   bool exactly_once = true;
@@ -156,22 +151,11 @@ struct TreeRun {
 /// Publishes a fixed synthetic frame stream (60 s cadence, the determinism
 /// rig's size pattern) through a tree of the given shape and drains it.
 TreeRun run_tree(const std::vector<int>& fan_out, int frames,
-                 std::int64_t viewers_per_leaf, double tier0_failure_rate,
-                 int pool_workers) {
+                 std::int64_t viewers_per_leaf, double tier0_failure_rate) {
   EventQueue queue;
-  ThreadPool pool(pool_workers);
-  std::atomic<std::int64_t> render_work{0};
   EdgeTree tree(queue, make_tree_spec(fan_out, viewers_per_leaf,
                                       tier0_failure_rate),
-                /*seed=*/42, &pool, [&render_work](const Frame& f) {
-                  // Real pool-side work whose result never feeds back into
-                  // virtual time.
-                  std::int64_t acc = 0;
-                  for (int i = 0; i < 2000; ++i) {
-                    acc += (f.sequence * 31 + i) % 97;
-                  }
-                  render_work.fetch_add(acc, std::memory_order_relaxed);
-                });
+                /*seed=*/42);
   for (int i = 0; i < frames; ++i) {
     queue.schedule_at(WallSeconds(60.0 * i), [&tree, i] {
       Frame f;
@@ -182,7 +166,6 @@ TreeRun run_tree(const std::vector<int>& fan_out, int frames,
     });
   }
   queue.run_all();
-  tree.drain_renders();
 
   TreeRun out;
   for (int t = 0; t < tree.tier_count(); ++t) {
@@ -207,8 +190,6 @@ TreeRun run_tree(const std::vector<int>& fan_out, int frames,
   out.leaf_frames = tree.leaf_frames_delivered();
   out.viewers = tree.modeled_viewers();
   out.shape_digest = tree.delivery_digest(/*include_wall_times=*/false);
-  out.full_digest = tree.delivery_digest(/*include_wall_times=*/true);
-  out.render_checksum = render_work.load();
   out.wall_hours = queue.now().as_hours();
   return out;
 }
@@ -269,26 +250,15 @@ void print_tree(const std::string& scenario, const TreeRun& r) {
   }
 }
 
-/// Synthetic serving rig: a fixed 180-frame stream, 24 mixed clients, a
-/// cache small enough to thin aggressively, and a real compute kernel as
-/// the re-render body. Returns the delivery digest.
-std::uint64_t run_determinism_rig(int pool_workers) {
+/// Synthetic serving rig: a fixed 180-frame stream, 24 mixed clients and a
+/// cache small enough to thin aggressively. Returns the delivery digest.
+std::uint64_t run_determinism_rig() {
   EventQueue queue;
-  ThreadPool pool(pool_workers);
-  std::atomic<std::int64_t> render_work{0};
-
   ViewerSessionManager::Options opts;
   opts.cache.capacity = Bytes::megabytes(1500.0);
   opts.cache.policy = EvictionPolicy::kStrideThinning;
   opts.rerender_workers = 3;
-  ViewerSessionManager manager(
-      queue, opts, /*seed=*/7, &pool, [&render_work](const Frame& f) {
-        // Real (threaded) work whose result never feeds back into
-        // virtual time.
-        std::int64_t acc = 0;
-        for (int i = 0; i < 20000; ++i) acc += (f.sequence * 31 + i) % 97;
-        render_work.fetch_add(acc, std::memory_order_relaxed);
-      });
+  ViewerSessionManager manager(queue, opts, /*seed=*/7);
   for (const ViewerConfig& v :
        make_viewer_fleet(24, Bandwidth::mbps(40.0), /*catchup_fraction=*/0.5,
                          SimSeconds(0.0),
@@ -374,11 +344,11 @@ int main(int argc, char** argv) {
   const int tree_frames = args.quick ? 60 : 240;
   const std::int64_t viewers_per_leaf = 1600;
   const TreeRun flat = run_tree({64}, tree_frames, viewers_per_leaf,
-                                /*failure=*/0.0, /*pool=*/0);
+                                /*failure=*/0.0);
   const TreeRun two = run_tree({4, 16}, tree_frames, viewers_per_leaf,
-                               /*failure=*/0.0, /*pool=*/0);
+                               /*failure=*/0.0);
   const TreeRun three = run_tree({4, 4, 4}, tree_frames, viewers_per_leaf,
-                                 /*failure=*/0.0, /*pool=*/0);
+                                 /*failure=*/0.0);
   print_tree("flat64", flat);
   print_tree(shape_name({4, 16}), two);
   print_tree(shape_name({4, 4, 4}), three);
@@ -411,28 +381,11 @@ int main(int argc, char** argv) {
   report.add("client_scaling", "shapes", "digest_match",
              shapes_same ? 1.0 : 0.0, "flag");
 
-  // Pool width only changes who executes the render side effects, never
-  // the virtual-time schedule: full digests (wall times included) match.
-  bool pools_same = true;
-  for (const int workers : {3, 7}) {
-    const TreeRun r = run_tree({4, 16}, tree_frames, viewers_per_leaf,
-                               /*failure=*/0.0, workers);
-    const bool same = r.full_digest == two.full_digest &&
-                      r.render_checksum == two.render_checksum;
-    pools_same = pools_same && same;
-    std::printf("  2-tier on pool %d lanes: digest %016llx %s\n", workers + 1,
-                static_cast<unsigned long long>(r.full_digest),
-                same ? "== identical" : "** DIVERGED **");
-  }
-  ok = ok && pools_same;
-  report.add("client_scaling", "pools", "digest_match",
-             pools_same ? 1.0 : 0.0, "flag");
-
   // 30% of regional fills aborting mid-flight: retries happen, every leaf
   // still gets every frame exactly once, and the delivered *content* is
   // bit-identical to the clean run (only wall times shift).
   const TreeRun faulted = run_tree({4, 16}, tree_frames, viewers_per_leaf,
-                                   /*failure=*/0.3, /*pool=*/0);
+                                   /*failure=*/0.3);
   const bool fault_ok = faulted.exactly_once && faulted.fill_retries > 0 &&
                         faulted.shape_digest == two.shape_digest;
   ok = ok && fault_ok;
@@ -445,16 +398,14 @@ int main(int argc, char** argv) {
   report.add("client_scaling", "faulted_2tier", "exactly_once",
              fault_ok ? 1.0 : 0.0, "flag");
 
-  std::printf("\n== determinism across thread-pool worker counts ==\n");
-  const std::uint64_t base = run_determinism_rig(0);
-  for (const int workers : {3, 7}) {
-    const std::uint64_t h = run_determinism_rig(workers);
-    const bool same = h == base;
-    ok = ok && same;
-    std::printf("  pool %d lanes vs serial: digest %016llx %s\n", workers + 1,
-                static_cast<unsigned long long>(h),
-                same ? "== identical" : "** DIVERGED **");
-  }
+  std::printf("\n== determinism of the serving rig (run twice) ==\n");
+  const std::uint64_t rig1 = run_determinism_rig();
+  const std::uint64_t rig2 = run_determinism_rig();
+  ok = ok && rig1 == rig2;
+  std::printf("  run1 %016llx / run2 %016llx %s\n",
+              static_cast<unsigned long long>(rig1),
+              static_cast<unsigned long long>(rig2),
+              rig1 == rig2 ? "== identical" : "** DIVERGED **");
 
   if (!args.quick) {
     std::printf("\n== determinism of the full experiment (fixed seed) ==\n");

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "util/logging.hpp"
-#include "util/thread_pool.hpp"
 
 namespace adaptviz {
 
@@ -36,24 +35,6 @@ std::unique_ptr<DecisionAlgorithm> make_algorithm(
   throw std::invalid_argument("unknown algorithm kind");
 }
 
-/// Evenly strided downsample to at most `cap` elements, always keeping the
-/// first and last (a series' endpoints carry the run's boundary state).
-template <typename T>
-void stride_thin(std::vector<T>& v, std::size_t cap) {
-  if (cap == 0 || v.size() <= cap) return;
-  if (cap == 1) {
-    v.erase(v.begin(), v.end() - 1);
-    return;
-  }
-  std::vector<T> out;
-  out.reserve(cap);
-  const std::size_t n = v.size();
-  for (std::size_t k = 0; k < cap; ++k) {
-    out.push_back(std::move(v[k * (n - 1) / (cap - 1)]));
-  }
-  v = std::move(out);
-}
-
 }  // namespace
 
 AdaptiveFramework::AdaptiveFramework(ExperimentConfig config)
@@ -68,7 +49,7 @@ AdaptiveFramework::AdaptiveFramework(ExperimentConfig config)
                          config_.faults.transfer_failure_rate},
             config_.seed + 1) {
   if (config_.observability) {
-    obs_ = std::make_unique<obs::Observability>(config_.obs);
+    obs_ = std::make_unique<obs::Observability>();
     ctx_.observability = obs_.get();
   }
   ctx_.has_log_level = config_.log.has_level;
@@ -149,9 +130,8 @@ AdaptiveFramework::AdaptiveFramework(ExperimentConfig config)
   }
   vis_ = std::make_unique<VisualizationProcess>(queue_, vis_opts);
   if (config_.serve.enabled()) {
-    // The frame cache + viewer fan-out behind the receiver. Re-renders for
-    // catch-up clients reuse the visualization process's renderer on the
-    // shared pool.
+    // The frame cache + viewer fan-out behind the receiver; re-renders for
+    // catch-up clients are modeled by their cost on bounded slots.
     ensure_serving();
     for (const ViewerConfig& v : config_.serve.viewers) {
       serving_->attach(v);
@@ -165,9 +145,8 @@ AdaptiveFramework::AdaptiveFramework(ExperimentConfig config)
     tree_ = std::make_unique<EdgeTree>(queue_, config_.serve.tree,
                                        config_.seed + 5);
   }
-  // Heavy image rendering runs on the shared pool (one lane per busy
-  // render slot); progress records, the cache publish, and steering hooks
-  // stay serial.
+  // Each render slot records progress, publishes to the cache and tree and
+  // fires steering hooks on the event loop; its cost is virtual time.
   receiver_ = std::make_unique<FrameReceiver>(
       queue_,
       [this](const Frame& f) {
@@ -176,9 +155,7 @@ AdaptiveFramework::AdaptiveFramework(ExperimentConfig config)
         if (tree_) tree_->publish(f);
         return cost;
       },
-      config_.vis_workers,
-      config_.pool != nullptr ? config_.pool : &ThreadPool::shared(),
-      [this](const Frame& f) { vis_->render_frame(f); });
+      config_.vis_workers);
   FrameSender::Options sender_opts;
   sender_opts.retry = config_.faults.retry;
   sender_opts.seed = config_.seed + 4;
@@ -189,7 +166,6 @@ AdaptiveFramework::AdaptiveFramework(ExperimentConfig config)
 
   SimulationProcess::Options sim_opts;
   sim_opts.end_time = config_.sim_window;
-  sim_opts.keep_payloads = config_.keep_payloads;
   sim_opts.codec = config_.codec;
   sim_opts.pool = config_.pool;
   SimulationProcess::Callbacks sim_cbs;
@@ -260,9 +236,7 @@ void AdaptiveFramework::poll_inbox() {
 void AdaptiveFramework::ensure_serving() {
   if (serving_) return;
   serving_ = std::make_unique<ViewerSessionManager>(
-      queue_, config_.serve.session, config_.seed + 3,
-      config_.pool != nullptr ? config_.pool : &ThreadPool::shared(),
-      [this](const Frame& f) { vis_->render_frame(f); });
+      queue_, config_.serve.session, config_.seed + 3);
 }
 
 void AdaptiveFramework::recompute_observer_digest() {
@@ -663,24 +637,12 @@ ExperimentResult AdaptiveFramework::finish_run() {
     sum.min_free_disk_percent =
         std::min(sum.min_free_disk_percent, s.free_disk_percent);
   }
-  // Thin the recorded series only after every summary aggregate has been
-  // computed from the full-resolution data.
-  if (config_.max_series_points > 0) {
-    stride_thin(result.samples, config_.max_series_points);
-    stride_thin(result.vis_records, config_.max_series_points);
-    stride_thin(result.track, config_.max_series_points);
-    stride_thin(result.steering, config_.max_series_points);
-    for (ClientSeries& c : result.clients) {
-      stride_thin(c.records, config_.max_series_points);
-    }
-  }
   if (obs_) {
     result.metrics = obs_->metrics().snapshot();
     result.trace = obs_->tracer().events();
   }
   if (!config_.steering.record_log_path.empty()) {
-    // The full (un-thinned) applied stream: replaying it reproduces this
-    // run bit for bit.
+    // The applied stream: replaying it reproduces this run bit for bit.
     save_steering_log(config_.steering.record_log_path,
                       run_.steering_events);
   }

@@ -112,18 +112,12 @@ struct ExperimentConfig {
   VisualizationProcess::Options vis{};
   ApplicationManager::Options manager{};
 
-  /// Attach real field payloads to frames (examples render them).
-  bool keep_payloads = false;
   /// Lossless frame codec (`[codec]` section; off by default so every
   /// existing golden stands). When enabled the simulation site encodes each
   /// frame's real compute fields, frames carry encoded bytes through disk,
   /// WAN, and cache accounting, and the decision layer plans with the
   /// observed ratio.
   CodecOptions codec{};
-  /// Cap on the per-run telemetry/vis/track/steering series lengths in
-  /// ExperimentResult; series longer than this are stride-thinned (keeping
-  /// first and last points). 0 = unlimited.
-  std::size_t max_series_points = 0;
   /// Visualization-site frame cache + viewer fan-out.
   ServeOptions serve{};
   /// Parallel render slots at the visualization site (future work:
@@ -139,11 +133,12 @@ struct ExperimentConfig {
   /// ([adversary] section; see core/adversary.hpp). An explored branch
   /// replayed through this field reproduces the branch bit for bit.
   AdversaryPlan adversary;
-  /// Worker pool for render fan-out at the visualization site, the model's
-  /// storm-geometry rows and the codec's per-field lanes. Non-owning; must
-  /// outlive the run. Null uses ThreadPool::shared(). All ordering
-  /// decisions happen on the event loop, so results are bitwise identical
-  /// for any pool size — tests/test_explore.cpp asserts it.
+  /// Worker pool for the model's storm-geometry rows and the codec's
+  /// per-field lanes. Non-owning; must outlive the run. Null uses
+  /// ThreadPool::shared(). Neither the model state nor the codec's bytes
+  /// depend on it, and every ordering decision happens on the event loop,
+  /// so results are bitwise identical for any pool size —
+  /// tests/test_explore.cpp asserts it.
   ThreadPool* pool = nullptr;
   std::uint64_t seed = 42;
 
@@ -157,7 +152,6 @@ struct ExperimentConfig {
   /// no-op and the run is bitwise identical either way (bench_observability
   /// asserts it).
   bool observability = false;
-  obs::ObsOptions obs{};
 
   /// Per-run logging overrides, threaded through the same run context as
   /// observability. An unset level inherits the process-wide

@@ -66,8 +66,6 @@ void experiment_fields(IniSection& s, ExperimentConfig& c) {
   s.field("compute_scale", c.model.compute_scale);
   s.field("seed", c.seed);
   s.field("vis_workers", c.vis_workers);
-  s.field("keep_payloads", c.keep_payloads);
-  s.field("max_series_points", c.max_series_points, at_least(0));
 }
 
 void site_fields(IniSection& s, ExperimentConfig& c) {
@@ -172,7 +170,6 @@ void codec_fields(IniSection& s, ExperimentConfig& c) {
 void obs_fields(IniSection& s, ExperimentConfig& c) {
   c.observability = true;
   s.field("enabled", c.observability);
-  s.field("trace_capacity", c.obs.trace_capacity, above(0));
 }
 
 // The run-side steering knobs. Policies and registration servers are

@@ -190,9 +190,6 @@ void SimulationProcess::try_write_frame() {
         frame.nest_active = model_->nest_active();
         frame.size = size;
         if (codec_) frame.raw_size = raw;
-        if (options_.keep_payloads) {
-          frame.payload = std::make_shared<NclFile>(model_->make_frame());
-        }
         catalog_.push(std::move(frame));
         sender_.kick();
         ++s_.frames;

@@ -41,8 +41,6 @@ class SimulationProcess {
     SimSeconds end_time = SimSeconds::hours(60.0);
     /// How often a stalled process re-checks the configuration/disk.
     WallSeconds stall_poll = WallSeconds::minutes(5.0);
-    /// Attach real field payloads to frames (examples; costs memory).
-    bool keep_payloads = false;
     /// Lossless frame codec (off by default). When enabled, every frame's
     /// compute fields are encoded (and roundtrip-verified) for real; the
     /// measured per-frame ratio scales the modeled frame bytes that flow
@@ -50,7 +48,7 @@ class SimulationProcess {
     CodecOptions codec{};
     /// Pool the model's storm geometry and the codec's field slots run on
     /// (non-owning; null uses ThreadPool::shared()). Neither the model state
-    /// nor the payloads depend on it.
+    /// nor the encoded bytes depend on it.
     ThreadPool* pool = nullptr;
   };
 

@@ -2,12 +2,11 @@
 //
 // "A frame is the simulation output of one time step of simulation and
 // corresponds to the smallest unit of simulation output that can be
-// visualized" (paper, Table II context). A frame here carries:
-//
-//  * bookkeeping the resource models act on (sim time, modeled byte size —
-//    the size the frame would have at the *modeled* grid resolution), and
-//  * optionally a real NCL payload at the compute resolution, so the
-//    visualization pipeline can render actual cyclone imagery.
+// visualized" (paper, Table II context). A frame here is the bookkeeping
+// the resource models act on: sim time, headline diagnostics and modeled
+// byte size (the size the frame would have at the *modeled* grid
+// resolution). Its field data never travels with it; renders of real
+// cyclone imagery read the model directly (WeatherModel::make_frame).
 //
 // The catalog is the set of frames currently residing on the simulation
 // site's disk, in output order; the frame sender always ships the oldest
@@ -18,10 +17,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 
-#include "dataio/ncl.hpp"
 #include "util/units.hpp"
 
 namespace adaptviz {
@@ -33,8 +30,8 @@ struct Frame {
   SimSeconds sim_time{};
   /// Modeled grid resolution (km) when the frame was produced.
   double resolution_km = 0.0;
-  /// Headline diagnostics riding in the frame metadata (a visualization
-  /// site can steer on these even when the full payload is not retained).
+  /// Headline diagnostics riding in the frame metadata (the visualization
+  /// site steers on these).
   double min_pressure_hpa = 0.0;
   bool nest_active = false;
   /// Bytes the frame occupies on disk / on the wire at the modeled grid.
@@ -44,8 +41,6 @@ struct Frame {
   /// Pre-codec (decoded) size at the modeled grid; zero when the codec is
   /// off. Rendering cost scales with this, not the wire size.
   Bytes raw_size{};
-  /// Actual field data at the compute grid; may be null in fast experiments.
-  std::shared_ptr<const NclFile> payload;
 
   /// Bytes a consumer touches after decoding: raw_size when the codec
   /// populated it, otherwise size (codec off: the two are the same thing).
@@ -77,8 +72,7 @@ class FrameCatalog {
   /// Sum of modeled sizes of resident frames.
   [[nodiscard]] Bytes total_bytes() const { return s_.total; }
 
-  /// The resident-frame queue. Frame payloads are shared immutable
-  /// NclFiles, so copying the deque aliases them safely.
+  /// The resident-frame queue.
   struct State {
     std::deque<Frame> frames;
     Bytes total{};

@@ -10,9 +10,8 @@ namespace {
 std::atomic<std::uint64_t> g_epoch{0};
 }  // namespace
 
-Observability::Observability(ObsOptions options)
-    : epoch_(g_epoch.fetch_add(1, std::memory_order_relaxed) + 1),
-      tracer_(options.trace_capacity) {}
+Observability::Observability()
+    : epoch_(g_epoch.fetch_add(1, std::memory_order_relaxed) + 1) {}
 
 Observability* current() noexcept {
   const RunContext* context = current_run_context();

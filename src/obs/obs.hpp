@@ -27,14 +27,9 @@
 
 namespace adaptviz::obs {
 
-struct ObsOptions {
-  /// Ring capacity of the stage tracer.
-  std::size_t trace_capacity = 16384;
-};
-
 class Observability {
  public:
-  explicit Observability(ObsOptions options = {});
+  Observability();
 
   [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] const MetricsRegistry& metrics() const { return metrics_; }

@@ -42,12 +42,8 @@ std::uint64_t fnv1a_mix_double(std::uint64_t h, double d) {
 
 // ---------------------------------------------------------------- EdgeTree
 
-EdgeTree::EdgeTree(EventQueue& queue, TreeSpec spec, std::uint64_t seed,
-                   ThreadPool* pool, RenderFn render_fn)
-    : queue_(queue),
-      spec_(std::move(spec)),
-      pool_(pool),
-      render_fn_(std::move(render_fn)) {
+EdgeTree::EdgeTree(EventQueue& queue, TreeSpec spec, std::uint64_t seed)
+    : queue_(queue), spec_(std::move(spec)) {
   if (spec_.tiers.empty()) {
     throw std::invalid_argument("EdgeTree: spec has no tiers");
   }
@@ -248,10 +244,7 @@ void EdgeTree::publish(const Frame& frame) {
     throw std::invalid_argument(
         "EdgeTree::publish: sequences must be strictly increasing");
   }
-  Frame stored = frame;
-  stored.payload.reset();  // the tree models bytes; the origin index holds
-                           // metadata only so memory stays bounded
-  s_.index.push_back(std::move(stored));
+  s_.index.push_back(frame);
   s_.publish_walls.push_back(queue_.now());
   if (auto* o = obs::current()) {
     o->metrics().counter("tree.published").add(1);
@@ -286,23 +279,7 @@ void EdgeTree::on_leaf_frame(int leaf, const Frame& frame) {
   if (auto* o = obs::current()) {
     o->metrics().counter("tree.viewer_frames").add(spec_.viewers_per_leaf);
   }
-  if (render_fn_) {
-    if (pool_ != nullptr) {
-      // Side-effect work (decode/render at the leaf site) runs on the pool;
-      // nothing feeds back into virtual time, so the schedule — and every
-      // delivery record — is identical for any pool size.
-      pending_renders_.push_back(
-          pool_->submit([fn = render_fn_, frame] { fn(frame); }));
-    } else {
-      render_fn_(frame);
-    }
-  }
   pump_leaf(leaf);
-}
-
-void EdgeTree::drain_renders() {
-  for (auto& handle : pending_renders_) handle.wait();
-  pending_renders_.clear();
 }
 
 bool EdgeTree::idle() const {

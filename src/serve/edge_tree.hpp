@@ -43,9 +43,9 @@
 // Determinism: the tree is built deterministically from (seed, TreeSpec) —
 // node seeds derive from (tier, index) — and every scheduling decision
 // happens on the event loop, so delivered-frame series are bitwise
-// identical across thread-pool sizes, and across tree *shapes* with equal
-// leaf counts (every leaf replays the full stream in order regardless of
-// what hangs above it).
+// identical run to run, and across tree *shapes* with equal leaf counts
+// (every leaf replays the full stream in order regardless of what hangs
+// above it).
 //
 // Every node is a plain value in the tree's State — a pending fill's
 // waiters are indices one tier down, not closures — so snapshot() and
@@ -53,7 +53,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -64,7 +63,6 @@
 #include "serve/frame_cache.hpp"
 #include "transport/retry.hpp"
 #include "util/ini.hpp"
-#include "util/thread_pool.hpp"
 
 namespace adaptviz {
 
@@ -160,15 +158,9 @@ struct LeafDelivery {
 
 class EdgeTree {
  public:
-  /// Optional side-effect work per leaf delivery (e.g. decoding/rendering
-  /// at the leaf site); heavy work of concurrent deliveries runs on the
-  /// pool and must never feed back into virtual time.
-  using RenderFn = std::function<void(const Frame&)>;
-
   /// Throws std::invalid_argument on a nonsensical spec (zero fan-out,
   /// ratio < 1, bad retry bounds, > 1M nodes).
-  EdgeTree(EventQueue& queue, TreeSpec spec, std::uint64_t seed,
-           ThreadPool* pool = nullptr, RenderFn render_fn = nullptr);
+  EdgeTree(EventQueue& queue, TreeSpec spec, std::uint64_t seed);
 
   /// Origin ingest: the simulation site finished visualizing `frame`; it
   /// is now authoritative and every leaf will (eventually) pull it.
@@ -219,16 +211,10 @@ class EdgeTree {
     return s_.leaves[static_cast<std::size_t>(leaf)].records;
   }
 
-  /// Blocks until every leaf render task submitted to the pool so far has
-  /// finished, then forgets their handles. Call after the event queue
-  /// drains (or periodically) before reading render side effects.
-  void drain_renders();
-
   /// FNV-1a digest over every leaf's ordered delivery series. With
   /// `include_wall_times` false the digest covers (leaf, sequence, bytes)
   /// only, so it is comparable across tree *shapes* with equal leaf
-  /// counts; with true it also pins the exact virtual-time schedule (the
-  /// pool-size determinism check).
+  /// counts; with true it also pins the exact virtual-time schedule.
   [[nodiscard]] std::uint64_t delivery_digest(
       bool include_wall_times = false) const;
 
@@ -278,8 +264,8 @@ class EdgeTree {
   struct State {
     std::vector<std::vector<Node>> tiers;
     std::vector<Leaf> leaves;
-    /// Authoritative frame index at the origin (payloads dropped), ordered
-    /// by sequence, plus each frame's publish wall time.
+    /// Authoritative frame index at the origin, ordered by sequence, plus
+    /// each frame's publish wall time.
     std::vector<Frame> index;
     std::vector<WallSeconds> publish_walls;
     std::int64_t origin_requests = 0;
@@ -321,12 +307,7 @@ class EdgeTree {
 
   EventQueue& queue_;
   const TreeSpec spec_;
-  ThreadPool* const pool_;
-  const RenderFn render_fn_;
   State s_;
-  /// Scratch, not state: handles of leaf renders in flight on the pool,
-  /// joined by drain_renders().
-  std::vector<ThreadPool::TaskHandle> pending_renders_;
 };
 
 // ---- [tree] INI schema ----

@@ -45,12 +45,9 @@ std::vector<ViewerConfig> make_viewer_fleet(int count, Bandwidth downlink,
 }
 
 ViewerSessionManager::ViewerSessionManager(EventQueue& queue, Options options,
-                                           std::uint64_t seed, ThreadPool* pool,
-                                           RenderFn rerender)
+                                           std::uint64_t seed)
     : queue_(queue),
       options_(std::move(options)),
-      pool_(pool),
-      rerender_fn_(std::move(rerender)),
       seed_(seed),
       s_{.cache = FrameCache(options_.cache)} {
   if (options_.rerender_workers < 1) {
@@ -180,9 +177,7 @@ void ViewerSessionManager::on_frame(const Frame& frame) {
     throw std::invalid_argument(
         "ViewerSessionManager: sequences must be increasing");
   }
-  Frame m = frame;
-  m.payload.reset();  // the index keeps metadata only
-  s_.index.push_back(std::move(m));
+  s_.index.push_back(frame);
   s_.cache.insert(frame);
   for (int i = 0; i < viewer_count(); ++i) pump(i);
 }
@@ -322,71 +317,45 @@ void ViewerSessionManager::request_rerender(int idx, const RenderKey& key) {
 void ViewerSessionManager::drain_rerenders() {
   while (s_.rerendering < options_.rerender_workers &&
          !s_.rerender_fifo.empty()) {
-    // Claim every free slot: these re-renders run concurrently in virtual
-    // time, so their real work may run concurrently on the pool too
-    // (mirrors FrameReceiver::drain).
-    std::vector<std::pair<RenderKey, Frame>> batch;
-    while (static_cast<int>(batch.size()) <
-               options_.rerender_workers - s_.rerendering &&
-           !s_.rerender_fifo.empty()) {
-      const RenderKey key = s_.rerender_fifo.front();
-      s_.rerender_fifo.pop_front();
-      batch.emplace_back(key, meta(key.first));
-    }
-    for (const auto& b : batch) s_.rerender_in_service.insert(b.first);
-
-    if (rerender_fn_) {
-      if (pool_ != nullptr && batch.size() > 1) {
-        pool_->parallel_for(
-            0, batch.size(), static_cast<int>(batch.size()), /*chunk=*/1,
-            [&](std::size_t lo, std::size_t hi) {
-              for (std::size_t k = lo; k < hi; ++k) {
-                rerender_fn_(batch[k].second);
-              }
-            });
-      } else {
-        for (const auto& b : batch) rerender_fn_(b.second);
-      }
-    }
-
-    for (const auto& b : batch) {
-      ++s_.rerendering;
-      ++s_.rerenders;
-      obs::count("serve.rerenders");
-      const Frame& f = b.second;
-      const WallSeconds cost(
-          options_.rerender_fixed_seconds +
-          options_.rerender_seconds_per_gb * f.decoded_bytes().gb());
-      queue_.schedule_after(
-          cost,
-          [this, key = b.first, f] {
-            --s_.rerendering;
-            s_.rerender_in_service.erase(key);
-            // Back into the cache: the next session replaying this era
-            // hits instead of re-rendering again. Steered (non-default)
-            // views are client-specific images and stay out of the
-            // default-keyed cache.
-            if (key.second.empty()) s_.cache.insert(f);
-            std::vector<int> waiters = std::move(s_.rerender_waiters[key]);
-            s_.rerender_waiters.erase(key);
-            ADAPTVIZ_LOG_DEBUG("serve",
-                               "frame #%lld re-rendered for %zu client(s)",
-                               static_cast<long long>(f.sequence),
-                               waiters.size());
-            for (int idx : waiters) {
-              Session& session = s_.sessions[static_cast<std::size_t>(idx)];
-              session.waiting_rerender = false;
-              if (session.detached) continue;  // result dropped
-              if (session.in_flight) {
-                session.pending = f;  // deliver after the current transfer
-                continue;
-              }
-              start_transfer(idx, f, /*cache_hit=*/false);
+    const RenderKey key = s_.rerender_fifo.front();
+    s_.rerender_fifo.pop_front();
+    s_.rerender_in_service.insert(key);
+    ++s_.rerendering;
+    ++s_.rerenders;
+    obs::count("serve.rerenders");
+    const Frame& f = meta(key.first);
+    const WallSeconds cost(
+        options_.rerender_fixed_seconds +
+        options_.rerender_seconds_per_gb * f.decoded_bytes().gb());
+    queue_.schedule_after(
+        cost,
+        [this, key, f] {
+          --s_.rerendering;
+          s_.rerender_in_service.erase(key);
+          // Back into the cache: the next session replaying this era
+          // hits instead of re-rendering again. Steered (non-default)
+          // views are client-specific images and stay out of the
+          // default-keyed cache.
+          if (key.second.empty()) s_.cache.insert(f);
+          std::vector<int> waiters = std::move(s_.rerender_waiters[key]);
+          s_.rerender_waiters.erase(key);
+          ADAPTVIZ_LOG_DEBUG("serve",
+                             "frame #%lld re-rendered for %zu client(s)",
+                             static_cast<long long>(f.sequence),
+                             waiters.size());
+          for (int idx : waiters) {
+            Session& session = s_.sessions[static_cast<std::size_t>(idx)];
+            session.waiting_rerender = false;
+            if (session.detached) continue;  // result dropped
+            if (session.in_flight) {
+              session.pending = f;  // deliver after the current transfer
+              continue;
             }
-            drain_rerenders();
-          },
-          "serve.rerender");
-    }
+            start_transfer(idx, f, /*cache_hit=*/false);
+          }
+          drain_rerenders();
+        },
+        "serve.rerender");
   }
 }
 

@@ -19,11 +19,10 @@
 //
 // Catch-up sessions are the cache-miss generators: when their cursor points
 // at an evicted frame, the frame is re-rendered at the visualization site
-// (bounded re-render slots; the heavy work of concurrently-busy slots runs
-// on the shared thread pool, mirroring FrameReceiver), re-inserted into the
-// cache, and then delivered to every session that was waiting on it. All
-// ordering decisions happen on the event loop, so results are bitwise
-// identical for any pool size.
+// (bounded re-render slots in virtual time, each busy for the modeled
+// re-render cost, mirroring FrameReceiver), re-inserted into the cache, and
+// then delivered to every session that was waiting on it. Every decision
+// happens on the event loop.
 //
 // The steering event stream (steering/control_plane.hpp) adds the
 // interactive loop: sessions are addressed by stable ClientId handles, observers
@@ -35,7 +34,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -48,7 +46,6 @@
 #include "resources/network.hpp"
 #include "serve/frame_cache.hpp"
 #include "steering/control_plane.hpp"
-#include "util/thread_pool.hpp"
 
 namespace adaptviz {
 
@@ -109,10 +106,6 @@ std::vector<ViewerConfig> make_viewer_fleet(
 
 class ViewerSessionManager {
  public:
-  /// Heavy re-render work (same contract as FrameReceiver::RenderFn): must
-  /// be thread-safe across distinct frames.
-  using RenderFn = std::function<void(const Frame&)>;
-
   struct Options {
     FrameCacheConfig cache{};
     /// Re-render cost model for evicted frames (the visualization site
@@ -120,13 +113,11 @@ class ViewerSessionManager {
     /// per-gigabyte scan, like VisualizationProcess.
     double rerender_fixed_seconds = 0.5;
     double rerender_seconds_per_gb = 3.0;
-    /// Parallel re-render slots (>= 1); concurrently-busy slots run their
-    /// heavy work on the pool.
+    /// Parallel re-render slots (>= 1).
     int rerender_workers = 1;
   };
 
-  ViewerSessionManager(EventQueue& queue, Options options, std::uint64_t seed,
-                       ThreadPool* pool = nullptr, RenderFn rerender = nullptr);
+  ViewerSessionManager(EventQueue& queue, Options options, std::uint64_t seed);
 
   /// Registers a client and returns its stable handle. Sessions added
   /// mid-run join the stream from the current head (live-tail) or their
@@ -231,8 +222,8 @@ class ViewerSessionManager {
   /// events rewind with the EventQueue.
   struct State {
     FrameCache cache;
-    /// Every frame ever received, payload dropped: the replay index
-    /// catch-up cursors walk and the metadata source for re-renders.
+    /// Every frame ever received: the replay index catch-up cursors walk
+    /// and the metadata source for re-renders.
     /// Ordered by sequence (== arrival order == simulated-time order).
     std::vector<Frame> index{};
     std::vector<Session> sessions{};
@@ -262,8 +253,6 @@ class ViewerSessionManager {
 
   EventQueue& queue_;
   const Options options_;
-  ThreadPool* const pool_;
-  const RenderFn rerender_fn_;
   const std::uint64_t seed_;
   State s_;
 };

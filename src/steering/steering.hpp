@@ -62,8 +62,8 @@ const char* to_string(SteeringCommand::Kind kind);
 void validate(const SteeringCommand& command);
 
 /// What a steering policy sees per visualized frame: the progress record
-/// plus the frame's headline diagnostics (always available — they ride in
-/// the frame metadata even when the field payload was not retained).
+/// plus the headline diagnostics that ride in the frame metadata (a frame
+/// carries no field data).
 struct SteeringObservation {
   WallSeconds wall_time{};
   SimSeconds sim_time{};

@@ -11,12 +11,9 @@
 // frames render concurrently (dispatch stays in arrival order; records are
 // appended at dispatch, so the Fig 7 progress series remains ordered).
 //
-// The render slots are virtual-time constructs of the event queue, but the
-// *real* work behind them (image rendering when frames carry payloads) is
-// real compute. When a pool and a RenderFn are supplied, the slots map
-// onto the persistent thread-pool runtime: every frame dispatched in one
-// drain batch has its RenderFn run concurrently on the pool before the
-// serial bookkeeping callback fires.
+// The render slots are virtual-time constructs of the event queue: a slot
+// is busy for the cost the visualize callback returns, and no host-side
+// rendering runs behind it.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +22,6 @@
 
 #include "dataio/frame.hpp"
 #include "resources/event_queue.hpp"
-#include "util/thread_pool.hpp"
 
 namespace adaptviz {
 
@@ -36,17 +32,9 @@ class FrameReceiver {
   /// serially, in arrival order, on the event-loop thread.
   using VisualizeFn = std::function<WallSeconds(const Frame&)>;
 
-  /// Heavy per-frame work (image rendering). Must be thread-safe across
-  /// distinct frames: concurrently-busy render slots run it in parallel on
-  /// the pool.
-  using RenderFn = std::function<void(const Frame&)>;
-
-  /// `worker_count` parallel render slots (>= 1). When `pool` and `render`
-  /// are given, the real work of concurrently-dispatched slots runs on the
-  /// pool (render first, then the serial `visualize` bookkeeping).
+  /// `worker_count` parallel render slots (>= 1).
   FrameReceiver(EventQueue& queue, VisualizeFn visualize,
-                int worker_count = 1, ThreadPool* pool = nullptr,
-                RenderFn render = nullptr);
+                int worker_count = 1);
 
   /// Entry point wired into the sender's delivery callback.
   void on_frame_arrival(const Frame& frame);
@@ -79,8 +67,6 @@ class FrameReceiver {
   EventQueue& queue_;
   const VisualizeFn visualize_;
   const int worker_count_;
-  ThreadPool* const pool_;
-  const RenderFn render_;
   State s_;
 };
 

@@ -1,25 +1,11 @@
 #include "vis/vis_process.hpp"
 
-#include <cstdio>
-
 #include "util/logging.hpp"
 
 namespace adaptviz {
 
 VisualizationProcess::VisualizationProcess(EventQueue& queue, Options options)
     : queue_(queue), options_(std::move(options)) {}
-
-void VisualizationProcess::render_frame(const Frame& frame) const {
-  if (options_.render_images && frame.payload != nullptr &&
-      !options_.output_dir.empty()) {
-    const FrameRenderer renderer(options_.render_options);
-    const Image img = renderer.render(*frame.payload, nullptr);
-    char name[64];
-    std::snprintf(name, sizeof name, "/frame_%06lld.ppm",
-                  static_cast<long long>(frame.sequence));
-    img.save_ppm(options_.output_dir + name);
-  }
-}
 
 WallSeconds VisualizationProcess::record(const Frame& frame) {
   s_.records.push_back(VisRecord{queue_.now(), frame.sim_time, frame.sequence,

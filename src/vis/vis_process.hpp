@@ -4,17 +4,16 @@
 // (the paper used a GeForce 7800 GTX workstation with VisIt's hardware
 // acceleration: seconds per frame), records the visualization-progress
 // series that Fig. 7 plots (wall-clock time of visualization vs. the
-// simulated time the frame represents), and — when frames carry real field
-// payloads — renders images to disk.
+// simulated time the frame represents). The visualization site is modeled
+// by that cost and record alone; frame images are drawn by FrameRenderer
+// directly (examples/cyclone_aila_tracking, bench_fig34_renders).
 #pragma once
 
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "dataio/frame.hpp"
 #include "resources/event_queue.hpp"
-#include "vis/renderer.hpp"
 
 namespace adaptviz {
 
@@ -31,11 +30,6 @@ class VisualizationProcess {
     /// Render cost model: fixed setup plus per-gigabyte scan cost.
     double fixed_seconds = 1.0;
     double seconds_per_gb = 3.0;
-    /// When set, frames with payloads are rendered to `output_dir` as
-    /// frame_<seq>.ppm.
-    bool render_images = false;
-    std::string output_dir;
-    RenderOptions render_options{};
     /// Invoked for every visualized frame (computational steering hooks in
     /// here; see steering/steering.hpp).
     std::function<void(const Frame&, const VisRecord&)> on_frame;
@@ -43,15 +37,8 @@ class VisualizationProcess {
 
   VisualizationProcess(EventQueue& queue, Options options);
 
-  /// The heavy half: renders the frame image to disk when `render_images`
-  /// is set (no-op otherwise). Touches no process state, so concurrent
-  /// calls on different frames are safe — the FrameReceiver runs these on
-  /// the shared thread pool, one per busy render slot.
-  void render_frame(const Frame& frame) const;
-
-  /// The bookkeeping half: appends the progress record, fires steering
-  /// hooks, and returns the frame's modeled render cost. Serial only (call
-  /// from the event loop).
+  /// Appends the progress record, fires steering hooks, and returns the
+  /// frame's modeled render cost. Serial only (call from the event loop).
   WallSeconds record(const Frame& frame);
 
   [[nodiscard]] const std::vector<VisRecord>& records() const {

@@ -353,34 +353,31 @@ TEST(FrameworkCodec, ExactlyOnceDeliveryOnEncodedBytesOverFlakyWan) {
   EXPECT_GT(r.summary.codec_mean_ratio, 1.0);
 }
 
-// ---- Series caps ----
-
-TEST(FrameworkSeries, MaxSeriesPointsStrideThinsKeepingEndpoints) {
-  const ExperimentResult full =
-      run_experiment(mini_config(AlgorithmKind::kOptimization));
+TEST(Framework, RenderSlotsAndRerendersLiveInVirtualTimeOnly) {
+  // A render-bound visualization site: four render slots at an hour a
+  // frame back the receiver up, and catch-up viewers joining late force
+  // re-renders on two slots. Every slot is a virtual-time cost, so with
+  // the codec off the pool sees storm-geometry builds and nothing else.
+  ThreadPool pool(1);
   ExperimentConfig cfg = mini_config(AlgorithmKind::kOptimization);
-  cfg.max_series_points = 10;
-  const ExperimentResult capped = run_experiment(cfg);
+  cfg.observability = true;
+  cfg.pool = &pool;
+  cfg.vis_workers = 4;
+  cfg.vis.fixed_seconds = 3600.0;
+  cfg.serve.session.cache.max_frames = 4;
+  cfg.serve.session.rerender_workers = 2;
+  cfg.serve.viewers = make_viewer_fleet(
+      8, Bandwidth::mbps(40.0), /*catchup_fraction=*/0.5, SimSeconds(0.0),
+      /*catchup_join=*/WallSeconds::hours(12.0));
+  const ExperimentResult r = run_experiment(cfg);
 
-  ASSERT_GT(full.samples.size(), 10u);
-  EXPECT_EQ(capped.samples.size(), 10u);
-  EXPECT_LE(capped.vis_records.size(), 10u);
-  EXPECT_LE(capped.track.size(), 10u);
-
-  // Endpoints survive thinning (same seed => identical pre-thinned series).
-  EXPECT_DOUBLE_EQ(capped.samples.front().wall_time.seconds(),
-                   full.samples.front().wall_time.seconds());
-  EXPECT_DOUBLE_EQ(capped.samples.back().wall_time.seconds(),
-                   full.samples.back().wall_time.seconds());
-  for (std::size_t i = 1; i < capped.samples.size(); ++i) {
-    EXPECT_GT(capped.samples[i].wall_time.seconds(),
-              capped.samples[i - 1].wall_time.seconds());
-  }
-  // Summary aggregates are computed from the full-resolution series
-  // before thinning.
-  EXPECT_DOUBLE_EQ(capped.summary.min_free_disk_percent,
-                   full.summary.min_free_disk_percent);
-  EXPECT_EQ(capped.summary.frames_written, full.summary.frames_written);
+  EXPECT_GT(r.metrics.gauge_or("receiver.peak_backlog"), 1.0);
+  EXPECT_GT(r.summary.rerenders, 1);
+  EXPECT_EQ(r.summary.frames_visualized, r.summary.frames_sent);
+  const obs::Histogram::Snapshot* geometry =
+      r.metrics.histogram("sim.forcing.geometry");
+  ASSERT_NE(geometry, nullptr);
+  EXPECT_EQ(r.metrics.counter_or("pool.regions"), geometry->count);
 }
 
 TEST(Framework, ObservabilityOffLeavesResultEmpty) {

@@ -1,8 +1,6 @@
 // FrameRenderer and VisualizationProcess tests.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "vis/renderer.hpp"
 #include "vis/vis_process.hpp"
 #include "weather/model.hpp"
@@ -135,32 +133,11 @@ TEST(VisProcess, RecordsProgressAndCost) {
   f.sequence = 7;
   f.sim_time = SimSeconds::hours(3.0);
   f.size = Bytes::gigabytes(0.5);
-  vis.render_frame(f);
   const WallSeconds cost = vis.record(f);
   EXPECT_NEAR(cost.seconds(), 4.0, 1e-9);
   ASSERT_EQ(vis.records().size(), 1u);
   EXPECT_EQ(vis.records()[0].sequence, 7);
   EXPECT_DOUBLE_EQ(vis.latest_visualized_sim_time().as_hours(), 3.0);
-}
-
-TEST(VisProcess, RendersPayloadToDisk) {
-  EventQueue queue;
-  const std::string dir = testing::TempDir() + "/adaptviz_vis_test";
-  std::filesystem::create_directories(dir);
-  VisualizationProcess::Options opts;
-  opts.render_images = true;
-  opts.output_dir = dir;
-  opts.render_options.width = 100;
-  VisualizationProcess vis(queue, opts);
-
-  Frame f;
-  f.sequence = 3;
-  f.sim_time = SimSeconds::hours(1.0);
-  f.size = Bytes::megabytes(10);
-  f.payload = std::make_shared<NclFile>(storm_frame());
-  vis.render_frame(f);
-  EXPECT_TRUE(std::filesystem::exists(dir + "/frame_000003.ppm"));
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -144,16 +144,6 @@ TEST(Scenario, CodecSectionParsesAndDefaultsOff) {
                std::runtime_error);
 }
 
-TEST(Scenario, MaxSeriesPoints) {
-  EXPECT_EQ(scenario_from_ini(minimal()).max_series_points, 0u);
-  const ExperimentConfig cfg = scenario_from_ini(IniDocument::parse(
-      "[experiment]\nmax_series_points = 500\n"));
-  EXPECT_EQ(cfg.max_series_points, 500u);
-  EXPECT_THROW(scenario_from_ini(IniDocument::parse(
-                   "[experiment]\nmax_series_points = -1\n")),
-               std::runtime_error);
-}
-
 TEST(Scenario, Validation) {
   EXPECT_THROW(scenario_from_ini(IniDocument::parse(
                    "[site]\npreset = mars-base\n")),
@@ -481,20 +471,19 @@ TEST(ScenarioObs, DefaultsOffAndSectionEnables) {
 
   const ExperimentConfig cfg = scenario_from_ini(IniDocument::parse(
       "[experiment]\nname = t\n[site]\npreset = intra-country\n"
-      "[obs]\nenabled = true\ntrace_capacity = 1024\n"));
+      "[obs]\nenabled = true\n"));
   EXPECT_TRUE(cfg.observability);
-  EXPECT_EQ(cfg.obs.trace_capacity, 1024u);
 
   // A bare [obs] section means "on" with defaults.
   EXPECT_TRUE(scenario_from_ini(
                   IniDocument::parse("[experiment]\nname = t\n[site]\n"
                                      "preset = intra-country\n[obs]\n"))
                   .observability);
-
-  EXPECT_THROW(scenario_from_ini(IniDocument::parse(
-                   "[experiment]\nname = t\n[site]\npreset = intra-country\n"
-                   "[obs]\ntrace_capacity = 0\n")),
-               std::runtime_error);
+  EXPECT_FALSE(scenario_from_ini(
+                   IniDocument::parse("[experiment]\nname = t\n[site]\n"
+                                      "preset = intra-country\n[obs]\n"
+                                      "enabled = false\n"))
+                   .observability);
 }
 
 }  // namespace

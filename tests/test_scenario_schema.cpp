@@ -33,8 +33,7 @@ const std::map<std::string, std::set<std::string>>& owners() {
   static const std::map<std::string, std::set<std::string>> kOwners = {
       {"experiment",
        {"name", "algorithm", "sim_window_hours", "max_wall_hours",
-        "decision_period_hours", "compute_scale", "seed", "vis_workers",
-        "keep_payloads", "max_series_points"}},
+        "decision_period_hours", "compute_scale", "seed", "vis_workers"}},
       {"site",
        {"preset", "max_cores", "min_cores", "disk_gb", "wan_mbps",
         "wan_efficiency", "io_mbps"}},
@@ -54,7 +53,7 @@ const std::map<std::string, std::set<std::string>>& owners() {
         "cache_frames", "cache_policy", "rerender_workers",
         "rerender_fixed_seconds", "rerender_seconds_per_gb"}},
       {"codec", {"enabled", "precision"}},
-      {"obs", {"enabled", "trace_capacity"}},
+      {"obs", {"enabled"}},
       {"steering",
        {"latency_seconds", "poll_period_seconds", "record_log",
         "replay_log"}},
@@ -100,6 +99,12 @@ TEST(ScenarioSchema, RejectsUnknownSectionsAndKeys) {
       {"[campaign]\nalgorithm = greedy-threshold, optimization\n",
        {"[campaign]", "algorithm"}},
       {"[campaign]\nconcurency = 2\n", {"[campaign]", "concurency"}},
+      // Knobs that no longer exist fail loudly rather than being ignored.
+      {"[experiment]\nkeep_payloads = true\n",
+       {"[experiment]", "keep_payloads"}},
+      {"[experiment]\nmax_series_points = 500\n",
+       {"[experiment]", "max_series_points"}},
+      {"[obs]\ntrace_capacity = 1024\n", {"[obs]", "trace_capacity"}},
   };
   for (const Case& c : cases) {
     try {

@@ -1,7 +1,6 @@
 // Frame cache and multi-client serving subsystem (src/serve).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -9,7 +8,6 @@
 #include "resources/event_queue.hpp"
 #include "serve/frame_cache.hpp"
 #include "serve/session_manager.hpp"
-#include "util/thread_pool.hpp"
 
 namespace adaptviz {
 namespace {
@@ -20,6 +18,19 @@ Frame mkframe(std::int64_t seq, double mb, double sim_seconds) {
   f.size = Bytes::megabytes(mb);
   f.sim_time = SimSeconds(sim_seconds);
   return f;
+}
+
+// Exact equality of two delivery series, wall times compared as doubles:
+// a serving run must not depend on anything but its inputs.
+void expect_same_series(const std::vector<DeliveryRecord>& a,
+                        const std::vector<DeliveryRecord>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].sequence, b[i].sequence);
+    EXPECT_EQ(a[i].wall_time.seconds(), b[i].wall_time.seconds());
+    EXPECT_EQ(a[i].sim_time.seconds(), b[i].sim_time.seconds());
+    EXPECT_EQ(a[i].cache_hit, b[i].cache_hit);
+  }
 }
 
 // ---------------------------------------------------------------- FrameCache
@@ -350,20 +361,14 @@ TEST(Sessions, RerenderedFramesReenterTheCache) {
   EXPECT_EQ(manager.cache().stats().insertions, 8);
 }
 
-TEST(Sessions, DeliveriesAreBitwiseIdenticalAcrossPoolSizes) {
-  auto run = [](int pool_workers) {
+TEST(Sessions, FleetDeliveriesAreBitwiseIdenticalRunToRun) {
+  auto run = [] {
     EventQueue queue;
-    ThreadPool pool(pool_workers);
-    std::atomic<int> rendered{0};
     ViewerSessionManager::Options opts;
     opts.cache.max_frames = 3;
     opts.cache.policy = EvictionPolicy::kStrideThinning;
     opts.rerender_workers = 2;
-    ViewerSessionManager manager(
-        queue, opts, /*seed=*/5, &pool,
-        [&rendered](const Frame&) {
-          rendered.fetch_add(1, std::memory_order_relaxed);
-        });
+    ViewerSessionManager manager(queue, opts, /*seed=*/5);
     for (const ViewerConfig& v : make_viewer_fleet(
              10, Bandwidth::mbps(40.0), /*catchup_fraction=*/0.5,
              SimSeconds(0.0), /*catchup_join=*/WallSeconds(500.0))) {
@@ -380,22 +385,12 @@ TEST(Sessions, DeliveriesAreBitwiseIdenticalAcrossPoolSizes) {
       const auto& records = manager.deliveries(c);
       all.insert(all.end(), records.begin(), records.end());
     }
-    EXPECT_EQ(rendered.load(), static_cast<int>(manager.rerenders()));
+    EXPECT_GT(manager.rerenders(), 0);
     return all;
   };
-  const std::vector<DeliveryRecord> serial = run(0);
-  EXPECT_FALSE(serial.empty());
-  for (const int workers : {2, 5}) {
-    const std::vector<DeliveryRecord> pooled = run(workers);
-    ASSERT_EQ(serial.size(), pooled.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i].sequence, pooled[i].sequence);
-      // Exact double equality: virtual time must not depend on the pool.
-      EXPECT_EQ(serial[i].wall_time.seconds(), pooled[i].wall_time.seconds());
-      EXPECT_EQ(serial[i].sim_time.seconds(), pooled[i].sim_time.seconds());
-      EXPECT_EQ(serial[i].cache_hit, pooled[i].cache_hit);
-    }
-  }
+  const std::vector<DeliveryRecord> first = run();
+  EXPECT_FALSE(first.empty());
+  expect_same_series(first, run());
 }
 
 TEST(Sessions, StrideThinningSurvivesConcurrentRerenderReinsertion) {
@@ -441,26 +436,19 @@ TEST(Sessions, StrideThinningSurvivesConcurrentRerenderReinsertion) {
   EXPECT_TRUE(manager.idle());
 }
 
-TEST(Sessions, RerenderRaceIsDeterministicAcrossPoolSizes) {
-  // Same rig as above but with the heavy re-render body on a real pool:
-  // the interleaving of re-insertions and live insertions — and therefore
-  // the delivery series — must not depend on worker count.
-  auto run = [](int pool_workers) {
+TEST(Sessions, RerenderRaceIsIdenticalRunToRun) {
+  // Same rig as above, run twice: the interleaving of re-insertions and
+  // live insertions — and therefore every delivery's wall time and cache
+  // outcome — is the same each time.
+  auto run = [] {
     EventQueue queue;
-    ThreadPool pool(pool_workers);
     ViewerSessionManager::Options opts;
     opts.cache.capacity = Bytes::megabytes(3);
     opts.cache.policy = EvictionPolicy::kStrideThinning;
     opts.rerender_fixed_seconds = 10.0;
     opts.rerender_seconds_per_gb = 0.0;
     opts.rerender_workers = 2;
-    ViewerSessionManager manager(queue, opts, /*seed=*/3, &pool,
-                                 [](const Frame& f) {
-                                   volatile std::int64_t acc = 0;
-                                   for (int i = 0; i < 5000; ++i) {
-                                     acc = acc + (f.sequence * 31 + i) % 97;
-                                   }
-                                 });
+    ViewerSessionManager manager(queue, opts, /*seed=*/3);
     for (int i = 0; i < 6; ++i) manager.on_frame(mkframe(i, 1, 10.0 * i));
     const ClientId replayer =
         manager.attach(exact_viewer(1.0, ViewerMode::kCatchUp));
@@ -472,17 +460,9 @@ TEST(Sessions, RerenderRaceIsDeterministicAcrossPoolSizes) {
     queue.run_all();
     return manager.deliveries(replayer);
   };
-  const std::vector<DeliveryRecord> serial = run(0);
-  ASSERT_EQ(serial.size(), 12u);
-  for (const int workers : {2, 5}) {
-    const std::vector<DeliveryRecord> pooled = run(workers);
-    ASSERT_EQ(pooled.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i].sequence, pooled[i].sequence);
-      EXPECT_EQ(serial[i].wall_time.seconds(), pooled[i].wall_time.seconds());
-      EXPECT_EQ(serial[i].cache_hit, pooled[i].cache_hit);
-    }
-  }
+  const std::vector<DeliveryRecord> first = run();
+  ASSERT_EQ(first.size(), 12u);
+  expect_same_series(first, run());
 }
 
 TEST(Sessions, Validation) {
@@ -581,10 +561,7 @@ TEST(Sessions, DetachMidTransferAbandonsTheFrame) {
 
 TEST(Sessions, SteerViewRerendersOnceAndDedupsAcrossClients) {
   EventQueue queue;
-  std::vector<std::int64_t> rendered;
-  ViewerSessionManager manager(
-      queue, {}, /*seed=*/1, /*pool=*/nullptr,
-      [&rendered](const Frame& f) { rendered.push_back(f.sequence); });
+  ViewerSessionManager manager(queue, {}, /*seed=*/1);
   const ClientId a = manager.attach(exact_viewer(1.0));
   const ClientId b = manager.attach(exact_viewer(1.0));
   manager.on_frame(mkframe(0, 1, 0.0));
@@ -613,7 +590,11 @@ TEST(Sessions, SteerViewRerendersOnceAndDedupsAcrossClients) {
   ASSERT_EQ(manager.deliveries(b).size(), 2u);
   EXPECT_EQ(manager.deliveries(a)[1].sequence, 0);
   EXPECT_FALSE(manager.deliveries(a)[1].cache_hit);
-  EXPECT_EQ(rendered, (std::vector<std::int64_t>{0}));
+  EXPECT_EQ(manager.deliveries(b)[1].sequence, 0);
+  EXPECT_FALSE(manager.deliveries(b)[1].cache_hit);
+  EXPECT_EQ(manager.deliveries(a)[1].wall_time.seconds(),
+            manager.deliveries(b)[1].wall_time.seconds());
+  EXPECT_EQ(manager.rerenders(), 1);  // one render served both clients
 
   // A different view is a different render — no dedup.
   ViewCommand other = zoomed;
@@ -622,6 +603,7 @@ TEST(Sessions, SteerViewRerendersOnceAndDedupsAcrossClients) {
   queue.run_all();
   EXPECT_EQ(manager.steer_renders(), 2);
   EXPECT_EQ(manager.steer_dedup(), 1);
+  EXPECT_EQ(manager.rerenders(), 2);
   ASSERT_EQ(manager.deliveries(b).size(), 3u);
 
   // Steering back to the default view re-renders under the shared
@@ -631,6 +613,7 @@ TEST(Sessions, SteerViewRerendersOnceAndDedupsAcrossClients) {
   manager.steer_view(a, ViewCommand{});
   queue.run_all();
   EXPECT_EQ(manager.steer_renders(), 2);  // no render for the detached one
+  EXPECT_EQ(manager.rerenders(), 2);
   EXPECT_EQ(manager.deliveries(a).size(), 2u);
 }
 
@@ -651,26 +634,19 @@ TEST(Sessions, SteeredRendersNeverPolluteTheSharedCache) {
   EXPECT_EQ(manager.cache().stats().insertions, before);
 }
 
-TEST(Sessions, SteerAndDetachChurnIsDeterministicAcrossPoolSizes) {
+TEST(Sessions, SteerAndDetachChurnIsIdenticalRunToRun) {
   // A replayed control-plane session — view steers, a detach and a
-  // reattach at fixed virtual times, heavy renders on a real pool — must
-  // produce the same delivery series for any worker count.
-  auto run = [](int pool_workers) {
+  // reattach at fixed virtual times — produces the same delivery series
+  // every time it runs.
+  auto run = [] {
     EventQueue queue;
-    ThreadPool pool(pool_workers);
     ViewerSessionManager::Options opts;
     opts.cache.capacity = Bytes::megabytes(3);
     opts.cache.policy = EvictionPolicy::kStrideThinning;
     opts.rerender_fixed_seconds = 10.0;
     opts.rerender_seconds_per_gb = 0.0;
     opts.rerender_workers = 2;
-    ViewerSessionManager manager(queue, opts, /*seed=*/3, &pool,
-                                 [](const Frame& f) {
-                                   volatile std::int64_t acc = 0;
-                                   for (int i = 0; i < 5000; ++i) {
-                                     acc = acc + (f.sequence * 31 + i) % 97;
-                                   }
-                                 });
+    ViewerSessionManager manager(queue, opts, /*seed=*/3);
     for (int i = 0; i < 6; ++i) manager.on_frame(mkframe(i, 1, 10.0 * i));
     const ClientId replayer =
         manager.attach(exact_viewer(1.0, ViewerMode::kCatchUp));
@@ -703,17 +679,9 @@ TEST(Sessions, SteerAndDetachChurnIsDeterministicAcrossPoolSizes) {
     EXPECT_GT(manager.steer_renders(), 0);
     return all;
   };
-  const std::vector<DeliveryRecord> serial = run(0);
-  EXPECT_FALSE(serial.empty());
-  for (const int workers : {2, 5}) {
-    const std::vector<DeliveryRecord> pooled = run(workers);
-    ASSERT_EQ(pooled.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i].sequence, pooled[i].sequence);
-      EXPECT_EQ(serial[i].wall_time.seconds(), pooled[i].wall_time.seconds());
-      EXPECT_EQ(serial[i].cache_hit, pooled[i].cache_hit);
-    }
-  }
+  const std::vector<DeliveryRecord> first = run();
+  EXPECT_FALSE(first.empty());
+  expect_same_series(first, run());
 }
 
 TEST(Sessions, FleetBuilderSplitsModes) {

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <utility>
 #include <vector>
 
@@ -410,38 +408,8 @@ TEST(Receiver, DispatchStaysInArrivalOrder) {
     receiver.on_frame_arrival(f);
   }
   queue.run_all();
-  EXPECT_EQ(order, (std::vector<std::int64_t>{0, 1, 2, 3, 4, 5}));
-}
-
-TEST(Receiver, PooledRenderRunsOncePerFrameBeforeBookkeeping) {
-  // With a pool and a RenderFn, every dispatched frame's heavy render runs
-  // exactly once (possibly on a pool lane) before its serial bookkeeping
-  // callback, and the virtual-time behavior is unchanged.
-  EventQueue queue;
-  ThreadPool pool(2);
-  std::array<std::atomic<int>, 6> rendered{};
-  std::vector<std::int64_t> order;
-  FrameReceiver receiver(
-      queue,
-      [&](const Frame& f) {
-        // The render must already have happened when bookkeeping fires.
-        EXPECT_EQ(rendered[static_cast<std::size_t>(f.sequence)].load(), 1);
-        order.push_back(f.sequence);
-        return WallSeconds(2.0);
-      },
-      3, &pool,
-      [&](const Frame& f) {
-        rendered[static_cast<std::size_t>(f.sequence)].fetch_add(1);
-      });
-  for (int i = 0; i < 6; ++i) {
-    Frame f;
-    f.sequence = i;
-    receiver.on_frame_arrival(f);
-  }
-  queue.run_all();
   EXPECT_EQ(receiver.frames_visualized(), 6);
   EXPECT_EQ(order, (std::vector<std::int64_t>{0, 1, 2, 3, 4, 5}));
-  for (const auto& r : rendered) EXPECT_EQ(r.load(), 1);
   EXPECT_DOUBLE_EQ(queue.now().seconds(), 4.0);  // two batches of 3 at 2 s
 }
 
