@@ -199,7 +199,18 @@ int main(int argc, char** argv) {
                  overhead_pct, budget_pct);
     ok = false;
   }
-  if (m.counter_or("sim.steps") <= 0 || m.counter_or("pool.regions") <= 0 ||
+  // With the codec off every fork-join region is a storm-geometry build:
+  // one per synchronous build, one per geometry built beside the serial
+  // work (each closes with one sim.forcing.wait span).
+  const auto histogram_count = [&m](const char* name) {
+    const obs::Histogram::Snapshot* h = m.histogram(name);
+    return h != nullptr ? h->count : std::int64_t{0};
+  };
+  const std::int64_t geometry_regions =
+      histogram_count("sim.forcing.geometry") +
+      histogram_count("sim.forcing.wait");
+  if (m.counter_or("sim.steps") <= 0 || geometry_regions <= 0 ||
+      m.counter_or("pool.regions") != geometry_regions ||
       m.counter_or("manager.decisions") <= 0 || instrumented.trace.empty()) {
     std::fprintf(stderr,
                  "FAIL: instrumented run captured no metrics/trace\n");

@@ -149,6 +149,51 @@ class ScopedTimer {
   double start_;
 };
 
+/// Times back-to-back stages with one clock read per stage boundary, where
+/// a ScopedTimer per stage would read the clock twice: each lap() feeds
+/// the time since the previous boundary (construction, skip() or lap())
+/// to a histogram. Histogram only, like ScopedTimer, unless close_span()
+/// puts the whole chain on the trace. No-op with nothing installed.
+class LapTimer {
+ public:
+  LapTimer() noexcept
+      : obs_(current()),
+        start_(obs_ != nullptr ? obs_->tracer().host_now() : 0.0),
+        last_(start_) {}
+
+  LapTimer(const LapTimer&) = delete;
+  LapTimer& operator=(const LapTimer&) = delete;
+
+  /// The bundle captured at construction (nullptr when none).
+  [[nodiscard]] Observability* bundle() const noexcept { return obs_; }
+
+  /// Ends a stage: observes the time since the last boundary.
+  void lap(HotHistogram& slot) noexcept {
+    if (obs_ == nullptr) return;
+    const double now = obs_->tracer().host_now();
+    slot.resolve(obs_)->observe(now - last_);
+    last_ = now;
+  }
+
+  /// Ends an untimed stretch: the next lap starts here.
+  void skip() noexcept {
+    if (obs_ != nullptr) last_ = obs_->tracer().host_now();
+  }
+
+  /// Records construction .. last boundary as a trace event of `stage`
+  /// and feeds it to `slot`, as a ScopedSpan over the chain would.
+  void close_span(const char* stage, HotHistogram& slot) {
+    if (obs_ == nullptr) return;
+    slot.resolve(obs_)->observe(last_ - start_);
+    obs_->tracer().record(stage, TraceClock::kHost, start_, last_ - start_);
+  }
+
+ private:
+  Observability* obs_;
+  double start_;
+  double last_;
+};
+
 /// RAII host-clock stage timer: records a trace event and feeds the
 /// histogram of the same name on destruction. Captures current() once,
 /// so an install/uninstall mid-span cannot tear the handle.

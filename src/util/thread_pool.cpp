@@ -113,7 +113,8 @@ bool& ThreadPool::in_parallel_region() {
 }
 
 void ThreadPool::run(std::size_t begin, std::size_t end, std::size_t chunk,
-                     int helper_tickets, RangeFnRef body) {
+                     int helper_tickets, RangeFnRef body,
+                     const RangeFnRef* serial) {
   // Capture the bundle once so the increment/decrement below stay
   // symmetric even if observability is swapped mid-region.
   obs::Observability* const o = obs::current();
@@ -124,19 +125,25 @@ void ThreadPool::run(std::size_t begin, std::size_t end, std::size_t chunk,
   static thread_local obs::HotHistogram queue_wait("pool.queue_wait_seconds");
   static thread_local obs::HotHistogram region_time("pool.region_seconds");
   static thread_local obs::HotCounter helper_bands("pool.helper_bands");
-  double enqueued = 0.0;
   if (o != nullptr) {
-    enqueued = o->tracer().host_now();
     const int depth = queue_depth_.fetch_add(1, std::memory_order_relaxed) + 1;
     depth_peak.resolve(o)->set_max(depth);
   }
   // One fork-join job at a time; a second top-level caller parks here.
-  std::lock_guard<std::mutex> run_lock(run_mutex_);
+  // Only a caller that parks reads the clock before the lock: an
+  // uncontended region's queue wait is observed as zero.
+  std::unique_lock<std::mutex> run_lock(run_mutex_, std::try_to_lock);
+  const bool parked = !run_lock.owns_lock();
+  double enqueued = 0.0;
+  if (parked) {
+    if (o != nullptr) enqueued = o->tracer().host_now();
+    run_lock.lock();
+  }
   double started = 0.0;
   if (o != nullptr) {
     started = o->tracer().host_now();
     regions.resolve(o)->add(1);
-    queue_wait.resolve(o)->observe(started - enqueued);
+    queue_wait.resolve(o)->observe(parked ? started - enqueued : 0.0);
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -151,8 +158,18 @@ void ThreadPool::run(std::size_t begin, std::size_t end, std::size_t chunk,
   }
   wake_cv_.notify_all();
 
-  // The caller is a lane too: claim bands until the cursor runs out.
+  // The caller is a lane too: run its serial chain, if any, then claim
+  // bands until the cursor runs out. The bands are finished even if the
+  // chain throws, since they may point into the chain's frame.
   in_parallel_region() = true;
+  std::exception_ptr serial_error;
+  if (serial != nullptr) {
+    try {
+      (*serial)(0, 0);
+    } catch (...) {
+      serial_error = std::current_exception();
+    }
+  }
   const std::size_t caller_bands = work(body, end, chunk);
   in_parallel_region() = false;
 
@@ -180,6 +197,8 @@ void ThreadPool::run(std::size_t begin, std::size_t end, std::size_t chunk,
           static_cast<std::int64_t>(bands - caller_bands));
     }
   }
+  lock.unlock();
+  if (serial_error) std::rethrow_exception(serial_error);
 }
 
 std::size_t ThreadPool::work(RangeFnRef body, std::size_t end,

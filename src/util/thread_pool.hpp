@@ -19,6 +19,12 @@
 // run inline serially rather than deadlocking. Concurrent top-level
 // callers serialize on the pool (one fork-join job at a time).
 //
+// Beside a serial chain: `parallel_for_beside(begin, end, chunk, body,
+// serial)` hands every band to the helpers while the caller runs a serial
+// chain of its own, then the caller claims what is left and joins. The
+// weather step builds its storm geometry this way while it steps the
+// solver, so the helpers have work in the gaps between regions.
+//
 // Handoff: regions on the forcing path last tens to hundreds of
 // microseconds, often less than a parked helper takes to wake on a busy
 // host. So both sides of a handoff poll before they block: a helper that
@@ -54,6 +60,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -158,7 +165,37 @@ class ThreadPool {
       body(begin, end);
       return;
     }
-    run(begin, end, chunk, static_cast<int>(used) - 1, RangeFnRef(body));
+    run(begin, end, chunk, static_cast<int>(used) - 1, RangeFnRef(body),
+        nullptr);
+  }
+
+  /// Fork-join over [begin, end) beside a serial chain: every helper may
+  /// claim `chunk`-sized bands of `body` while the caller runs `serial()`;
+  /// then the caller claims whatever is left and joins, so both have
+  /// finished when this returns. `serial` must not touch what `body`
+  /// reads or writes. With no helpers, or in a nested call, it runs
+  /// serial() and then body(begin, end) inline. An exception from
+  /// `serial` is rethrown once the bands are done.
+  template <typename Body, typename Serial>
+  void parallel_for_beside(std::size_t begin, std::size_t end,
+                           std::size_t chunk, Body&& body, Serial&& serial) {
+    if (workers_.empty() || in_parallel_region() || end <= begin) {
+      std::exception_ptr serial_error;
+      try {
+        serial();
+      } catch (...) {
+        serial_error = std::current_exception();
+      }
+      if (end > begin) body(begin, end);
+      if (serial_error) std::rethrow_exception(serial_error);
+      return;
+    }
+    const auto serial_range = [&serial](std::size_t, std::size_t) {
+      serial();
+    };
+    const RangeFnRef serial_ref(serial_range);
+    run(begin, end, chunk == 0 ? 1 : chunk, static_cast<int>(workers_.size()),
+        RangeFnRef(body), &serial_ref);
   }
 
  private:
@@ -183,8 +220,9 @@ class ThreadPool {
     std::shared_ptr<TaskHandle::State> state;
   };
 
+  // `serial`, when given, runs on the caller before it claims bands.
   void run(std::size_t begin, std::size_t end, std::size_t chunk,
-           int helper_tickets, RangeFnRef body);
+           int helper_tickets, RangeFnRef body, const RangeFnRef* serial);
   // Claims bands off the job's cursor until it passes `end`; returns how
   // many this lane ran.
   std::size_t work(RangeFnRef body, std::size_t end, std::size_t chunk);

@@ -126,11 +126,24 @@ SwSolver::SwSolver(SwParams params) : params_(params) {
   }
 }
 
+const std::vector<double>& SwSolver::coriolis_rows(const GridSpec& g) const {
+  for (int k = 0; k < 2; ++k) {
+    CoriolisRows& c = coriolis_cache_[k];
+    if (c.f.size() == g.ny() && c.grid == g) {
+      coriolis_recent_ = k;
+      return c.f;
+    }
+  }
+  coriolis_recent_ = 1 - coriolis_recent_;
+  CoriolisRows& c = coriolis_cache_[coriolis_recent_];
+  c.grid = g;
+  c.f.resize(g.ny());
+  for (std::size_t j = 0; j < g.ny(); ++j) c.f[j] = coriolis(g.at(0, j).lat);
+  return c.f;
+}
+
 void SwSolver::compute_tendency(const DomainState& s, const SwForcing& f,
                                 double dt, Tendency& out) const {
-  // Histogram-only: three tendencies per step would flood the trace ring.
-  static thread_local obs::HotHistogram tendency_hist("sim.tendency");
-  obs::ScopedTimer span(tendency_hist);
   const GridSpec& g = s.grid;
   const std::size_t nx = g.nx();
   const std::size_t ny = g.ny();
@@ -151,11 +164,7 @@ void SwSolver::compute_tendency(const DomainState& s, const SwForcing& f,
 
   // Coriolis per row (varies with latitude: the beta effect is what makes
   // cyclones drift poleward-westward even in quiescent environments).
-  coriolis_rows_.resize(ny);
-  for (std::size_t j = 0; j < ny; ++j) {
-    coriolis_rows_[j] = coriolis(g.at(0, j).lat);
-  }
-  const std::vector<double>& frow = coriolis_rows_;
+  const std::vector<double>& frow = coriolis_rows(g);
 
   const int w = params_.sponge_width;
   const bool sponge_on = w > 0 && params_.sponge_tau_seconds > 0;
@@ -342,9 +351,14 @@ void SwSolver::step(DomainState& state, double dt,
                     const SwForcing& forcing) const {
   if (dt <= 0) throw std::invalid_argument("SwSolver::step: dt must be > 0");
   static thread_local obs::HotHistogram step_hist("sim.step");
+  static thread_local obs::HotHistogram tendency_hist("sim.tendency");
+  static thread_local obs::HotHistogram update_hist("sim.update");
   static thread_local obs::HotCounter step_count("sim.steps");
-  obs::ScopedSpan span("sim.step", step_hist);
-  if (obs::Counter* c = step_count.resolve(obs::current())) c->add(1);
+  // The step's span and its stages share clock reads: each stage ends
+  // where the next begins. The stages are histogram-only: three
+  // tendencies per step would flood the trace ring.
+  obs::LapTimer laps;
+  if (obs::Counter* c = step_count.resolve(laps.bundle())) c->add(1);
   const std::size_t n = state.h.size();
 
   // WRF ARW RK3: phi* = phi + dt/3 F(phi); phi** = phi + dt/2 F(phi*);
@@ -358,18 +372,18 @@ void SwSolver::step(DomainState& state, double dt,
     stage_scratch_.emplace(state);
   }
   DomainState& stage = *stage_scratch_;
+  laps.skip();
 
   const double frac[3] = {dt / 3.0, dt / 2.0, dt};
   for (int k = 0; k < 3; ++k) {
     compute_tendency(stage, forcing, dt, tend);
+    laps.lap(tendency_hist);
     const double a = frac[k];
     // The first two stages write into the disjoint `stage` buffers (full
     // no-alias kernel); the last stage updates `state` in place.
     const double* th = tend.dh.data().data();
     const double* tu = tend.du.data().data();
     const double* tv = tend.dv.data().data();
-    static thread_local obs::HotHistogram update_hist("sim.update");
-    obs::ScopedTimer update_span(update_hist);
     if (k == 2) {
       double* dh = state.h.data().data();
       double* du = state.u.data().data();
@@ -384,7 +398,9 @@ void SwSolver::step(DomainState& state, double dt,
       const double* v0 = state.v.data().data();
       rk3_axpy(dh, du, dv, h0, u0, v0, th, tu, tv, a, n);
     }
+    laps.lap(update_hist);
   }
+  laps.close_span("sim.step", step_hist);
 }
 
 }  // namespace adaptviz

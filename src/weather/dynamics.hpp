@@ -86,6 +86,8 @@ class SwSolver {
   };
   void compute_tendency(const DomainState& s, const SwForcing& f, double dt,
                         Tendency& out) const;
+  // The Coriolis parameter of each row of `g`, from the cache.
+  const std::vector<double>& coriolis_rows(const GridSpec& g) const;
 
   SwParams params_;
   // Step scratch, reused across steps to kill per-step allocation churn
@@ -93,7 +95,15 @@ class SwSolver {
   // solvers on one thread alias the same tendency fields).
   mutable Tendency tend_scratch_;
   mutable std::optional<DomainState> stage_scratch_;
-  mutable std::vector<double> coriolis_rows_;  // per row of the last grid
+  // Coriolis parameter per row, for the two grids stepped last: a model
+  // alternates its parent and its nest. `coriolis_recent_` is the slot
+  // used last; a new grid replaces the other one.
+  struct CoriolisRows {
+    GridSpec grid;
+    std::vector<double> f;
+  };
+  mutable CoriolisRows coriolis_cache_[2];
+  mutable int coriolis_recent_ = 0;
   std::vector<double> sponge_rates_;  // (1/tau)(1 - d/w)^2 for d < w
 };
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "obs/obs.hpp"
+#include "util/thread_pool.hpp"
 #include "weather/domain_io.hpp"
 
 namespace adaptviz {
@@ -129,66 +130,125 @@ void WeatherModel::maybe_spawn_or_move_nest() {
 
 SimSeconds WeatherModel::step(ThreadPool* pool) {
   static thread_local obs::HotHistogram geometry_hist("sim.forcing.geometry");
+  static thread_local obs::HotHistogram wait_hist("sim.forcing.wait");
+  static thread_local obs::HotCounter rebuilds("sim.forcing.rebuilds");
   static thread_local obs::HotHistogram apply_hist("sim.forcing.apply");
   static thread_local obs::HotHistogram boundary_hist("sim.nest.boundary");
   static thread_local obs::HotHistogram feedback_hist("sim.nest.feedback");
-  const auto build_geometry = [&](const GridSpec& grid, const Field2D& land,
-                                  DomainForcing& df) {
-    obs::ScopedTimer span(geometry_hist);
-    physics_.forcing_geometry(grid, land, df.geometry, pool);
-  };
+  ThreadPool& lanes = pool != nullptr ? *pool : ThreadPool::shared();
+  // Computes `df`'s forcing of `state` and points `f` at it; the callers
+  // time it as sim.forcing.apply.
   const auto apply = [&](const DomainState& state, DomainForcing& df,
                          SwForcing& f) {
-    {
-      obs::ScopedTimer span(apply_hist);
-      CyclonePhysics::apply_forcing(df.geometry, state, df.q, df.fu, df.fv);
-    }
+    CyclonePhysics::apply_forcing(df.geometry, state, df.q, df.fu, df.fv);
     f.mass_tendency = &df.q;
     f.u_tendency = &df.fu;
     f.v_tendency = &df.fv;
     f.relaxation = &df.geometry.relaxation;
   };
+  // Builds `physics`'s geometry for `grid` into `df` on the pool's helpers
+  // while the caller runs `serial`; the caller's share of the build, and
+  // its wait for the helpers, is the sim.forcing.wait span.
+  const auto build_beside = [&](const CyclonePhysics& physics,
+                                const GridSpec& grid, const Field2D& land,
+                                DomainForcing& df, auto&& serial) {
+    physics.begin_geometry(grid, land, df.geometry);
+    std::optional<obs::ScopedTimer> wait;
+    lanes.parallel_for_beside(
+        0, grid.ny(), CyclonePhysics::kGeometryRowChunk,
+        [&](std::size_t j_begin, std::size_t j_end) {
+          physics.geometry_rows(land, df.geometry, j_begin, j_end);
+        },
+        [&] {
+          serial();
+          wait.emplace(wait_hist);
+        });
+  };
 
+  // The storm forces the dynamics only while its deficit exceeds 2 hPa.
+  const auto forcing_on = [](const CyclonePhysics& physics) {
+    return physics.deficit_hpa() > 2.0;
+  };
   const double dt = dt_seconds();
-  const bool storm_active = physics_.deficit_hpa() > 2.0;
+  const bool storm_active = forcing_on(physics_);
 
   SwForcing forcing;
   forcing.steering_u = analysis_.config().steering.u(sim_time_);
   forcing.steering_v = analysis_.config().steering.v(sim_time_);
-  if (storm_active) {
-    build_geometry(parent_.grid, parent_land_, parent_forcing_);
-    apply(parent_, parent_forcing_, forcing);
+  // The parent's geometry was normally built during the previous step
+  // (below); build it here only when that one is missing or stale (first
+  // step, regrid, restore).
+  if (storm_active &&
+      !physics_.geometry_current(parent_forcing_.geometry, parent_.grid)) {
+    if (obs::Counter* c = rebuilds.resolve(obs::current())) c->add(1);
+    obs::ScopedTimer span(geometry_hist);
+    physics_.forcing_geometry(parent_.grid, parent_land_,
+                              parent_forcing_.geometry, &lanes);
   }
-  solver_.step(parent_, dt, forcing);
-
-  if (nest_.has_value()) {
-    SwForcing nf;
-    nf.steering_u = forcing.steering_u;
-    nf.steering_v = forcing.steering_v;
-    const double ndt = dt / kNestRatio;
-    // The storm centre and deficit, the nest grid and its land mask change
-    // only in physics_.advance() and the recenter after this loop, so one
-    // geometry serves every substep.
-    if (storm_active) build_geometry(nest_->grid(), nest_land_, nest_forcing_);
-    for (int k = 0; k < kNestRatio; ++k) {
-      {
-        obs::ScopedTimer span(boundary_hist);
-        nest_->apply_boundary(parent_);
-      }
-      if (storm_active) apply(nest_->state(), nest_forcing_, nf);
-      solver_.step(nest_->state(), ndt, nf);
+  const auto step_parent = [&] {
+    if (storm_active) {
+      obs::ScopedTimer span(apply_hist);
+      apply(parent_, parent_forcing_, forcing);
     }
-    obs::ScopedTimer span(feedback_hist);
-    nest_->feedback(parent_);
+    solver_.step(parent_, dt, forcing);
+  };
+  // The nest's geometry depends only on the storm, the nest grid and its
+  // land mask, none of which the parent's step touches; one geometry
+  // serves every substep.
+  if (nest_.has_value() && storm_active) {
+    build_beside(physics_, nest_->grid(), nest_land_, nest_forcing_,
+                 step_parent);
+  } else {
+    step_parent();
   }
 
-  physics_.advance(dt, forcing.steering_u, forcing.steering_v,
-                   tracker_.eye());
-  sim_time_ += SimSeconds(dt);
+  // Everything after the parent's step: the nest's substeps and feedback,
+  // the storm's advance, tracking, and the nest's spawn or move.
+  const auto finish_step = [&] {
+    if (nest_.has_value()) {
+      SwForcing nf;
+      nf.steering_u = forcing.steering_u;
+      nf.steering_v = forcing.steering_v;
+      const double ndt = dt / kNestRatio;
+      // Back-to-back stages share clock reads; the solver times its own
+      // steps.
+      obs::LapTimer laps;
+      // The parent does not change across the substeps: sample it once.
+      nest_->sample_boundary(parent_);
+      laps.lap(boundary_hist);
+      for (int k = 0; k < kNestRatio; ++k) {
+        nest_->blend_boundary();
+        laps.lap(boundary_hist);
+        if (storm_active) {
+          apply(nest_->state(), nest_forcing_, nf);
+          laps.lap(apply_hist);
+        }
+        solver_.step(nest_->state(), ndt, nf);
+        laps.skip();
+      }
+      nest_->feedback(parent_);
+      laps.lap(feedback_hist);
+    }
 
-  // Track on the finest available domain.
-  tracker_.update(nest_.has_value() ? nest_->state() : parent_, sim_time_);
-  maybe_spawn_or_move_nest();
+    physics_.advance(dt, forcing.steering_u, forcing.steering_v,
+                     tracker_.eye());
+    sim_time_ += SimSeconds(dt);
+
+    // Track on the finest available domain.
+    tracker_.update(nest_.has_value() ? nest_->state() : parent_, sim_time_);
+    maybe_spawn_or_move_nest();
+  };
+  // The parent's geometry is no longer read, so the next step's is built
+  // into the same buffers meanwhile, from the storm as advance() will
+  // leave it: same dt, steering and eye, none of which change before it.
+  CyclonePhysics next = physics_;
+  next.advance(dt, forcing.steering_u, forcing.steering_v, tracker_.eye());
+  if (forcing_on(next)) {
+    build_beside(next, parent_.grid, parent_land_, parent_forcing_,
+                 finish_step);
+  } else {
+    finish_step();
+  }
   return SimSeconds(dt);
 }
 

@@ -73,9 +73,11 @@ class WeatherModel {
   /// Advances one parent time step (dt = 6 * modeled resolution seconds):
   /// parent RK3 step, three nest substeps with boundary exchange and
   /// feedback, intensity ODE, tracking, nest spawn/recenter.
-  /// Returns the simulated time advanced. The storm geometry's rows run on
-  /// `pool`'s lanes (null: ThreadPool::shared()); the state does not
-  /// depend on the pool.
+  /// Returns the simulated time advanced. The storm geometry is built on
+  /// `pool`'s helpers (null: ThreadPool::shared()) beside the serial work:
+  /// the nest's while the parent steps, the next step's parent geometry
+  /// while the nest steps. All of it has finished when step() returns, and
+  /// the state does not depend on the pool.
   SimSeconds step(ThreadPool* pool = nullptr);
 
   [[nodiscard]] SimSeconds sim_time() const { return sim_time_; }
@@ -152,7 +154,9 @@ class WeatherModel {
   CyclonePhysics physics_;
 
   // One domain's forcing, reused across steps: the storm geometry and the
-  // tendencies applied from it.
+  // tendencies applied from it. The parent's geometry is built one step
+  // ahead; step() uses it only if it is current for the step's grid and
+  // storm (CyclonePhysics::geometry_current), and rebuilds it otherwise.
   struct DomainForcing {
     ForcingGeometry geometry;
     Field2D q, fu, fv;

@@ -20,6 +20,26 @@ void sample_state(const DomainState& src, LatLon p, double& h, double& u,
   v = bilinear(src.v.data(), g.nx(), g.ny(), x, y);
 }
 
+// Calls fn(i, j, d) for each point of `g` within `w` points of an edge,
+// in row-major order; d is the point's distance from the nearest edge.
+template <typename Fn>
+void for_each_band_point(const GridSpec& g, std::size_t w, Fn&& fn) {
+  const std::size_t nx = g.nx();
+  const std::size_t ny = g.ny();
+  for (std::size_t j = 0; j < ny; ++j) {
+    const std::size_t dj = std::min(j, ny - 1 - j);
+    for (std::size_t i = 0; i < nx; ++i) {
+      const std::size_t d = std::min(std::min(i, nx - 1 - i), dj);
+      if (d >= w) {
+        // Interior: skip the whole middle of the row.
+        i = nx - w - 1;
+        continue;
+      }
+      fn(i, j, d);
+    }
+  }
+}
+
 }  // namespace
 
 GridSpec NestDomain::make_grid(const GridSpec& parent_grid, LatLon center,
@@ -46,6 +66,7 @@ NestDomain::NestDomain(const DomainState& parent, LatLon center,
                        parent.grid.resolution_km() / kNestRatio)),
       extent_deg_(extent_deg) {
   fill_from(parent);
+  plan_exchange(parent.grid);
 }
 
 LatLon NestDomain::center() const {
@@ -64,62 +85,121 @@ void NestDomain::fill_from(const DomainState& src) {
   }
 }
 
-void NestDomain::apply_boundary(const DomainState& parent, int width) {
-  const GridSpec& g = state_.grid;
-  const std::size_t w = static_cast<std::size_t>(std::max(1, width));
-  for (std::size_t j = 0; j < g.ny(); ++j) {
-    for (std::size_t i = 0; i < g.nx(); ++i) {
-      const std::size_t d = std::min(std::min(i, g.nx() - 1 - i),
-                                     std::min(j, g.ny() - 1 - j));
-      if (d >= w) {
-        // Interior: skip the whole middle of the row quickly.
-        if (j >= w && j < g.ny() - w && i == w) {
-          i = g.nx() - w - 1;
-        }
-        continue;
-      }
-      double h, u, v;
-      sample_state(parent, g.at(i, j), h, u, v);
-      // Blend: pure parent at the edge, pure nest at depth w.
-      const double f = static_cast<double>(d) / static_cast<double>(w);
-      state_.h(i, j) = f * state_.h(i, j) + (1.0 - f) * h;
-      state_.u(i, j) = f * state_.u(i, j) + (1.0 - f) * u;
-      state_.v(i, j) = f * state_.v(i, j) + (1.0 - f) * v;
-    }
-  }
-}
-
-void NestDomain::feedback(DomainState& parent, int exclude_width) const {
+void NestDomain::plan_exchange(const GridSpec& pg) {
   const GridSpec& ng = state_.grid;
-  const GridSpec& pg = parent.grid;
-  // Interior box of the nest in geographic coordinates.
-  const double pad =
-      static_cast<double>(exclude_width) * ng.resolution_km() / kKmPerDegree;
+  plan_.parent_grid = pg;
+
+  // The boundary band samples the parent at the nest's own points.
+  plan_.band_x.resize(ng.nx());
+  for (std::size_t i = 0; i < ng.nx(); ++i) {
+    plan_.band_x[i] = pg.x_of_lon(ng.lon_at(i));
+  }
+  plan_.band_y.resize(ng.ny());
+  for (std::size_t j = 0; j < ng.ny(); ++j) {
+    plan_.band_y[j] = pg.y_of_lat(ng.lat_at(j));
+  }
+  std::size_t band_points = 0;
+  for_each_band_point(ng, kBoundaryWidth,
+                      [&](std::size_t, std::size_t, std::size_t) {
+                        ++band_points;
+                      });
+  band_h_.resize(band_points);
+  band_u_.resize(band_points);
+  band_v_.resize(band_points);
+
+  // Feedback covers the parent points inside the nest's interior box, and
+  // restricts a (ratio x ratio) block of nest samples around each.
+  const double pad = static_cast<double>(kFeedbackExclude) *
+                     ng.resolution_km() / kKmPerDegree;
   const double lon_lo = ng.lon0() + pad;
   const double lon_hi = ng.lon0() + ng.extent_lon() - pad;
   const double lat_lo = ng.lat0() + pad;
   const double lat_hi = ng.lat0() + ng.extent_lat() - pad;
-
+  const double step = ng.resolution_km() / kKmPerDegree;
+  plan_.cover_i.clear();
+  plan_.cover_x.clear();
+  for (std::size_t i = 1; i + 1 < pg.nx(); ++i) {
+    const double lon = pg.lon_at(i);
+    if (lon < lon_lo || lon > lon_hi) continue;
+    plan_.cover_i.push_back(i);
+    for (int ii = -1; ii <= 1; ++ii) {
+      plan_.cover_x.push_back(
+          ng.x_of_lon(lon + static_cast<double>(ii) * step));
+    }
+  }
+  plan_.cover_j.clear();
+  plan_.cover_y.clear();
   for (std::size_t j = 1; j + 1 < pg.ny(); ++j) {
-    for (std::size_t i = 1; i + 1 < pg.nx(); ++i) {
-      const LatLon p = pg.at(i, j);
-      if (p.lon < lon_lo || p.lon > lon_hi || p.lat < lat_lo ||
-          p.lat > lat_hi) {
-        continue;
-      }
+    const double lat = pg.lat_at(j);
+    if (lat < lat_lo || lat > lat_hi) continue;
+    plan_.cover_j.push_back(j);
+    for (int jj = -1; jj <= 1; ++jj) {
+      plan_.cover_y.push_back(
+          ng.y_of_lat(lat + static_cast<double>(jj) * step));
+    }
+  }
+}
+
+void NestDomain::check_parent(const GridSpec& parent_grid) const {
+  if (!(parent_grid == plan_.parent_grid)) {
+    throw std::invalid_argument(
+        "NestDomain: parent is not on the grid the nest was placed in");
+  }
+}
+
+void NestDomain::sample_boundary(const DomainState& parent) {
+  check_parent(parent.grid);
+  const GridSpec& pg = parent.grid;
+  std::size_t k = 0;
+  for_each_band_point(
+      state_.grid, kBoundaryWidth,
+      [&](std::size_t i, std::size_t j, std::size_t) {
+        const double x = plan_.band_x[i];
+        const double y = plan_.band_y[j];
+        band_h_[k] = bicubic(parent.h.data(), pg.nx(), pg.ny(), x, y);
+        band_u_[k] = bilinear(parent.u.data(), pg.nx(), pg.ny(), x, y);
+        band_v_[k] = bilinear(parent.v.data(), pg.nx(), pg.ny(), x, y);
+        ++k;
+      });
+}
+
+void NestDomain::blend_boundary() {
+  std::size_t k = 0;
+  for_each_band_point(
+      state_.grid, kBoundaryWidth,
+      [&](std::size_t i, std::size_t j, std::size_t d) {
+        const double f =
+            static_cast<double>(d) / static_cast<double>(kBoundaryWidth);
+        state_.h(i, j) = f * state_.h(i, j) + (1.0 - f) * band_h_[k];
+        state_.u(i, j) = f * state_.u(i, j) + (1.0 - f) * band_u_[k];
+        state_.v(i, j) = f * state_.v(i, j) + (1.0 - f) * band_v_[k];
+        ++k;
+      });
+}
+
+void NestDomain::apply_boundary(const DomainState& parent) {
+  sample_boundary(parent);
+  blend_boundary();
+}
+
+void NestDomain::feedback(DomainState& parent) const {
+  check_parent(parent.grid);
+  const std::vector<double>& xs = plan_.cover_x;
+  const std::vector<double>& ys = plan_.cover_y;
+  for (std::size_t jn = 0; jn < plan_.cover_j.size(); ++jn) {
+    const std::size_t j = plan_.cover_j[jn];
+    for (std::size_t in = 0; in < plan_.cover_i.size(); ++in) {
+      const std::size_t i = plan_.cover_i[in];
       // Restriction: mean of a (ratio x ratio) block of nest samples around
       // the parent point — conservative-ish without bookkeeping exact cells.
       double h = 0.0;
       double u = 0.0;
       double v = 0.0;
-      const double step = ng.resolution_km() / kKmPerDegree;
       int count = 0;
-      for (int jj = -1; jj <= 1; ++jj) {
-        for (int ii = -1; ii <= 1; ++ii) {
-          const double x =
-              ng.x_of_lon(p.lon + static_cast<double>(ii) * step);
-          const double y =
-              ng.y_of_lat(p.lat + static_cast<double>(jj) * step);
+      for (std::size_t jj = 0; jj < 3; ++jj) {
+        const double y = ys[3 * jn + jj];
+        for (std::size_t ii = 0; ii < 3; ++ii) {
+          const double x = xs[3 * in + ii];
           h += state_.h.sample(x, y);
           u += state_.u.sample(x, y);
           v += state_.v.sample(x, y);
@@ -159,10 +239,12 @@ void NestDomain::recenter(const DomainState& parent, LatLon eye) {
                    state_.v(i, j));
     }
   }
+  plan_exchange(parent.grid);
 }
 
 void NestDomain::restore_state(DomainState s) {
   state_ = std::move(s);
+  plan_exchange(plan_.parent_grid);
 }
 
 }  // namespace adaptviz

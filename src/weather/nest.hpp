@@ -10,9 +10,18 @@
 // When the eye drifts too far from the nest centre the nest is re-centred,
 // reusing overlapping fine data and falling back to parent interpolation
 // elsewhere.
+//
+// Where the two grids read each other depends only on where the nest sits,
+// so (as WRF computes its nest interpolation indices when a nest moves)
+// the sample coordinates are computed once per placement: at spawn,
+// recenter and restore. The parent stays fixed across the nest's substeps,
+// so its boundary band is sampled once per parent step and blended in on
+// every substep.
 #pragma once
 
+#include <cstddef>
 #include <optional>
+#include <vector>
 
 #include "weather/grid.hpp"
 #include "weather/state.hpp"
@@ -21,6 +30,12 @@ namespace adaptviz {
 
 /// Time (and space) refinement ratio between parent and nest (paper: 1:3).
 inline constexpr int kNestRatio = 3;
+
+/// Depth (nest points) of the band the parent's values are blended into.
+inline constexpr std::size_t kBoundaryWidth = 3;
+
+/// Depth (nest points) of the rim that feedback leaves out.
+inline constexpr int kFeedbackExclude = 4;
 
 class NestDomain {
  public:
@@ -36,13 +51,22 @@ class NestDomain {
   [[nodiscard]] LatLon center() const;
   [[nodiscard]] double extent_deg() const { return extent_deg_; }
 
-  /// Overwrites the nest's boundary band (outer `width` points) with values
-  /// interpolated from the parent.
-  void apply_boundary(const DomainState& parent, int width = 3);
+  /// Samples the parent at the nest's boundary band (the outer
+  /// kBoundaryWidth points) for blend_boundary(). `parent` must be on the
+  /// grid the nest was placed in.
+  void sample_boundary(const DomainState& parent);
+
+  /// Blends the last sample into the boundary band: pure parent at the
+  /// edge, pure nest at depth kBoundaryWidth.
+  void blend_boundary();
+
+  /// sample_boundary() then blend_boundary().
+  void apply_boundary(const DomainState& parent);
 
   /// Restricts the nest interior onto overlapping parent points (two-way
-  /// feedback). The boundary band is excluded.
-  void feedback(DomainState& parent, int exclude_width = 4) const;
+  /// feedback). The outer kFeedbackExclude points of the nest are excluded.
+  /// `parent` must be on the grid the nest was placed in.
+  void feedback(DomainState& parent) const;
 
   /// True when `eye` is farther than `threshold_deg` from the nest centre.
   [[nodiscard]] bool needs_recenter(LatLon eye,
@@ -61,9 +85,27 @@ class NestDomain {
                                           LatLon center, double extent_deg,
                                           double resolution_km);
   void fill_from(const DomainState& src);
+  // Recomputes the exchange plan for the current nest grid inside
+  // `parent_grid`.
+  void plan_exchange(const GridSpec& parent_grid);
+  void check_parent(const GridSpec& parent_grid) const;
 
   DomainState state_;
   double extent_deg_;
+
+  // Where the grids read each other, for this placement. Each coordinate
+  // depends on one index only: a nest column's parent x, a nest row's
+  // parent y; a covered parent column's three nest x, a covered parent
+  // row's three nest y.
+  struct Exchange {
+    GridSpec parent_grid;
+    std::vector<double> band_x, band_y;
+    std::vector<std::size_t> cover_i, cover_j;
+    std::vector<double> cover_x, cover_y;
+  };
+  Exchange plan_;
+  // The parent sampled at the band, in band order (row-major).
+  std::vector<double> band_h_, band_u_, band_v_;
 };
 
 }  // namespace adaptviz

@@ -1,7 +1,9 @@
 #include "weather/physics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -14,11 +16,6 @@ namespace {
 
 /// The storm's forcing acts only where the Holland-zone weight exceeds this.
 constexpr double kHollandZoneWeight = 1e-4;
-
-/// Rows per claim when forcing_geometry() shares rows out over the pool.
-/// Rows through the Holland zone cost several times the rest, so lanes
-/// claim small chunks rather than one static band each.
-constexpr std::size_t kGeometryRowChunk = 2;
 
 /// Reshapes `f` to (nx, ny) unless it already has that shape.
 void fit(Field2D& f, std::size_t nx, std::size_t ny) {
@@ -93,6 +90,16 @@ void CyclonePhysics::build_forcing(const DomainState& state,
 void CyclonePhysics::forcing_geometry(const GridSpec& g, const Field2D& land,
                                       ForcingGeometry& geo,
                                       ThreadPool* pool) const {
+  begin_geometry(g, land, geo);
+  ThreadPool& lanes = pool != nullptr ? *pool : ThreadPool::shared();
+  lanes.parallel_for(0, g.ny(), lanes.worker_count(), kGeometryRowChunk,
+                     [&](std::size_t j_begin, std::size_t j_end) {
+                       geometry_rows(land, geo, j_begin, j_end);
+                     });
+}
+
+void CyclonePhysics::begin_geometry(const GridSpec& g, const Field2D& land,
+                                    ForcingGeometry& geo) const {
   const std::size_t nx = g.nx();
   const std::size_t ny = g.ny();
   if (land.nx() != nx || land.ny() != ny) {
@@ -103,16 +110,10 @@ void CyclonePhysics::forcing_geometry(const GridSpec& g, const Field2D& land,
                      &geo.relaxation}) {
     fit(*f, nx, ny);
   }
-
-  const HollandVortex target = target_vortex(g.resolution_km());
   geo.inv_tau = 1.0 / (config_.mass_relax_tau_hours * 3600.0);
-  const double inv_tau_fric = 1.0 / (config_.land_friction_tau_hours * 3600.0);
-  const double inv_tau_nudge = 1.0 / (config_.nudge_tau_hours * 3600.0);
-  const double storm_radius = 5.0 * target.r_max_km;  // nudge-free zone
-  const double storm_sigma2 = 2.0 * storm_radius * storm_radius;
-  const double sigma2 = 2.0 * 9.0 * target.r_max_km * target.r_max_km;
-  const double fcor = coriolis(center_.lat);
-  const double deg2rad = 3.14159265358979 / 180.0;
+  geo.grid = g;
+  geo.deficit_hpa = deficit_;
+  geo.center = center_;
 
   // East-west offset from the centre (km, before the cos(lat) scaling) of
   // each column; distance_km() and the tangent basis both start from it.
@@ -120,56 +121,76 @@ void CyclonePhysics::forcing_geometry(const GridSpec& g, const Field2D& land,
   for (std::size_t i = 0; i < nx; ++i) {
     geo.dlon_km[i] = (g.lon_at(i) - center_.lon) * kKmPerDegree;
   }
+}
+
+void CyclonePhysics::geometry_rows(const Field2D& land, ForcingGeometry& geo,
+                                   std::size_t j_begin,
+                                   std::size_t j_end) const {
+  const GridSpec& g = geo.grid;
+  const std::size_t nx = g.nx();
+  const HollandVortex target = target_vortex(g.resolution_km());
+  const double inv_tau_fric = 1.0 / (config_.land_friction_tau_hours * 3600.0);
+  const double inv_tau_nudge = 1.0 / (config_.nudge_tau_hours * 3600.0);
+  const double storm_radius = 5.0 * target.r_max_km;  // nudge-free zone
+  const double storm_sigma2 = 2.0 * storm_radius * storm_radius;
+  const double sigma2 = 2.0 * 9.0 * target.r_max_km * target.r_max_km;
+  const double fcor = coriolis(center_.lat);
+  const double deg2rad = 3.14159265358979 / 180.0;
   const double* ADAPTVIZ_RESTRICT dlon_km = geo.dlon_km.data();
 
-  const auto rows = [&](std::size_t j_begin, std::size_t j_end) {
-    for (std::size_t j = j_begin; j < j_end; ++j) {
-      // Constant along the row. distance_km() and the tangent basis write
-      // cos(mean lat) differently (*pi/180 vs *deg2rad), and the two can
-      // round apart, so each keeps its own.
-      const double lat = g.lat_at(j);
-      const double dy = (lat - center_.lat) * kKmPerDegree;
-      const double cos_dist =
-          std::cos(0.5 * (lat + center_.lat) * 3.14159265358979 / 180.0);
-      const double cos_tan = std::cos(0.5 * (lat + center_.lat) * deg2rad);
-      const double* ADAPTVIZ_RESTRICT land_row = land.row(j);
-      double* ADAPTVIZ_RESTRICT w_row = geo.weight.row(j);
-      double* ADAPTVIZ_RESTRICT h_row = geo.h_target.row(j);
-      double* ADAPTVIZ_RESTRICT u_row = geo.u_target.row(j);
-      double* ADAPTVIZ_RESTRICT v_row = geo.v_target.row(j);
-      double* ADAPTVIZ_RESTRICT relax_row = geo.relaxation.row(j);
-      for (std::size_t i = 0; i < nx; ++i) {
-        const double r = std::hypot(dlon_km[i] * cos_dist, dy);  // distance_km
+  for (std::size_t j = j_begin; j < j_end; ++j) {
+    // Constant along the row. distance_km() and the tangent basis write
+    // cos(mean lat) differently (*pi/180 vs *deg2rad), and the two can
+    // round apart, so each keeps its own.
+    const double lat = g.lat_at(j);
+    const double dy = (lat - center_.lat) * kKmPerDegree;
+    const double cos_dist =
+        std::cos(0.5 * (lat + center_.lat) * 3.14159265358979 / 180.0);
+    const double cos_tan = std::cos(0.5 * (lat + center_.lat) * deg2rad);
+    const double* ADAPTVIZ_RESTRICT land_row = land.row(j);
+    double* ADAPTVIZ_RESTRICT w_row = geo.weight.row(j);
+    double* ADAPTVIZ_RESTRICT h_row = geo.h_target.row(j);
+    double* ADAPTVIZ_RESTRICT u_row = geo.u_target.row(j);
+    double* ADAPTVIZ_RESTRICT v_row = geo.v_target.row(j);
+    double* ADAPTVIZ_RESTRICT relax_row = geo.relaxation.row(j);
+    for (std::size_t i = 0; i < nx; ++i) {
+      const double r = std::hypot(dlon_km[i] * cos_dist, dy);  // distance_km
 
-        // Relaxation toward the balanced Holland target (height and winds
-        // together), confined near the storm.
-        const double w = std::exp(-(r * r) / sigma2);
-        double h_target = 0.0;
-        double ut = 0.0;
-        double vt = 0.0;
-        if (w > kHollandZoneWeight) {
-          const HollandVortex::Profile prof = target.profile(r, fcor);
-          h_target = prof.height_m;
-          if (r > 1.0) {
-            const double dx = dlon_km[i] * cos_tan;
-            ut = prof.wind_ms * (-dy / r);
-            vt = prof.wind_ms * (dx / r);
-          }
+      // Relaxation toward the balanced Holland target (height and winds
+      // together), confined near the storm.
+      const double w = std::exp(-(r * r) / sigma2);
+      double h_target = 0.0;
+      double ut = 0.0;
+      double vt = 0.0;
+      if (w > kHollandZoneWeight) {
+        const HollandVortex::Profile prof = target.profile(r, fcor);
+        h_target = prof.height_m;
+        if (r > 1.0) {
+          const double dx = dlon_km[i] * cos_tan;
+          ut = prof.wind_ms * (-dy / r);
+          vt = prof.wind_ms * (dx / r);
         }
-        w_row[i] = w;
-        h_row[i] = h_target;
-        u_row[i] = ut;
-        v_row[i] = vt;
-
-        // Land friction plus far-field analysis nudging.
-        const double w_storm = std::exp(-(r * r) / storm_sigma2);
-        relax_row[i] =
-            land_row[i] * inv_tau_fric + (1.0 - w_storm) * inv_tau_nudge;
       }
+      w_row[i] = w;
+      h_row[i] = h_target;
+      u_row[i] = ut;
+      v_row[i] = vt;
+
+      // Land friction plus far-field analysis nudging.
+      const double w_storm = std::exp(-(r * r) / storm_sigma2);
+      relax_row[i] =
+          land_row[i] * inv_tau_fric + (1.0 - w_storm) * inv_tau_nudge;
     }
+  }
+}
+
+bool CyclonePhysics::geometry_current(const ForcingGeometry& geo,
+                                      const GridSpec& grid) const {
+  const auto same = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
   };
-  ThreadPool& lanes = pool != nullptr ? *pool : ThreadPool::shared();
-  lanes.parallel_for(0, ny, lanes.worker_count(), kGeometryRowChunk, rows);
+  return geo.grid == grid && same(geo.deficit_hpa, deficit_) &&
+         same(geo.center.lat, center_.lat) && same(geo.center.lon, center_.lon);
 }
 
 void CyclonePhysics::apply_forcing(const ForcingGeometry& geo,

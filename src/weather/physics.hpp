@@ -18,6 +18,7 @@
 // matching the cyclone's real late-May-2009 timeline.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "weather/geography.hpp"
@@ -61,6 +62,11 @@ struct ForcingGeometry {
   /// Scratch: each column's east-west offset from the centre (km, before
   /// the cos(lat) scaling), kept so a rebuild does not allocate.
   std::vector<double> dlon_km;
+  /// What the fields were built for: the grid, and the storm's deficit and
+  /// centre (CyclonePhysics::geometry_current() compares them).
+  GridSpec grid;
+  double deficit_hpa = 0.0;
+  LatLon center;
 };
 
 class CyclonePhysics {
@@ -111,6 +117,25 @@ class CyclonePhysics {
   void forcing_geometry(const GridSpec& grid, const Field2D& land,
                         ForcingGeometry& geometry,
                         ThreadPool* pool = nullptr) const;
+
+  /// forcing_geometry() in two halves, for a caller that schedules the
+  /// rows itself: begin_geometry() shapes `geometry` and records what it
+  /// is built for, then geometry_rows() fills rows [j_begin, j_end) of
+  /// it, in any order and on any lane.
+  void begin_geometry(const GridSpec& grid, const Field2D& land,
+                      ForcingGeometry& geometry) const;
+  void geometry_rows(const Field2D& land, ForcingGeometry& geometry,
+                     std::size_t j_begin, std::size_t j_end) const;
+
+  /// Rows per claim when a geometry's rows are shared out over a pool.
+  /// Rows through the Holland zone cost several times the rest, so lanes
+  /// claim small chunks rather than one static band each.
+  static constexpr std::size_t kGeometryRowChunk = 2;
+
+  /// Whether `geometry` was built for `grid` and for this storm's deficit
+  /// and centre, bit for bit: then it equals a fresh build.
+  [[nodiscard]] bool geometry_current(const ForcingGeometry& geometry,
+                                      const GridSpec& grid) const;
 
   /// The state-dependent half: relaxation tendencies of `state` (on the
   /// grid `geometry` was built for) toward the geometry's targets.

@@ -403,6 +403,23 @@ TEST(SnapshotRestore, ResumeBetweenSteeringEventsIsExact) {
       "steered");
 }
 
+// A snapshot taken between two weather steps of a storm with a nest, on
+// a pool with helpers: the parent geometry the last step built ahead
+// rides in the snapshot, and the resumed steps use it.
+TEST(SnapshotRestore, ResumeBetweenWeatherStepsIsExact) {
+  ThreadPool pool(3);
+  ExperimentConfig cfg = smoke_config();
+  cfg.pool = &pool;
+  expect_resume_exact(
+      cfg,
+      [](AdaptiveFramework& fw) {
+        const WeatherModel* m = fw.process().model();
+        return m != nullptr && m->nest_active() &&
+               m->physics().deficit_hpa() > 2.0;
+      },
+      "weather");
+}
+
 // A pre-start snapshot restores the framework to "never started":
 // resuming from it replays the whole run.
 TEST(SnapshotRestore, RestoreBeforeStartReplaysWholeRun) {

@@ -189,6 +189,18 @@ TEST(Framework, NonAdaptiveBaselineStallsFirst) {
             greedy.summary.sim_reached.seconds() + 3600.0);
 }
 
+// Fork-join regions a run's storm geometry opened: one per synchronous
+// build (sim.forcing.geometry) and one per geometry built beside the
+// serial work (each closes with one sim.forcing.wait span).
+std::int64_t geometry_regions(const ExperimentResult& r) {
+  const obs::Histogram::Snapshot* geometry =
+      r.metrics.histogram("sim.forcing.geometry");
+  const obs::Histogram::Snapshot* wait =
+      r.metrics.histogram("sim.forcing.wait");
+  return (geometry != nullptr ? geometry->count : 0) +
+         (wait != nullptr ? wait->count : 0);
+}
+
 TEST(Framework, ObservabilityCapturesThePipeline) {
   // One helper lane so the pool's fork-join path is exercised (results
   // are bitwise identical for any lane count).
@@ -212,27 +224,35 @@ TEST(Framework, ObservabilityCapturesThePipeline) {
   EXPECT_EQ(step->count, r.metrics.counter_or("sim.steps"));
   EXPECT_GT(step->sum, 0.0);
 
-  // Weather-step attribution: kNestRatio boundary exchanges per feedback,
-  // and one nest geometry serves all of a parent step's nest substeps.
+  // Weather-step attribution: per feedback, one sample of the parent's
+  // boundary band and kNestRatio blends of it. Geometry is built beside
+  // the serial work; only a step whose parent geometry was not built
+  // ahead (a fresh model after each restart) builds one on the caller.
   const obs::Histogram::Snapshot* boundary =
       r.metrics.histogram("sim.nest.boundary");
   const obs::Histogram::Snapshot* feedback =
       r.metrics.histogram("sim.nest.feedback");
   const obs::Histogram::Snapshot* geometry =
       r.metrics.histogram("sim.forcing.geometry");
+  const obs::Histogram::Snapshot* wait =
+      r.metrics.histogram("sim.forcing.wait");
   const obs::Histogram::Snapshot* apply =
       r.metrics.histogram("sim.forcing.apply");
   ASSERT_NE(boundary, nullptr);
   ASSERT_NE(feedback, nullptr);
   ASSERT_NE(geometry, nullptr);
+  ASSERT_NE(wait, nullptr);
   ASSERT_NE(apply, nullptr);
   EXPECT_GT(feedback->count, 0);
-  EXPECT_EQ(boundary->count, 3 * feedback->count);
+  EXPECT_EQ(boundary->count, (kNestRatio + 1) * feedback->count);
+  EXPECT_EQ(geometry->count, r.summary.restarts + 1);
+  EXPECT_EQ(r.metrics.counter_or("sim.forcing.rebuilds"), geometry->count);
   EXPECT_LT(geometry->count, apply->count);
   EXPECT_GT(geometry->sum, 0.0);
+  EXPECT_GT(wait->count, 0);
   EXPECT_GT(apply->sum, 0.0);
   // With the codec off, every fork-join region is a storm-geometry build.
-  EXPECT_EQ(r.metrics.counter_or("pool.regions"), geometry->count);
+  EXPECT_EQ(r.metrics.counter_or("pool.regions"), geometry_regions(r));
 
   // The trace retains events from both clock domains, and every manager
   // decision is on it (the ring is far larger than the decision count).
@@ -261,7 +281,8 @@ TEST(Framework, HelpersShareRegionsOnAnExplicitPool) {
   cfg.observability = true;
   cfg.pool = &pool;
   const ExperimentResult r = run_experiment(cfg);
-  EXPECT_GT(r.metrics.counter_or("pool.regions"), 0);
+  EXPECT_GT(geometry_regions(r), 0);
+  EXPECT_EQ(r.metrics.counter_or("pool.regions"), geometry_regions(r));
   EXPECT_GT(r.metrics.counter_or("pool.helper_bands"), 0);
 }
 
@@ -374,10 +395,8 @@ TEST(Framework, RenderSlotsAndRerendersLiveInVirtualTimeOnly) {
   EXPECT_GT(r.metrics.gauge_or("receiver.peak_backlog"), 1.0);
   EXPECT_GT(r.summary.rerenders, 1);
   EXPECT_EQ(r.summary.frames_visualized, r.summary.frames_sent);
-  const obs::Histogram::Snapshot* geometry =
-      r.metrics.histogram("sim.forcing.geometry");
-  ASSERT_NE(geometry, nullptr);
-  EXPECT_EQ(r.metrics.counter_or("pool.regions"), geometry->count);
+  EXPECT_GT(geometry_regions(r), 0);
+  EXPECT_EQ(r.metrics.counter_or("pool.regions"), geometry_regions(r));
 }
 
 TEST(Framework, ObservabilityOffLeavesResultEmpty) {

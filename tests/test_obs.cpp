@@ -332,6 +332,70 @@ TEST(ObsInstall, HotHandlesFollowTheBundleEpoch) {
   EXPECT_TRUE(a.tracer().events().empty());
 }
 
+TEST(ObsInstall, LapTimerStagesShareTheirBoundaries) {
+  HotHistogram stage_a("lap.a");
+  HotHistogram stage_b("lap.b");
+  HotHistogram chain("lap.chain");
+  {
+    LapTimer idle;  // nothing installed: every call is a no-op
+    EXPECT_EQ(idle.bundle(), nullptr);
+    idle.lap(stage_a);
+    idle.skip();
+    idle.close_span("lap.chain", chain);
+  }
+
+  Observability obs;
+  {
+    RunContext ctx;
+    ctx.observability = &obs;
+    ScopedRunContext scope(&ctx);
+    LapTimer laps;
+    EXPECT_EQ(laps.bundle(), &obs);
+    laps.lap(stage_a);
+    laps.lap(stage_b);
+    laps.lap(stage_a);
+    laps.close_span("lap.chain", chain);
+  }
+  const MetricsSnapshot snap = obs.metrics().snapshot();
+  const Histogram::Snapshot* a = snap.histogram("lap.a");
+  const Histogram::Snapshot* b = snap.histogram("lap.b");
+  const Histogram::Snapshot* span = snap.histogram("lap.chain");
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  ASSERT_NE(span, nullptr);
+  EXPECT_EQ(a->count, 2);
+  EXPECT_EQ(b->count, 1);
+  EXPECT_EQ(span->count, 1);
+  // Each lap starts where the previous one ended: the stages tile the span.
+  EXPECT_NEAR(a->sum + b->sum, span->sum, 1e-9);
+  const std::vector<TraceEvent> events = obs.tracer().events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].stage, "lap.chain");
+  EXPECT_EQ(events[0].clock, TraceClock::kHost);
+  EXPECT_DOUBLE_EQ(events[0].duration_seconds, span->sum);
+
+  // A skipped stretch is inside the span but in no stage.
+  Observability gap;
+  {
+    RunContext ctx;
+    ctx.observability = &gap;
+    ScopedRunContext scope(&ctx);
+    LapTimer laps;
+    const double skipped_from = gap.tracer().host_now();
+    while (gap.tracer().host_now() - skipped_from < 1e-3) {
+    }
+    laps.skip();
+    laps.lap(stage_a);
+    laps.close_span("lap.chain", chain);
+  }
+  const MetricsSnapshot gap_snap = gap.metrics().snapshot();
+  ASSERT_NE(gap_snap.histogram("lap.a"), nullptr);
+  ASSERT_NE(gap_snap.histogram("lap.chain"), nullptr);
+  EXPECT_GT(gap_snap.histogram("lap.chain")->sum -
+                gap_snap.histogram("lap.a")->sum,
+            0.999e-3);
+}
+
 // ---- Exporters ----
 
 TEST(Export, JsonContainsInstrumentsAndTrace) {

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdint>
 #include <latch>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -233,6 +234,70 @@ TEST(ThreadPool, BackToBackRegionsKeepTheirOwnBodies) {
       if (!ok && bad_regions++ == 0) first_bad = region;
     }
     EXPECT_EQ(bad_regions, 0u) << "first: region " << first_bad;
+  }
+}
+
+// A region beside a serial chain: the chain runs exactly once on the
+// caller, every index is covered exactly once, and both are done when the
+// call returns, with or without helpers and when nested.
+TEST(ThreadPool, BesideRegionRunsTheChainAndEveryBand) {
+  constexpr std::size_t kN = 300;
+  for (const int workers : {0, 1, 3}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    ThreadPool pool(workers);
+    for (int rep = 0; rep < 200; ++rep) {
+      std::vector<std::atomic<int>> hits(kN);
+      int chain_runs = 0;
+      const std::thread::id caller = std::this_thread::get_id();
+      bool chain_on_caller = false;
+      pool.parallel_for_beside(
+          0, kN, 2,
+          [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+          },
+          [&] {
+            ++chain_runs;
+            chain_on_caller = std::this_thread::get_id() == caller;
+          });
+      EXPECT_EQ(chain_runs, 1);
+      EXPECT_TRUE(chain_on_caller);
+      for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
+    }
+    // Nested inside a region: the chain, then the bands, inline.
+    std::atomic<int> nested{0};
+    pool.parallel_for(0, 4, 4, 1, [&](std::size_t, std::size_t) {
+      pool.parallel_for_beside(
+          0, 10, 3, [&](std::size_t b, std::size_t e) {
+            nested.fetch_add(static_cast<int>(e - b));
+          },
+          [&] { nested.fetch_add(100); });
+    });
+    EXPECT_EQ(nested.load(), 4 * 110);
+  }
+}
+
+// An exception from the chain surfaces only after every band has run.
+TEST(ThreadPool, BesideRegionRethrowsAfterTheBands) {
+  for (const int workers : {0, 3}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    ThreadPool pool(workers);
+    std::vector<std::atomic<int>> hits(64);
+    EXPECT_THROW(pool.parallel_for_beside(
+                     0, hits.size(), 1,
+                     [&](std::size_t lo, std::size_t hi) {
+                       for (std::size_t i = lo; i < hi; ++i) {
+                         hits[i].fetch_add(1);
+                       }
+                     },
+                     [] { throw std::runtime_error("chain"); }),
+                 std::runtime_error);
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+    // The pool still runs regions afterwards.
+    std::atomic<int> after{0};
+    pool.parallel_for(0, 8, 4, 1, [&](std::size_t lo, std::size_t hi) {
+      after.fetch_add(static_cast<int>(hi - lo));
+    });
+    EXPECT_EQ(after.load(), 8);
   }
 }
 

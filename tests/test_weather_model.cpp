@@ -10,6 +10,8 @@
 #include <optional>
 #include <string>
 
+#include "obs/obs.hpp"
+#include "runtime/run_context.hpp"
 #include "util/thread_pool.hpp"
 #include "weather/domain_io.hpp"
 
@@ -274,42 +276,71 @@ bool same_bits(const DomainState& a, const DomainState& b) {
 }
 
 TEST(WeatherModel, ForcingGeometryReuseIsBitwiseExact) {
-  // Through nest spawn and several recenters, the model (one storm geometry
-  // per parent step, its rows shared over the step's pool) stays bitwise
-  // equal to a replay that rebuilds the whole forcing on the parent and on
-  // every nest substep. Stepped inline (no helper lanes) and on three
-  // helpers, both runs match the same replay, so they match each other.
-  for (const int helpers : {0, 3}) {
+  // Through nest spawn, several recenters, a mid-run regrid and a
+  // checkpoint restore, the model (geometry built on the pool's helpers
+  // beside the serial work, the parent's one step ahead) stays bitwise
+  // equal to a replay that rebuilds the whole forcing on the caller for
+  // the parent and for every nest substep. The regrid and the restore
+  // leave the model without a current parent geometry, so each takes the
+  // synchronous rebuild. Stepped inline (no helper lanes) and on one and
+  // three helpers, every run matches the same replay.
+  const ModelConfig cfg = fast_config();
+  constexpr int kRegridAt = 700;
+  constexpr int kRestoreAt = 850;
+  for (const int helpers : {0, 1, 3}) {
     SCOPED_TRACE("helpers " + std::to_string(helpers));
     ThreadPool pool(helpers);
-    WeatherModel m(fast_config());
-    ForcingReplay replay(m);
+    obs::Observability o;
+    RunContext ctx;
+    ctx.observability = &o;
+    ScopedRunContext scope(&ctx);
+    WeatherModel m(cfg);
+    std::optional<ForcingReplay> replay(std::in_place, m);
     int spawned_at = -1;
     int recenters = 0;
-    std::optional<GridSpec> nest_grid;
+    GridSpec nest_grid;  // the nest's grid after the last step, if placed
+    bool placed = false;
     for (int step = 0; step < 1000; ++step) {
+      if (step == kRegridAt) {
+        m.set_modeled_resolution(12.0);
+        replay.emplace(m);
+        placed = false;
+      }
+      if (step == kRestoreAt) {
+        m = WeatherModel::restore(cfg, m.ladder(), m.checkpoint());
+        replay.emplace(m);
+        placed = false;
+      }
       m.step(&pool);
-      replay.step();
-      ASSERT_EQ(m.sim_time().seconds(), replay.sim_time().seconds());
-      ASSERT_TRUE(same_bits(m.parent_state(), replay.parent())) << step;
-      ASSERT_EQ(m.nest_active(), replay.nest().has_value()) << step;
+      replay->step();
+      ASSERT_EQ(m.sim_time().seconds(), replay->sim_time().seconds());
+      ASSERT_TRUE(same_bits(m.parent_state(), replay->parent())) << step;
+      ASSERT_EQ(m.nest_active(), replay->nest().has_value()) << step;
       if (m.nest_active()) {
-        ASSERT_TRUE(same_bits(m.nest()->state(), replay.nest()->state()))
+        ASSERT_TRUE(same_bits(m.nest()->state(), replay->nest()->state()))
             << step;
         if (spawned_at < 0) spawned_at = step;
-        if (nest_grid.has_value() && !(*nest_grid == m.nest()->grid())) {
-          ++recenters;
-        }
+        if (placed && !(nest_grid == m.nest()->grid())) ++recenters;
         nest_grid = m.nest()->grid();
+        placed = true;
       }
-      ASSERT_EQ(m.physics().deficit_hpa(), replay.physics().deficit_hpa());
-      ASSERT_EQ(m.physics().center().lat, replay.physics().center().lat);
-      ASSERT_EQ(m.physics().center().lon, replay.physics().center().lon);
-      ASSERT_EQ(m.eye().lat, replay.tracker().eye().lat);
-      ASSERT_EQ(m.eye().lon, replay.tracker().eye().lon);
+      ASSERT_EQ(m.physics().deficit_hpa(), replay->physics().deficit_hpa());
+      ASSERT_EQ(m.physics().center().lat, replay->physics().center().lat);
+      ASSERT_EQ(m.physics().center().lon, replay->physics().center().lon);
+      ASSERT_EQ(m.eye().lat, replay->tracker().eye().lat);
+      ASSERT_EQ(m.eye().lon, replay->tracker().eye().lon);
     }
     EXPECT_GT(spawned_at, 0);
+    EXPECT_LT(spawned_at, kRegridAt);
     EXPECT_GE(recenters, 2);
+    // The first step, the regrid and the restore: each built its parent
+    // geometry on the caller; every other geometry was built beside.
+    const obs::MetricsSnapshot metrics = o.metrics().snapshot();
+    EXPECT_EQ(metrics.counter_or("sim.forcing.rebuilds"), 3);
+    const obs::Histogram::Snapshot* wait =
+        metrics.histogram("sim.forcing.wait");
+    ASSERT_NE(wait, nullptr);
+    EXPECT_GT(wait->count, 1000);
   }
 }
 

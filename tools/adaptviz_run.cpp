@@ -11,7 +11,10 @@
 //
 // --metrics-out <path> switches the observability layer on (regardless of
 // the scenario's [obs] section) and dumps the metrics registry + stage
-// trace as one JSON document to <path> after the run.
+// trace as one JSON document to <path> after the run. Two gauges give the
+// host cost of the whole process up to that point: `process.wall_s`
+// (elapsed seconds) and `process.cpu_s` (user+sys seconds over all
+// threads, so pool helpers that poll count too).
 //
 // --steer-replay <path> loads a recorded/scripted steering_log.jsonl in
 // place of the scenario's [steering] replay_log; the framework applies
@@ -19,6 +22,10 @@
 // the run's applied steering stream. Recording a steered run
 // and replaying the saved log reproduces it bit for bit — the CI
 // steering-smoke step asserts exactly that with cmp(1).
+#include <sys/resource.h>
+
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 
 #include "core/scenario.hpp"
@@ -28,7 +35,31 @@
 
 using namespace adaptviz;
 
+namespace {
+
+// Adds the process's elapsed wall seconds since `start` and its user+sys
+// CPU seconds to `m`, keeping the gauges in name order.
+void add_process_times(obs::MetricsSnapshot& m,
+                       std::chrono::steady_clock::time_point start) {
+  const std::chrono::duration<double> wall =
+      std::chrono::steady_clock::now() - start;
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) +
+           static_cast<double>(t.tv_usec) * 1e-6;
+  };
+  m.gauges.push_back({"process.cpu_s",
+                      seconds(usage.ru_utime) + seconds(usage.ru_stime)});
+  m.gauges.push_back({"process.wall_s", wall.count()});
+  std::sort(m.gauges.begin(), m.gauges.end(),
+            [](const auto& a, const auto& b) { return a.name < b.name; });
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
+  const auto start = std::chrono::steady_clock::now();
   const auto args = tools::ArgSpec("<scenario.ini> [output_dir] [--verbose] "
                                    "[--metrics-out <path>] "
                                    "[--steer-record <path>] "
@@ -118,7 +149,9 @@ int main(int argc, char** argv) {
                       .c_str());
     }
     if (!metrics_out.empty()) {
-      obs::save_json(metrics_out, result.metrics, result.trace);
+      obs::MetricsSnapshot metrics = result.metrics;
+      add_process_times(metrics, start);
+      obs::save_json(metrics_out, metrics, result.trace);
       std::printf("metrics written to %s\n", metrics_out.c_str());
     }
     std::printf("results written to %s/%s_*.csv\n", out_dir.c_str(),
