@@ -24,6 +24,7 @@
 #include "lp/problem.hpp"
 #include "lp/simplex.hpp"
 #include "perf/perf_model.hpp"
+#include "sw_reference.hpp"
 #include "util/thread_pool.hpp"
 #include "vis/renderer.hpp"
 #include "weather/model.hpp"
@@ -208,16 +209,15 @@ DomainState kernel_initial_state(const GridSpec& g) {
   return s;
 }
 
-/// Best-of-`reps` seconds per step for one kernel.
-double seconds_per_step(const DomainState& init, SwKernel kernel, int steps,
-                        int reps) {
-  SwParams params;
-  params.kernel = kernel;
+/// Best-of-`reps` seconds per step of a fresh `Solver` (SwSolver or the
+/// scalar reference).
+template <typename Solver>
+double seconds_per_step(const DomainState& init, int steps, int reps) {
   const double dt = SwSolver::dt_for_resolution_km(init.grid.resolution_km());
   double best = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
     DomainState s = init;
-    SwSolver solver(params);
+    Solver solver;
     const auto t0 = std::chrono::steady_clock::now();
     for (int k = 0; k < steps; ++k) solver.step(s, dt, SwForcing{});
     const auto t1 = std::chrono::steady_clock::now();
@@ -228,12 +228,10 @@ double seconds_per_step(const DomainState& init, SwKernel kernel, int steps,
   return best;
 }
 
-std::uint64_t digest_after_steps(const DomainState& init, SwKernel kernel,
-                                 int steps) {
-  SwParams params;
-  params.kernel = kernel;
+template <typename Solver>
+std::uint64_t digest_after_steps(const DomainState& init, int steps) {
   DomainState s = init;
-  SwSolver solver(params);
+  Solver solver;
   const double dt = SwSolver::dt_for_resolution_km(init.grid.resolution_km());
   for (int k = 0; k < steps; ++k) solver.step(s, dt, SwForcing{});
   return state_digest(s);
@@ -250,9 +248,8 @@ int run_kernel_report(benchio::BenchReport& report, bool quick) {
   const int reps = quick ? 3 : 5;
 
   const double scalar_s =
-      seconds_per_step(init, SwKernel::kScalarReference, steps, reps);
-  const double row_s =
-      seconds_per_step(init, SwKernel::kRowKernel, steps, reps);
+      seconds_per_step<testing_support::ReferenceSolver>(init, steps, reps);
+  const double row_s = seconds_per_step<SwSolver>(init, steps, reps);
   const double speedup = scalar_s / row_s;
 
   report.add("kernel_step", "96km", "scalar_step_seconds", scalar_s, "s");
@@ -263,8 +260,8 @@ int run_kernel_report(benchio::BenchReport& report, bool quick) {
   // reference exactly.
   const int digest_steps = 10;
   const bool digests_match =
-      digest_after_steps(init, SwKernel::kRowKernel, digest_steps) ==
-      digest_after_steps(init, SwKernel::kScalarReference, digest_steps);
+      digest_after_steps<SwSolver>(init, digest_steps) ==
+      digest_after_steps<testing_support::ReferenceSolver>(init, digest_steps);
   report.add("kernel_step", "96km", "digest_match",
              digests_match ? 1.0 : 0.0, "flag");
 

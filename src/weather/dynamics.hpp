@@ -18,12 +18,15 @@
 // resolution, within RK3's stability region.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "weather/state.hpp"
 
 namespace adaptviz {
+
+namespace sw {
+struct KernelTable;  // weather/sw_kernels.hpp
+}
 
 struct SwForcing {
   double steering_u = 0.0;                 // m/s
@@ -32,20 +35,6 @@ struct SwForcing {
   const Field2D* u_tendency = nullptr;     // du/dt source (m/s^2), optional
   const Field2D* v_tendency = nullptr;     // dv/dt source (m/s^2), optional
   const Field2D* relaxation = nullptr;     // r(x,y) in 1/s, optional
-};
-
-/// Which tendency implementation a solver runs. Both produce bitwise
-/// identical fields — the regression tests step them side by side — so the
-/// scalar loop doubles as the living correctness oracle for the fast path.
-enum class SwKernel {
-  /// Contiguous row kernels: branch-free interior stencil over raw
-  /// ADAPTVIZ_RESTRICT spans, optional forcing/relaxation as hoisted row
-  /// passes, sponge applied by precomputed boundary bands. The default.
-  kRowKernel,
-  /// The original per-point scalar loop with per-point branches. Kept as
-  /// the baseline for bench_micro's kernel speedup case and as the bitwise
-  /// oracle for the row path.
-  kScalarReference,
 };
 
 struct SwParams {
@@ -57,12 +46,9 @@ struct SwParams {
   /// outermost interior row (weakening inward).
   int sponge_width = 5;
   double sponge_tau_seconds = 1200.0;
-  /// Tendency implementation; tests and bench_micro pin kScalarReference
-  /// to compare against the vectorizable row kernels.
-  SwKernel kernel = SwKernel::kRowKernel;
 };
 
-/// A solver owns its step scratch (RK3 stage state and tendency fields), so
+/// A solver owns its step scratch (RK3 stage state and kernel rows), so
 /// distinct instances never alias — two solvers on one thread, or one per
 /// thread, are safe. A single instance is NOT safe for concurrent step()
 /// calls. A step runs serially on its caller: its regions last tens of
@@ -71,9 +57,14 @@ class SwSolver {
  public:
   explicit SwSolver(SwParams params = {});
 
-  /// Advances the state by one RK3 step of length dt (seconds).
+  /// Advances the state by one RK3 step of length dt (seconds), on the
+  /// widest kernels this CPU runs (sw::kernels()).
   void step(DomainState& state, double dt_seconds,
             const SwForcing& forcing) const;
+  /// The same step on the given kernel table; every table gives the same
+  /// bits.
+  void step(DomainState& state, double dt_seconds, const SwForcing& forcing,
+            const sw::KernelTable& kernels) const;
 
   /// WRF's rule of thumb: seconds of time step per km of grid spacing.
   static double dt_for_resolution_km(double res_km) { return 6.0 * res_km; }
@@ -81,29 +72,26 @@ class SwSolver {
   [[nodiscard]] const SwParams& params() const { return params_; }
 
  private:
-  struct Tendency {
-    Field2D dh, du, dv;
+  // Step scratch of one grid: the Coriolis parameter of each row and the
+  // kernels' rows (sw::row_scratch_size).
+  struct Workspace {
+    GridSpec grid;
+    std::vector<double> fcor;
+    std::vector<double> rows;
   };
-  void compute_tendency(const DomainState& s, const SwForcing& f, double dt,
-                        Tendency& out) const;
-  // The Coriolis parameter of each row of `g`, from the cache.
-  const std::vector<double>& coriolis_rows(const GridSpec& g) const;
+  Workspace& workspace(const GridSpec& g) const;
 
   SwParams params_;
-  // Step scratch, reused across steps to kill per-step allocation churn
-  // (and explicitly per-instance: a `static thread_local` here once let two
-  // solvers on one thread alias the same tendency fields).
-  mutable Tendency tend_scratch_;
-  mutable std::optional<DomainState> stage_scratch_;
-  // Coriolis parameter per row, for the two grids stepped last: a model
-  // alternates its parent and its nest. `coriolis_recent_` is the slot
-  // used last; a new grid replaces the other one.
-  struct CoriolisRows {
-    GridSpec grid;
-    std::vector<double> f;
-  };
-  mutable CoriolisRows coriolis_cache_[2];
-  mutable int coriolis_recent_ = 0;
+  // Scratch for the two grids stepped last (a model alternates its parent
+  // and its nest), reused across steps so neither allocates nor refills;
+  // `work_recent_` is the slot used last, and a new grid replaces the
+  // other one. Per instance: a `static thread_local` here once let two
+  // solvers on one thread alias the same fields.
+  mutable Workspace work_[2];
+  mutable int work_recent_ = 0;
+  // RK3 stage state of the grid being stepped (h, u, v back to back). It
+  // only grows: each stage writes it whole before the next reads it.
+  mutable std::vector<double> stage_;
   std::vector<double> sponge_rates_;  // (1/tau)(1 - d/w)^2 for d < w
 };
 

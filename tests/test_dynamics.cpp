@@ -4,13 +4,20 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <string>
 #include <vector>
 
+#include "sw_reference.hpp"
 #include "util/thread_pool.hpp"
+#include "weather/sw_kernels.hpp"
 #include "weather/vortex.hpp"
 
 namespace adaptviz {
 namespace {
+
+using testing_support::ReferenceSolver;
 
 // A mid-ocean test grid: 20x20 degrees at 100 km spacing around the Bay.
 GridSpec test_grid(double res_km = 100.0) {
@@ -283,20 +290,22 @@ struct GoldenRun {
   std::uint64_t plain_step10 = 0;
 };
 
-GoldenRun run_golden(const SwParams& params) {
-  SwSolver solver(params);
+// Digests the golden run, with `step(state, dt, forcing)` one RK3 step of
+// the implementation under test.
+template <typename Step>
+GoldenRun run_golden(Step&& step) {
   DomainState s = golden_vortex_state();
   FullForcingFixture fix(s.grid);
   const double dt = SwSolver::dt_for_resolution_km(80.0);
   GoldenRun run;
   run.initial = state_digest(s);
-  solver.step(s, dt, fix.forcing);
+  step(s, dt, fix.forcing);
   run.forced_step1 = state_digest(s);
-  for (int k = 2; k <= 10; ++k) solver.step(s, dt, fix.forcing);
+  for (int k = 2; k <= 10; ++k) step(s, dt, fix.forcing);
   run.forced_step10 = state_digest(s);
 
   DomainState plain = golden_vortex_state();
-  for (int k = 0; k < 10; ++k) solver.step(plain, dt, SwForcing{});
+  for (int k = 0; k < 10; ++k) step(plain, dt, SwForcing{});
   run.plain_step10 = state_digest(plain);
   return run;
 }
@@ -306,20 +315,26 @@ GoldenRun run_golden(const SwParams& params) {
 // per thread would show as a digest off the goldens.
 class KernelRegression : public testing::TestWithParam<int> {
  protected:
-  std::vector<GoldenRun> run_concurrently(const SwParams& params) const {
+  // Runs `one_run` once per worker, all at once; each call makes its own
+  // solver.
+  std::vector<GoldenRun> run_concurrently(
+      const std::function<GoldenRun()>& one_run) const {
     const int workers = GetParam();
     const auto n = static_cast<std::size_t>(workers);
     std::vector<GoldenRun> runs(n);
     ThreadPool pool(workers - 1);
     pool.parallel_for(0, n, workers, 1, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t w = lo; w < hi; ++w) runs[w] = run_golden(params);
+      for (std::size_t w = lo; w < hi; ++w) runs[w] = one_run();
     });
     return runs;
   }
 };
 
 TEST_P(KernelRegression, RowKernelMatchesPreRefactorGoldens) {
-  const std::vector<GoldenRun> runs = run_concurrently(SwParams{});
+  const std::vector<GoldenRun> runs = run_concurrently([] {
+    SwSolver solver;
+    return run_golden([&](auto&&... a) { solver.step(a...); });
+  });
   for (std::size_t w = 0; w < runs.size(); ++w) {
     EXPECT_EQ(runs[w].initial, kGoldenInitial) << "solver " << w;
     EXPECT_EQ(runs[w].forced_step1, kGoldenForcedStep1) << "solver " << w;
@@ -329,8 +344,10 @@ TEST_P(KernelRegression, RowKernelMatchesPreRefactorGoldens) {
 }
 
 TEST_P(KernelRegression, ScalarReferenceMatchesPreRefactorGoldens) {
-  const std::vector<GoldenRun> runs =
-      run_concurrently(SwParams{.kernel = SwKernel::kScalarReference});
+  const std::vector<GoldenRun> runs = run_concurrently([] {
+    ReferenceSolver ref;
+    return run_golden([&](auto&&... a) { ref.step(a...); });
+  });
   for (std::size_t w = 0; w < runs.size(); ++w) {
     EXPECT_EQ(runs[w].forced_step10, kGoldenForcedStep10) << "solver " << w;
   }
@@ -339,20 +356,16 @@ TEST_P(KernelRegression, ScalarReferenceMatchesPreRefactorGoldens) {
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, KernelRegression,
                          testing::Values(1, 2, 8));
 
-// Live oracle: the two kernels stepped side by side stay bitwise equal on
-// a grid narrow enough to hit the banded-sponge fallback path too.
+// Live oracle: the solver and the scalar reference stepped side by side
+// stay bitwise equal on a grid narrow enough that every column of a row
+// lies within the sponge of a side edge.
 TEST(KernelRegression, RowKernelBitwiseEqualsReferenceOnNarrowGrid) {
-  // 6x6 points at 400 km: narrower than 2*sponge_width+2, so the sponge
-  // bands would overlap and the row path must take its per-point fallback.
+  // 6x6 points at 400 km: narrower than 2*sponge_width+2.
   GridSpec narrow(75.0, 4.0, 20.0, 20.0, 400.0);
   ASSERT_LT(narrow.nx(), 2 * static_cast<std::size_t>(SwParams{}.sponge_width) + 2);
 
-  SwParams row_params;
-  SwParams ref_params;
-  ref_params.kernel = SwKernel::kScalarReference;
-  SwSolver row_solver(row_params);
-  SwSolver ref_solver(ref_params);
-
+  SwSolver row_solver;
+  ReferenceSolver ref_solver;
   auto seed_state = [&] {
     DomainState s(narrow);
     for (std::size_t j = 0; j < narrow.ny(); ++j)
@@ -374,6 +387,148 @@ TEST(KernelRegression, RowKernelBitwiseEqualsReferenceOnNarrowGrid) {
   EXPECT_EQ(a.h, b.h);
   EXPECT_EQ(a.u, b.u);
   EXPECT_EQ(a.v, b.v);
+}
+
+// ---- ISA dispatch: each kernel table against the scalar reference ----
+
+bool same_bytes(const Field2D& a, const Field2D& b) {
+  return a.nx() == b.nx() && a.ny() == b.ny() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(double)) == 0;
+}
+
+// A vortex-free but busy state with signed zeros sprinkled in, so a kernel
+// that adds a zero term the reference skips (-0.0 + 0.0 = +0.0) shows.
+DomainState busy_state(const GridSpec& g) {
+  DomainState s(g);
+  for (std::size_t j = 0; j < g.ny(); ++j) {
+    for (std::size_t i = 0; i < g.nx(); ++i) {
+      const double x = static_cast<double>(i);
+      const double y = static_cast<double>(j);
+      const bool neg_zero = (i * 3 + j * 5) % 11 == 0;
+      s.h(i, j) = neg_zero ? -0.0 : 2.0 * std::sin(0.7 * x) * std::cos(0.4 * y);
+      s.u(i, j) = neg_zero ? -0.0 : 0.8 * std::cos(0.3 * x + 0.2 * y);
+      s.v(i, j) = (i + j) % 7 == 0 ? -0.0 : -0.6 * std::sin(0.5 * y - 0.1 * x);
+    }
+  }
+  return s;
+}
+
+// The table named by the test parameter, or null when this CPU cannot run
+// it.
+const sw::KernelTable* table_named(const std::string& name) {
+  if (name == "baseline") return &sw::baseline_kernels();
+  return sw::x86_64_v3_kernels();
+}
+
+class KernelDispatch : public testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    table_ = table_named(GetParam());
+    if (table_ == nullptr) GTEST_SKIP() << "this CPU lacks x86-64-v3";
+  }
+  const sw::KernelTable* table_ = nullptr;
+};
+
+// Every subset of {q, fu, fv, relaxation}, with the sponge on and off, on
+// a wide grid (sponge bands plus a middle span) and on the narrow 6x6
+// grid: the kernels and the reference agree in every byte.
+TEST_P(KernelDispatch, EveryForcingSubsetMatchesReference) {
+  const GridSpec grids[] = {test_grid(80.0),
+                            GridSpec(75.0, 4.0, 20.0, 20.0, 400.0)};
+  const SwParams sponges[] = {SwParams{}, SwParams{.sponge_width = 0}};
+  for (const GridSpec& g : grids) {
+    const double dt = SwSolver::dt_for_resolution_km(g.resolution_km());
+    FullForcingFixture fix(g);
+    for (const SwParams& params : sponges) {
+      for (int mask = 0; mask < 16; ++mask) {
+        SwForcing f;
+        f.steering_u = fix.forcing.steering_u;
+        f.steering_v = fix.forcing.steering_v;
+        if (mask & 1) f.mass_tendency = &fix.q;
+        if (mask & 2) f.u_tendency = &fix.fu;
+        if (mask & 4) f.v_tendency = &fix.fv;
+        if (mask & 8) f.relaxation = &fix.relax;
+        SwSolver solver(params);
+        ReferenceSolver ref(params);
+        DomainState a = busy_state(g);
+        DomainState b = busy_state(g);
+        for (int k = 0; k < 3; ++k) {
+          solver.step(a, dt, f, *table_);
+          ref.step(b, dt, f);
+        }
+        const std::string where = "grid " + std::to_string(g.nx()) + "x" +
+                                  std::to_string(g.ny()) + " sponge " +
+                                  std::to_string(params.sponge_width) +
+                                  " forcing mask " + std::to_string(mask);
+        EXPECT_TRUE(same_bytes(a.h, b.h)) << where;
+        EXPECT_TRUE(same_bytes(a.u, b.u)) << where;
+        EXPECT_TRUE(same_bytes(a.v, b.v)) << where;
+      }
+    }
+  }
+}
+
+TEST_P(KernelDispatch, MatchesPreRefactorGoldens) {
+  SwSolver solver;
+  const GoldenRun run =
+      run_golden([&](auto&&... a) { solver.step(a..., *table_); });
+  EXPECT_EQ(run.forced_step1, kGoldenForcedStep1);
+  EXPECT_EQ(run.forced_step10, kGoldenForcedStep10);
+  EXPECT_EQ(run.plain_step10, kGoldenPlainStep10);
+}
+
+INSTANTIATE_TEST_SUITE_P(Tables, KernelDispatch,
+                         testing::Values("baseline", "x86_64_v3"),
+                         [](const testing::TestParamInfo<std::string>& p) {
+                           return p.param;
+                         });
+
+TEST(KernelDispatch, ActiveTableIsTheWidestThisCpuRuns) {
+  const sw::KernelTable* v3 = sw::x86_64_v3_kernels();
+  EXPECT_EQ(&sw::kernels(), v3 != nullptr ? v3 : &sw::baseline_kernels());
+}
+
+// One solver alternating a parent-shaped and a nest-shaped grid, with the
+// nest moving once (same shape, new grid), matches a fresh solver per
+// domain bit for bit: the stage buffers are written whole before they are
+// read, and the kernel rows' zero row and edge columns stay zero.
+TEST(Dynamics, OneSolverAlternatingGridsMatchesFreshSolvers) {
+  const GridSpec parent_grid = test_grid(80.0);
+  const GridSpec nest_grid(82.0, 10.0, 4.0, 4.0, 40.0);
+  const GridSpec moved_nest(83.0, 11.0, 4.0, 4.0, 40.0);
+  ASSERT_EQ(moved_nest.nx(), nest_grid.nx());
+  ASSERT_EQ(moved_nest.ny(), nest_grid.ny());
+  const double dt = SwSolver::dt_for_resolution_km(80.0);
+  const double ndt = SwSolver::dt_for_resolution_km(40.0);
+
+  FullForcingFixture parent_fix(parent_grid);
+  FullForcingFixture nest_fix(nest_grid);
+  SwSolver shared, alone_parent, alone_nest;
+  DomainState p_shared = busy_state(parent_grid);
+  DomainState p_alone = busy_state(parent_grid);
+  DomainState n_shared = busy_state(nest_grid);
+  DomainState n_alone = busy_state(nest_grid);
+  for (int k = 0; k < 8; ++k) {
+    if (k == 4) {
+      // The nest moves: its values carry over onto the moved grid.
+      n_shared.grid = moved_nest;
+      n_alone.grid = moved_nest;
+    }
+    const SwForcing& pf = k % 2 == 0 ? parent_fix.forcing : SwForcing{};
+    shared.step(p_shared, dt, pf);
+    alone_parent.step(p_alone, dt, pf);
+    for (int sub = 0; sub < 3; ++sub) {
+      shared.step(n_shared, ndt, nest_fix.forcing);
+      alone_nest.step(n_alone, ndt, nest_fix.forcing);
+    }
+  }
+  EXPECT_TRUE(same_bytes(p_shared.h, p_alone.h));
+  EXPECT_TRUE(same_bytes(p_shared.u, p_alone.u));
+  EXPECT_TRUE(same_bytes(p_shared.v, p_alone.v));
+  EXPECT_TRUE(same_bytes(n_shared.h, n_alone.h));
+  EXPECT_TRUE(same_bytes(n_shared.u, n_alone.u));
+  EXPECT_TRUE(same_bytes(n_shared.v, n_alone.v));
 }
 
 TEST(Dynamics, Validation) {
